@@ -10,6 +10,11 @@ service-mode claims (DESIGN.md §10):
                 cache: the response's "output" bytes and "exit" status are
                 byte-identical to one-shot owl_cli, and the warm hit
                 reproduces the cold miss (same bytes, same manifest_sha)
+  options       every example x the non-default option sets the serve-mixed
+                benchmark uses (checkers+SARIF, predict, vuln-flow,
+                prescreen, repair), plus inline modules that fail to parse,
+                lack an entry, or fail verification: exit status, output
+                and error text all equal one-shot owl_cli's
   shed          overload answers structured rejections (queue_full,
                 client_inflight_exceeded) with a retry hint — admitted
                 requests still complete
@@ -24,8 +29,9 @@ service-mode claims (DESIGN.md §10):
                 concurrent connections, mixed jobs: every response
                 byte-identical to owl_cli, hit/miss/store counters exact
 
---quick runs the ctest-sized subset (2 examples, fast impl, jobs 1, plus
-shed + drain + corrupt) and skips kill9 and the soak.
+--quick runs the ctest-sized subset (2 examples, fast impl, jobs 1; one
+example per option set; shed + drain + corrupt) and skips kill9 and the
+soak.
 """
 
 import argparse
@@ -148,6 +154,31 @@ class Conn:
         return self._recv_match(lambda m: "stats" in m, "stats")["stats"]
 
 
+# The non-default option sets of the serve-mixed benchmark
+# (perfbench/lib.py OPTION_SETS): daemon options and the owl_cli flags they
+# mirror. None stands for a scratch --repair directory.
+OPTION_SETS = [
+    ("checkers-sarif", {"checkers": "all", "sarif": True},
+     ["--checkers", "all", "--sarif-out", "-"]),
+    ("predict", {"predict": "on"}, ["--predict", "on"]),
+    ("vuln-flow", {"vuln_flow": "on"}, ["--vuln-flow", "on"]),
+    ("prescreen", {"prescreen": "on"}, ["--prescreen", "on"]),
+    ("repair", {"repair": True}, ["--repair", None]),
+]
+
+# Modules that never reach the pipeline, sent as module_text. They stay
+# inline rather than in examples/ir, which every CI sweep runs.
+LOAD_FAILURES = [
+    ("parse-error", "not minir\n", 1),
+    ("missing-entry", "module noentry\nfunc @worker() {\nentry:\n  ret\n}\n", 1),
+    ("verify-error", "module bad\nfunc @main() {\nentry:\n  io_delay 1\n}\n", 2),
+]
+
+# The --quick options phase runs every option set on this one example (it
+# has confirmed races, so every layer has something to report).
+QUICK_OPTIONS_EXAMPLE = "lost_update.mir"
+
+
 def run_cli(cli, module, impl="fast", jobs=1):
     """Expected bytes: one-shot owl_cli on the same module and options."""
     result = subprocess.run(
@@ -168,6 +199,21 @@ def analyze(module, impl="fast", jobs=1, client=None):
     if client is not None:
         req["client"] = client
     return req
+
+
+def run_cli_stderr(cli, args):
+    """One-shot owl_cli: (stdout, stderr without [owl ...] log lines, exit).
+    Log lines are diagnostics on the process's stderr; the daemon writes
+    its own to its stderr, not into responses."""
+    result = subprocess.run(
+        [cli, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    stderr = "".join(
+        line
+        for line in result.stderr.splitlines(keepends=True)
+        if not line.startswith("[owl ")
+    )
+    return result.stdout, stderr, result.returncode
 
 
 def expect_identical(resp, expected_out, expected_exit, what):
@@ -263,6 +309,56 @@ def phase_differential(cfg, examples, impls, jobs_list):
     print(
         f"serve_check.py: differential OK "
         f"({cases} cases, cold+warm byte-identical to owl_cli)"
+    )
+
+
+def phase_options(cfg, examples, quick):
+    """Option sets and load failures: daemon == owl_cli, stderr included."""
+    cache_dir = os.path.join(cfg.tmp, "options-cache")
+    daemon = Daemon(cfg.served, cfg.socket, "--cache-dir", cache_dir)
+    conn = Conn(cfg.socket)
+    repair_dir = os.path.join(cfg.tmp, "options-repair")
+    if quick:
+        named = [m for m in examples
+                 if os.path.basename(m) == QUICK_OPTIONS_EXAMPLE]
+        examples = named or examples[:1]
+    cases = 0
+
+    def expect_same(req, cli_args, what):
+        out, err, code = run_cli_stderr(cfg.cli, cli_args)
+        resp = conn.call(req)
+        expect_identical(resp, out, code, what)
+        check(
+            resp.get("error") == err,
+            f"{what}: response error {resp.get('error')!r} != owl_cli "
+            f"stderr {err!r}",
+        )
+        return code
+
+    for name, options, flags in OPTION_SETS:
+        cli_flags = [repair_dir if f is None else f for f in flags]
+        for module in examples:
+            expect_same(
+                {"module_path": module, "options": options},
+                [module, "--jobs", "1", *cli_flags],
+                f"{os.path.basename(module)} {name}",
+            )
+            cases += 1
+    for name, text, want_exit in LOAD_FAILURES:
+        path = os.path.join(cfg.tmp, f"{name}.mir")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        code = expect_same(
+            {"module_text": text, "name": path}, [path], f"load {name}"
+        )
+        check(code == want_exit, f"load {name}: owl_cli exited {code}, "
+              f"want {want_exit}")
+        cases += 1
+    conn.close()
+    daemon.expect_clean_exit("options")
+    print(
+        f"serve_check.py: options OK ({cases} cases, exit/output/error "
+        "byte-identical to owl_cli)"
     )
 
 
@@ -598,6 +694,7 @@ def main():
             phase_differential(cfg, examples[:2], ["fast"], [1])
         else:
             phase_differential(cfg, examples, ["fast", "reference"], [1, 4])
+        phase_options(cfg, examples, args.quick)
         phase_shed(cfg, examples[0])
         phase_drain(cfg, examples[0])
         phase_corrupt(cfg, examples[0])

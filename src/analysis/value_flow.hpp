@@ -32,7 +32,6 @@
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -41,38 +40,17 @@
 #include "analysis/points_to.hpp"
 #include "ir/callgraph.hpp"
 #include "ir/module.hpp"
+#include "support/audit_mode.hpp"
 
 namespace owl::analysis {
 
-/// Pipeline-facing mode switch for memory-aware value flow. Mirrors
-/// race/predict/predict_mode.hpp: kOff leaves every byte of pipeline output
-/// untouched; kOn extends Algorithm 1's worklist across store→load edges;
-/// kAudit produces kOn's reports and additionally cross-checks every
-/// runtime-observed store→load dependence against the static edge set
-/// (advisory vulnflow.audit_violations — a runtime dependence the graph
-/// lacks is a soundness violation, exit 3 from the CLI and the daemon).
-enum class ValueFlowMode {
-  kOff,    ///< graph not built, walk stays register-only (default)
-  kOn,     ///< memory-mediated propagation reaches the five site types
-  kAudit,  ///< kOn plus runtime read-evidence cross-check (must agree)
-};
-
-inline std::string_view value_flow_mode_name(ValueFlowMode mode) noexcept {
-  switch (mode) {
-    case ValueFlowMode::kOff: return "off";
-    case ValueFlowMode::kOn: return "on";
-    case ValueFlowMode::kAudit: return "audit";
-  }
-  return "?";
-}
-
-inline bool parse_value_flow_mode(std::string_view text,
-                                  ValueFlowMode& out) noexcept {
-  if (text == "off") { out = ValueFlowMode::kOff; return true; }
-  if (text == "on") { out = ValueFlowMode::kOn; return true; }
-  if (text == "audit") { out = ValueFlowMode::kAudit; return true; }
-  return false;
-}
+/// Pipeline-facing mode switch for memory-aware value flow
+/// (support/audit_mode.hpp): kOn extends Algorithm 1's worklist across
+/// store→load edges; kAudit produces kOn's reports and additionally
+/// cross-checks every runtime-observed store→load dependence against the
+/// static edge set (a runtime dependence the graph lacks is a soundness
+/// violation).
+using ValueFlowMode = support::AuditMode;
 
 class ValueFlowGraph {
  public:

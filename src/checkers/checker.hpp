@@ -39,7 +39,7 @@ struct CheckerOptions {
 
   /// Canonical selector string: "off", or a fixed-order comma list (what
   /// "all" expands to). Feeds the serve cache key — see
-  /// serve::AnalysisOptions::canonical_blob.
+  /// core::AnalysisRequest::canonical_blob.
   std::string canonical() const;
 
   /// Parses "off", "all", or a comma list of checker names. Returns false

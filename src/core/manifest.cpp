@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "core/analyze.hpp"
 #include "support/metrics.hpp"
 #include "support/strings.hpp"
 
@@ -127,9 +128,7 @@ std::string render_manifest(const std::string& tool,
   kv.reserve(11);
   const auto flag = [](bool b) { return std::string(b ? "true" : "false"); };
   kv.emplace_back("detector_impl",
-                  options.detector_impl == race::DetectorImpl::kFast
-                      ? "fast"
-                      : "reference");
+                  std::string(detector_impl_name(options.detector_impl)));
   kv.emplace_back("enable_adhoc_annotation",
                   flag(options.enable_adhoc_annotation));
   kv.emplace_back("enable_race_verifier", flag(options.enable_race_verifier));
@@ -179,12 +178,11 @@ std::string render_manifest(const std::string& tool,
   // Environment, not options: the prescreen gate byte-diffs manifest
   // bodies across modes, so the mode echo must live in the stripped tail.
   environment.emplace_back(
-      "prescreen", std::string(race::prescreen_mode_name(options.prescreen)));
+      "prescreen", std::string(support::audit_mode_name(options.prescreen)));
   environment.emplace_back(
-      "predict", std::string(race::predict_mode_name(options.predict)));
+      "predict", std::string(support::audit_mode_name(options.predict)));
   environment.emplace_back(
-      "vuln_flow",
-      std::string(analysis::value_flow_mode_name(options.vuln_flow)));
+      "vuln_flow", std::string(support::audit_mode_name(options.vuln_flow)));
   return render_manifest(tool, kv, metas, results, environment);
 }
 

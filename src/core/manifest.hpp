@@ -6,10 +6,9 @@
 // byte-diffs manifests across jobs values, detector implementations, and
 // repeat runs (scripts/manifest_diff.py strips "environment" and compares).
 //
-// Pipeline::run_many emits one automatically when
-// PipelineOptions::manifest_path is set; owl_cli exposes that as
-// --manifest, and bench's run_all_pipelines writes per-bench manifests
-// under $OWL_MANIFEST_DIR.
+// core::analyze renders one per run (owl_cli --manifest writes it, the
+// serve cache seals its body), and bench's run_all_pipelines writes
+// per-bench manifests under $OWL_MANIFEST_DIR.
 #pragma once
 
 #include <string>
@@ -43,8 +42,8 @@ std::string render_manifest(const std::string& tool, const ManifestKv& options,
                             const std::vector<PipelineResult>& results,
                             const ManifestKv& environment);
 
-/// Convenience renderer used by Pipeline::run_many: echoes the
-/// PipelineOptions knobs and derives target metadata from the targets.
+/// Convenience renderer used by core::analyze: echoes the PipelineOptions
+/// knobs and derives target metadata from the targets.
 std::string render_manifest(const std::string& tool,
                             const PipelineOptions& options,
                             const std::vector<PipelineTarget>& targets,

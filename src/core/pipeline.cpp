@@ -4,11 +4,11 @@
 #include <chrono>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
 #include "analysis/static_info.hpp"
-#include "core/manifest.hpp"
 #include "race/atomicity_detector.hpp"
 #include "race/predict/sp_predictor.hpp"
 #include "repair/engine.hpp"
@@ -103,32 +103,139 @@ void attribute_injected(FaultInjector* injector, StageCounts& counts,
   }
 }
 
+/// True (after recording why) when `budget` is exhausted with `total -
+/// done` units of the stage's work — `what` — still undone.
+bool out_of_budget(const support::Budget& budget, StageCounts& counts,
+                   PipelineStage stage, std::size_t done, std::size_t total,
+                   const char* what) {
+  const auto cause = budget.exhausted_by();
+  if (!cause) return false;
+  record_failure(counts, stage, *cause,
+                 str_format("%zu of %zu %s", total - done, total, what),
+                 budget.steps_spent(), budget.elapsed_seconds());
+  return true;
+}
+
+/// What one verification item may spend: the stage's remaining steps.
+support::BudgetSpec remaining_steps(const support::Budget& budget) {
+  support::BudgetSpec spec;
+  spec.steps = budget.remaining_steps() == UINT64_MAX
+                   ? 0
+                   : budget.remaining_steps();
+  return spec;
+}
+
 /// Records one stage's wall-clock into the shared (thread-safe) timing
 /// aggregation on scope exit; no-op when timings are not requested.
 class StageTimer {
  public:
-  StageTimer(StageTimings* timings, const char* stage)
+  StageTimer(StageTimings* timings, std::string_view stage)
       : timings_(timings), stage_(stage),
         start_(std::chrono::steady_clock::now()) {}
-  ~StageTimer() { stop(); }
+  ~StageTimer() {
+    if (timings_ == nullptr) return;
+    timings_->record(stage_, std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start_)
+                                 .count());
+  }
   StageTimer(const StageTimer&) = delete;
   StageTimer& operator=(const StageTimer&) = delete;
 
-  /// Ends the stage early when the timer's scope outlives it.
-  void stop() {
-    if (timings_ == nullptr || stopped_) return;
-    stopped_ = true;
-    timings_->record(
-        stage_, std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count());
+ private:
+  StageTimings* timings_;
+  std::string_view stage_;
+  std::chrono::steady_clock::time_point start_;
+};
+
+/// The envelope every stage of Pipeline::run executes in: its trace span
+/// and --timings timer, the fault injector's stage context, and the
+/// maybe_throw probe whose exception degrades the stage into a
+/// FailureRecord instead of sinking the target.
+class StageRunner {
+ public:
+  StageRunner(const PipelineOptions& options, const std::string& target,
+              StageCounts& counts)
+      : options_(options), target_(target), counts_(counts) {}
+
+  /// Runs `body` inside the span and timer named `name`; returns its value.
+  template <typename Body>
+  decltype(auto) timed(std::string_view name, Body&& body) const {
+    TRACE_SPAN(name, target_);
+    const StageTimer timer(options_.stage_timings, name);
+    return body();
+  }
+
+  /// timed() for an injectable stage: enters its injector context first.
+  template <typename Body>
+  void enter(PipelineStage stage, Body&& body) const {
+    if (injector() != nullptr) injector()->begin_stage(stage);
+    timed(support::pipeline_stage_name(stage), body);
+  }
+
+  /// Probes maybe_throw, then runs `body`; an exception becomes one
+  /// `stage` FailureRecord. False when the body did not finish.
+  template <typename Body>
+  bool guard(PipelineStage stage, Body&& body) const {
+    try {
+      if (injector() != nullptr) injector()->maybe_throw();
+      body();
+      return true;
+    } catch (const std::exception& error) {
+      record_failure(counts_, stage, FailureCause::kException, error.what());
+      return false;
+    }
+  }
+
+  /// enter() + guard(): a stage that finishes or degrades as a whole.
+  template <typename Body>
+  bool run(PipelineStage stage, Body&& body) const {
+    bool finished = false;
+    enter(stage, [&] { finished = guard(stage, body); });
+    return finished;
+  }
+
+  /// The per-item retry loop: up to `attempts` rounds of the maybe_throw
+  /// probe plus `body(attempt)`, charging the retries used. Returns the
+  /// last exception's text when every round threw.
+  template <typename Body>
+  std::optional<std::string> attempt_item(unsigned attempts,
+                                          Body&& body) const {
+    for (unsigned attempt = 0;; ++attempt) {
+      try {
+        if (injector() != nullptr) injector()->maybe_throw();
+        body(attempt);
+        counts_.retries_used += attempt;
+        return std::nullopt;
+      } catch (const std::exception& error) {
+        if (attempt + 1 < attempts) continue;
+        counts_.retries_used += attempt;
+        return error.what();
+      }
+    }
+  }
+
+  /// attempt_item() under the retry policy, for the verification stages.
+  /// False when every attempt threw; the stage's first such item records
+  /// one FailureRecord (repeating it per item is noise).
+  template <typename Body>
+  bool retry_item(PipelineStage stage, bool& failure_recorded,
+                  Body&& body) const {
+    const unsigned attempts = options_.retry.max_attempts();
+    const std::optional<std::string> error = attempt_item(attempts, body);
+    if (error.has_value() && !failure_recorded) {
+      record_failure(counts_, stage, FailureCause::kException, *error, 0, 0.0,
+                     attempts - 1);
+      failure_recorded = true;
+    }
+    return !error.has_value();
   }
 
  private:
-  StageTimings* timings_;
-  const char* stage_;
-  std::chrono::steady_clock::time_point start_;
-  bool stopped_ = false;
+  FaultInjector* injector() const { return options_.fault_injector; }
+
+  const PipelineOptions& options_;
+  const std::string& target_;
+  StageCounts& counts_;
 };
 
 }  // namespace
@@ -144,56 +251,33 @@ std::size_t PipelineResult::confirmed_attacks() const noexcept {
 std::vector<race::RaceReport> Pipeline::detect_once(
     const PipelineTarget& target, const race::AnnotationSet* annotations,
     race::PrescreenView prescreen, std::uint64_t base_seed,
-    support::Budget& budget, StageCounts& counts,
+    support::Budget& budget, PipelineResult& result,
     race::predict::TraceRecorder* recorder,
     FlowAuditRecorder* flow_audit) const {
-  FaultInjector* injector = options_.fault_injector;
   std::vector<race::RaceReport> merged;
   // Each pass starts a fresh trace set: the predict stage reasons over the
   // final (annotated, when there is one) pass — the same report stream the
   // verifier sees.
   if (recorder != nullptr) recorder->begin_pass(annotations);
   for (unsigned i = 0; i < target.detection_schedules; ++i) {
-    if (const auto cause = budget.exhausted_by()) {
-      record_failure(counts, PipelineStage::kDetection, *cause,
-                     str_format("%u of %u schedules skipped",
-                                target.detection_schedules - i,
-                                target.detection_schedules),
-                     budget.steps_spent(), budget.elapsed_seconds());
+    if (out_of_budget(budget, result.counts, PipelineStage::kDetection, i,
+                      target.detection_schedules, "schedules skipped")) {
       break;
     }
     TRACE_SPAN("detect-schedule", target.name);
     support::metrics().counter("pipeline.detection_schedules").inc();
     std::unique_ptr<interp::Machine> machine = target.factory();
-    machine->set_fault_injector(injector);
-    if (target.detector == DetectorKind::kAtomicity) {
-      // §8.3 extension: an atomicity-violation detector feeding the same
-      // report stream. Annotations do not apply (the triples are already
-      // schedule-classified), so `annotations` is intentionally unused.
-      race::AtomicityDetector detector;
-      machine->add_observer(&detector);
-      if (recorder != nullptr) {
-        machine->add_observer(recorder);
-        recorder->begin_run();
-      }
-      if (flow_audit != nullptr) {
-        machine->add_observer(flow_audit);
-        flow_audit->begin_run();
-      }
-      interp::RandomScheduler scheduler(base_seed + i);
-      const interp::RunResult run = machine->run(scheduler);
-      if (recorder != nullptr) recorder->finish_run(*machine);
-      budget.charge_steps(run.steps);
-      std::vector<race::RaceReport> converted;
-      for (const race::AtomicityReport& report : detector.take_reports()) {
-        converted.push_back(report.to_race_report());
-      }
-      race::merge_reports(merged, std::move(converted));
-      continue;
-    }
+    machine->set_fault_injector(options_.fault_injector);
+    // §8.3 extension: an atomicity-violation detector feeding the same
+    // report stream. Annotations do not apply to it (the triples are
+    // already schedule-classified).
+    std::optional<race::AtomicityDetector> atomicity;
     std::unique_ptr<race::TsanDetector> detector;
     std::unique_ptr<interp::Scheduler> scheduler;
-    if (target.detector == DetectorKind::kSki) {
+    if (target.detector == DetectorKind::kAtomicity) {
+      machine->add_observer(&atomicity.emplace());
+      scheduler = std::make_unique<interp::RandomScheduler>(base_seed + i);
+    } else if (target.detector == DetectorKind::kSki) {
       detector = std::make_unique<race::SkiDetector>(
           annotations, options_.detector_impl, prescreen);
       scheduler = std::make_unique<interp::PctScheduler>(
@@ -204,7 +288,7 @@ std::vector<race::RaceReport> Pipeline::detect_once(
           prescreen);
       scheduler = std::make_unique<interp::RandomScheduler>(base_seed + i);
     }
-    machine->add_observer(detector.get());
+    if (detector != nullptr) machine->add_observer(detector.get());
     if (recorder != nullptr) {
       machine->add_observer(recorder);
       recorder->begin_run();
@@ -216,6 +300,17 @@ std::vector<race::RaceReport> Pipeline::detect_once(
     const interp::RunResult run = machine->run(*scheduler);
     if (recorder != nullptr) recorder->finish_run(*machine);
     budget.charge_steps(run.steps);
+    if (atomicity.has_value()) {
+      std::vector<race::RaceReport> converted;
+      for (const race::AtomicityReport& report : atomicity->take_reports()) {
+        converted.push_back(report.to_race_report());
+      }
+      race::merge_reports(merged, std::move(converted));
+      continue;
+    }
+    // Read before take_reports() flushes the counters into the registry.
+    result.audit.prescreen +=
+        detector->substrate_counters().prescreen_audit_violations;
     race::merge_reports(merged, detector->take_reports());
   }
   return merged;
@@ -223,11 +318,12 @@ std::vector<race::RaceReport> Pipeline::detect_once(
 
 std::optional<std::vector<race::RaceReport>> Pipeline::detect(
     const PipelineTarget& target, const race::AnnotationSet* annotations,
-    race::PrescreenView prescreen, StageCounts& counts,
+    race::PrescreenView prescreen, PipelineResult& result,
     race::predict::TraceRecorder* recorder,
     FlowAuditRecorder* flow_audit) const {
   FaultInjector* injector = options_.fault_injector;
   const support::RetryPolicy& retry = options_.retry;
+  StageCounts& counts = result.counts;
   for (unsigned attempt = 0; attempt < retry.max_attempts(); ++attempt) {
     if (injector != nullptr) {
       injector->begin_stage(PipelineStage::kDetection);
@@ -238,7 +334,7 @@ std::optional<std::vector<race::RaceReport>> Pipeline::detect(
       if (injector != nullptr) injector->maybe_throw();
       std::vector<race::RaceReport> merged = detect_once(
           target, annotations, prescreen,
-          retry.seed_for(target.seed, attempt), budget, counts, recorder,
+          retry.seed_for(target.seed, attempt), budget, result, recorder,
           flow_audit);
       counts.retries_used += attempt;
       attribute_injected(injector, counts, PipelineStage::kDetection);
@@ -261,37 +357,36 @@ std::optional<std::vector<race::RaceReport>> Pipeline::detect(
 }
 
 PipelineResult Pipeline::run(const PipelineTarget& target) const {
+  if (target.module == nullptr) {
+    throw std::invalid_argument("pipeline target " + target.name +
+                                " has no module");
+  }
   const auto t0 = std::chrono::steady_clock::now();
   TRACE_SPAN("target", target.name);
   support::metrics().counter("pipeline.targets").inc();
   PipelineResult result;
   result.target_name = target.name;
+  StageCounts& counts = result.counts;
   FaultInjector* injector = options_.fault_injector;
   const support::RetryPolicy& retry = options_.retry;
   if (injector != nullptr) injector->begin_target(target.name);
+  const StageRunner stages(options_, target.name, counts);
 
   // ---- step (0): whole-module static analysis ----
   // Computed once per target, in every mode: the resolved indirect calls
   // feed Algorithm 1 unconditionally, and the static counters flushed
   // below are part of the behavioral snapshot (mode-independent, so the
   // prescreen differential gate can byte-diff snapshots across modes).
-  std::optional<analysis::ModuleStatic> module_static;
-  if (target.module != nullptr) {
-    TRACE_SPAN("static-analysis", target.name);
-    const StageTimer timer(options_.stage_timings, "static-analysis");
-    module_static.emplace(*target.module);
-  }
+  const analysis::ModuleStatic module_static =
+      stages.timed("static-analysis",
+                   [&] { return analysis::ModuleStatic(*target.module); });
   race::PrescreenView prescreen;
-  if (options_.prescreen != race::PrescreenMode::kOff &&
-      module_static.has_value() &&
-      module_static->prescreen.pruning_enabled()) {
-    prescreen.mode = options_.prescreen;
-    prescreen.no_race = &module_static->prescreen.no_race();
-  }
-  if (module_static.has_value() &&
-      !module_static->prescreen.pruning_enabled()) {
+  if (!module_static.prescreen.pruning_enabled()) {
     OWL_LOG(kInfo) << target.name << ": prescreen pruning disabled ("
-                   << module_static->prescreen.disable_reason() << ")";
+                   << module_static.prescreen.disable_reason() << ")";
+  } else if (options_.prescreen != race::PrescreenMode::kOff) {
+    prescreen.mode = options_.prescreen;
+    prescreen.no_race = &module_static.prescreen.no_race();
   }
 
   // ---- checker suite (optional, DESIGN.md §11) ----
@@ -299,23 +394,14 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   // bugs over the step-(0) facts, with lock-order cycles confirmed by
   // scheduler replay through target.factory. Degrades, never dies: a
   // throwing checker leaves a FailureRecord and the Fig. 3 stages run on.
-  if (options_.checkers.any() && module_static.has_value()) {
-    TRACE_SPAN("checkers", target.name);
-    const StageTimer timer(options_.stage_timings, "checkers");
-    if (injector != nullptr) injector->begin_stage(PipelineStage::kCheckers);
-    result.checkers_ran = true;
-    result.counts.checkers_ran = true;
-    try {
-      if (injector != nullptr) injector->maybe_throw();
-      const checkers::AnalysisContext ctx(*target.module, *module_static,
+  if (options_.checkers.any()) {
+    counts.checkers_ran = true;
+    stages.run(PipelineStage::kCheckers, [&] {
+      const checkers::AnalysisContext ctx(*target.module, module_static,
                                           target.factory);
       result.checker_findings = checkers::run_checkers(options_.checkers, ctx);
-    } catch (const std::exception& error) {
-      record_failure(result.counts, PipelineStage::kCheckers,
-                     FailureCause::kException, error.what());
-      result.checker_findings.clear();
-    }
-    result.counts.checker_findings = result.checker_findings.size();
+    });
+    counts.checker_findings = result.checker_findings.size();
     OWL_LOG(kInfo) << target.name << ": " << result.checker_findings.size()
                    << " checker finding(s) ["
                    << options_.checkers.canonical() << "]";
@@ -325,88 +411,65 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   // Built only when the mode asks for it: off-mode runs never construct
   // the graph, never emit its metrics, and stay byte-identical.
   std::optional<analysis::ValueFlowGraph> value_flow;
-  if (options_.vuln_flow != analysis::ValueFlowMode::kOff &&
-      target.module != nullptr && module_static.has_value()) {
-    TRACE_SPAN("value-flow", target.name);
-    const StageTimer timer(options_.stage_timings, "value-flow");
-    value_flow.emplace(*target.module, module_static->points_to,
-                       module_static->resolved_calls);
+  if (options_.vuln_flow != analysis::ValueFlowMode::kOff) {
+    stages.timed("value-flow", [&] {
+      value_flow.emplace(*target.module, module_static.points_to,
+                         module_static.resolved_calls);
+    });
   }
   FlowAuditRecorder flow_recorder;
   FlowAuditRecorder* flow_audit =
-      options_.vuln_flow == analysis::ValueFlowMode::kAudit &&
-              value_flow.has_value()
-          ? &flow_recorder
-          : nullptr;
+      options_.vuln_flow == analysis::ValueFlowMode::kAudit ? &flow_recorder
+                                                            : nullptr;
 
   // Event-trace capture for the predict stage (DESIGN.md §12): attached to
   // every detection pass; only the last pass's traces survive, so the
   // predictor reasons over exactly the executions that produced `reduced`.
   // Atomicity targets are out of SP theory's scope and never record.
   const bool predict_active = options_.predict != race::PredictMode::kOff &&
-                              target.detector != DetectorKind::kAtomicity &&
-                              target.module != nullptr;
+                              target.detector != DetectorKind::kAtomicity;
   race::predict::TraceRecorder trace_recorder;
   race::predict::TraceRecorder* recorder =
       predict_active ? &trace_recorder : nullptr;
 
   // ---- step (1): raw detection ----
-  std::vector<race::RaceReport> raw;
-  {
-    TRACE_SPAN("detection", target.name);
-    const StageTimer timer(options_.stage_timings, "detection");
-    raw = detect(target, nullptr, prescreen, result.counts, recorder,
-                 flow_audit)
-              .value_or(std::vector<race::RaceReport>{});
-  }
-  result.counts.raw_reports = raw.size();
+  std::vector<race::RaceReport> raw = stages.timed("detection", [&] {
+    return detect(target, nullptr, prescreen, result, recorder, flow_audit)
+        .value_or(std::vector<race::RaceReport>{});
+  });
+  counts.raw_reports = raw.size();
   OWL_LOG(kInfo) << target.name << ": " << raw.size() << " raw race reports";
 
   // ---- step (2): adhoc-sync annotation + re-run ----
-  if (injector != nullptr) injector->begin_stage(PipelineStage::kAnnotation);
-  std::vector<race::RaceReport> reduced;
   result.store.set_stage(Stage::kRawDetection, raw);
-  {
-    TRACE_SPAN("annotation", target.name);
-    const StageTimer annotation_timer(options_.stage_timings, "annotation");
-    if (options_.preset_annotations != nullptr) {
-      result.counts.adhoc_syncs = options_.preset_annotations->pair_count();
-      if (options_.preset_annotations->empty()) {
-        reduced = std::move(raw);
-      } else {
-        reduced = detect(target, options_.preset_annotations, prescreen,
-                         result.counts, recorder, flow_audit)
-                      .value_or(raw);  // degraded re-run: keep raw reports
-      }
+  std::vector<race::RaceReport> reduced;
+  stages.enter(PipelineStage::kAnnotation, [&] {
+    const race::AnnotationSet* annotations = options_.preset_annotations;
+    std::optional<sync::AnnotationOutcome> outcome;
+    if (annotations != nullptr) {
+      counts.adhoc_syncs = annotations->pair_count();
     } else if (options_.enable_adhoc_annotation) {
-      std::optional<sync::AnnotationOutcome> outcome;
-      try {
-        if (injector != nullptr) injector->maybe_throw();
+      stages.guard(PipelineStage::kAnnotation, [&] {
         outcome = sync::annotate_adhoc_syncs(*target.module, raw);
-      } catch (const std::exception& error) {
-        record_failure(result.counts, PipelineStage::kAnnotation,
-                       FailureCause::kException, error.what());
+      });
+      if (outcome.has_value()) {
+        counts.adhoc_syncs = outcome->unique_adhoc_syncs;
+        annotations = &outcome->annotations;
       }
-      if (outcome.has_value() && !outcome->annotations.empty()) {
-        result.counts.adhoc_syncs = outcome->unique_adhoc_syncs;
-        reduced = detect(target, &outcome->annotations, prescreen,
-                         result.counts, recorder, flow_audit)
-                      .value_or(raw);  // degraded re-run: keep raw reports
-      } else {
-        if (outcome.has_value()) {
-          result.counts.adhoc_syncs = outcome->unique_adhoc_syncs;
-        }
-        reduced = std::move(raw);
-      }
-    } else {
-      reduced = std::move(raw);
     }
-  }
-  result.counts.after_annotation = reduced.size();
+    if (annotations == nullptr || annotations->empty()) {
+      reduced = std::move(raw);
+    } else {
+      reduced = detect(target, annotations, prescreen, result, recorder,
+                       flow_audit)
+                    .value_or(raw);  // degraded re-run: keep raw reports
+    }
+  });
+  counts.after_annotation = reduced.size();
   result.store.set_stage(Stage::kAfterAnnotation, reduced);
   OWL_LOG(kInfo) << target.name << ": " << reduced.size()
-                 << " reports after annotation ("
-                 << result.counts.adhoc_syncs << " adhoc syncs)";
+                 << " reports after annotation (" << counts.adhoc_syncs
+                 << " adhoc syncs)";
 
   // ---- predict stage: sync-preserving race prediction (DESIGN.md §12) ----
   // Decides, from the traces the detection schedules already produced,
@@ -418,162 +481,106 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   // to exhaustive behavior: nothing pruned, nothing added.
   const std::size_t reduced_from_detector = reduced.size();
   std::optional<race::predict::PredictOutcome> predict_outcome;
+  const auto infeasible = [&predict_outcome](const race::RaceReport& report) {
+    return predict_outcome->verdict_for(report.key()) ==
+           race::predict::Feasibility::kInfeasible;
+  };
   if (predict_active) {
-    TRACE_SPAN("predict", target.name);
-    const StageTimer timer(options_.stage_timings, "predict");
-    if (injector != nullptr) injector->begin_stage(PipelineStage::kPredict);
-    result.predict_ran = true;
-    result.counts.predict_ran = true;
-    try {
-      if (injector != nullptr) injector->maybe_throw();
-      const race::predict::SpPredictor predictor;
-      predict_outcome =
-          predictor.analyze(target.module, trace_recorder.traces(), reduced);
-    } catch (const std::exception& error) {
-      record_failure(result.counts, PipelineStage::kPredict,
-                     FailureCause::kException, error.what());
-      predict_outcome.reset();
-    }
-    if (predict_outcome.has_value()) {
-      result.counts.predict_candidates = predict_outcome->candidates;
+    counts.predict_ran = true;
+    stages.enter(PipelineStage::kPredict, [&] {
+      stages.guard(PipelineStage::kPredict, [&] {
+        const race::predict::SpPredictor predictor;
+        predict_outcome =
+            predictor.analyze(target.module, trace_recorder.traces(), reduced);
+      });
+      if (!predict_outcome.has_value()) return;
+      counts.predict_candidates = predict_outcome->candidates;
+      counts.predict_pruned = static_cast<std::size_t>(
+          std::count_if(reduced.begin(), reduced.end(), infeasible));
       if (options_.predict == race::PredictMode::kOn) {
-        std::vector<race::RaceReport> kept;
-        kept.reserve(reduced.size() + predict_outcome->predicted_new.size());
-        for (race::RaceReport& report : reduced) {
-          if (predict_outcome->verdict_for(report.key()) ==
-              race::predict::Feasibility::kInfeasible) {
-            ++result.counts.predict_pruned;
-          } else {
-            kept.push_back(std::move(report));
-          }
-        }
-        for (const race::RaceReport& report :
-             predict_outcome->predicted_new) {
-          kept.push_back(report);
-        }
-        std::sort(kept.begin(), kept.end(), race::report_order);
-        reduced = std::move(kept);
+        std::erase_if(reduced, infeasible);
+        reduced.insert(reduced.end(), predict_outcome->predicted_new.begin(),
+                       predict_outcome->predicted_new.end());
+        std::sort(reduced.begin(), reduced.end(), race::report_order);
         // Every pruned report would have burned its full attempt budget
         // (an infeasible pair never verifies, and failure has no early
         // exit) — that is the exploration this stage saves.
-        result.counts.predict_schedules_avoided =
-            result.counts.predict_pruned * options_.race_verifier_attempts;
-      } else {
-        for (const race::RaceReport& report : reduced) {
-          if (predict_outcome->verdict_for(report.key()) ==
-              race::predict::Feasibility::kInfeasible) {
-            ++result.counts.predict_pruned;
-          }
-        }
+        counts.predict_schedules_avoided =
+            counts.predict_pruned * options_.race_verifier_attempts;
       }
       OWL_LOG(kInfo) << target.name << ": predict checked "
                      << predict_outcome->candidates << " candidate pair(s), "
-                     << result.counts.predict_pruned << " infeasible, "
+                     << counts.predict_pruned << " infeasible, "
                      << predict_outcome->predicted_new.size()
                      << " predicted-new";
-    }
+    });
   }
 
   // ---- step (3): dynamic race verification ----
   std::vector<race::RaceReport> survivors;
+  const bool keep_unverified = options_.keep_unverified_on_degradation;
   if (options_.enable_race_verifier) {
-    TRACE_SPAN("race-verification", target.name);
-    const StageTimer timer(options_.stage_timings, "race-verification");
-    if (injector != nullptr) {
-      injector->begin_stage(PipelineStage::kRaceVerification);
-    }
-    support::Budget stage_budget(options_.stage_budgets.race_verification);
-    std::size_t livelocked_reports = 0;
-    std::size_t passed_through = 0;
-    bool stage_exception_absorbed = false;
-    for (std::size_t r = 0; r < reduced.size(); ++r) {
-      race::RaceReport& report = reduced[r];
-      if (const auto cause = stage_budget.exhausted_by()) {
-        // Deadline hit mid-stage: the rest of the reports pass through
-        // unverified (conservative: degradation must not hide attacks).
-        record_failure(result.counts, PipelineStage::kRaceVerification,
-                       *cause,
-                       str_format("%zu of %zu reports passed through "
-                                  "unverified",
-                                  reduced.size() - r, reduced.size()),
-                       stage_budget.steps_spent(),
-                       stage_budget.elapsed_seconds());
-        for (std::size_t k = r; k < reduced.size(); ++k) {
-          // Predicted candidates never pass through unconfirmed: they are
-          // hypotheses, not observations.
-          if (options_.keep_unverified_on_degradation &&
-              !reduced[k].predicted) {
-            survivors.push_back(reduced[k]);
-          }
-        }
-        break;
-      }
-      verify::RaceVerifyResult vr;
-      bool verify_ran = false;
-      for (unsigned attempt = 0; attempt < retry.max_attempts(); ++attempt) {
-        verify::RaceVerifier::Options vopts;
-        vopts.max_attempts = options_.race_verifier_attempts;
-        vopts.base_seed =
-            retry.seed_for(target.seed * 7919 + 13, attempt);
-        vopts.fault_injector = injector;
-        // Schedule-exploration sharding: the verifier itself falls back
-        // to the sequential loop whenever a budget or the injector makes
-        // attempts order-dependent.
-        vopts.pool = options_.verifier_pool;
-        // One report may use what is left of the stage, grown per retry.
-        support::BudgetSpec per_report;
-        per_report.steps = stage_budget.remaining_steps() == UINT64_MAX
-                               ? 0
-                               : stage_budget.remaining_steps();
-        vopts.budget = retry.budget_for(per_report, attempt);
-        try {
-          if (injector != nullptr) injector->maybe_throw();
-          vr = verify::RaceVerifier(vopts).verify(report, target.factory);
-          verify_ran = true;
-          result.counts.retries_used += attempt;
-          break;
-        } catch (const std::exception& error) {
-          if (attempt + 1 >= retry.max_attempts()) {
-            if (!stage_exception_absorbed) {
-              // One record per stage; repeating it per report is noise.
-              record_failure(result.counts,
-                             PipelineStage::kRaceVerification,
-                             FailureCause::kException, error.what(), 0, 0.0,
-                             attempt);
-              stage_exception_absorbed = true;
+    stages.enter(PipelineStage::kRaceVerification, [&] {
+      support::Budget budget(options_.stage_budgets.race_verification);
+      std::size_t livelocked = 0;
+      std::size_t passed_through = 0;
+      bool failure_recorded = false;
+      for (std::size_t r = 0; r < reduced.size(); ++r) {
+        race::RaceReport& report = reduced[r];
+        if (out_of_budget(budget, counts, PipelineStage::kRaceVerification, r,
+                          reduced.size(),
+                          "reports passed through unverified")) {
+          // The rest pass through unverified (conservative: degradation
+          // must not hide attacks) — except predicted candidates, which
+          // are hypotheses, not observations.
+          for (std::size_t k = r; k < reduced.size(); ++k) {
+            if (keep_unverified && !reduced[k].predicted) {
+              survivors.push_back(reduced[k]);
             }
-            result.counts.retries_used += attempt;
           }
+          break;
         }
-      }
-      if (!verify_ran) {
-        if (options_.keep_unverified_on_degradation && !report.predicted) {
+        const support::BudgetSpec per_report = remaining_steps(budget);
+        verify::RaceVerifyResult vr;
+        const bool ran = stages.retry_item(
+            PipelineStage::kRaceVerification, failure_recorded,
+            [&](unsigned attempt) {
+              verify::RaceVerifier::Options vopts;
+              vopts.max_attempts = options_.race_verifier_attempts;
+              vopts.base_seed =
+                  retry.seed_for(target.seed * 7919 + 13, attempt);
+              vopts.fault_injector = injector;
+              // Schedule-exploration sharding: the verifier itself falls
+              // back to the sequential loop whenever a budget or the
+              // injector makes attempts order-dependent.
+              vopts.pool = options_.verifier_pool;
+              vopts.budget = retry.budget_for(per_report, attempt);
+              vr = verify::RaceVerifier(vopts).verify(report, target.factory);
+            });
+        if (ran) {
+          budget.charge_steps(vr.steps_spent);
+          if (vr.verified) {
+            survivors.push_back(report);
+            continue;
+          }
+          // Cleanly eliminated: the R.V.E. path.
+          if (!vr.livelocked && !vr.budget_exhausted) continue;
+          ++livelocked;
+        }
+        if (keep_unverified && !report.predicted) {
           survivors.push_back(report);
           ++passed_through;
         }
-        continue;
       }
-      stage_budget.charge_steps(vr.steps_spent);
-      if (vr.verified) {
-        survivors.push_back(report);
-      } else if (vr.livelocked || vr.budget_exhausted) {
-        ++livelocked_reports;
-        if (options_.keep_unverified_on_degradation && !report.predicted) {
-          survivors.push_back(report);
-          ++passed_through;
-        }
+      if (livelocked > 0) {
+        record_failure(
+            counts, PipelineStage::kRaceVerification, FailureCause::kLivelock,
+            str_format("%zu report(s) livelocked or ran out of budget; %zu "
+                       "passed through unverified",
+                       livelocked, passed_through),
+            budget.steps_spent(), budget.elapsed_seconds());
       }
-      // else: cleanly eliminated (the R.V.E. path).
-    }
-    if (livelocked_reports > 0) {
-      record_failure(
-          result.counts, PipelineStage::kRaceVerification,
-          FailureCause::kLivelock,
-          str_format("%zu report(s) livelocked or ran out of budget; %zu "
-                     "passed through unverified",
-                     livelocked_reports, passed_through),
-          stage_budget.steps_spent(), stage_budget.elapsed_seconds());
-    }
+    });
     // Elimination is counted against the *detector's* reduced set, so the
     // Table 3 column means the same thing in every predict mode: a report
     // the predictor pruned counts as eliminated (the verifier would have
@@ -582,60 +589,53 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
     std::size_t detector_survivors = 0;
     for (const race::RaceReport& report : survivors) {
       if (!report.predicted) ++detector_survivors;
-      else ++result.counts.predict_new_confirmed;
+      else ++counts.predict_new_confirmed;
     }
-    result.counts.verifier_eliminated =
+    counts.verifier_eliminated =
         reduced_from_detector >= detector_survivors
             ? reduced_from_detector - detector_survivors
             : 0;
   } else {
     // Without the verifier there is no replay confirmation, so predicted
     // candidates are dropped rather than reported as observations.
-    if (result.predict_ran) {
-      survivors.reserve(reduced.size());
-      for (race::RaceReport& report : reduced) {
-        if (!report.predicted) survivors.push_back(std::move(report));
-      }
-    } else {
-      survivors = std::move(reduced);
-    }
-    result.counts.verifier_eliminated = 0;
+    std::erase_if(reduced, [](const race::RaceReport& report) {
+      return report.predicted;
+    });
+    survivors = std::move(reduced);
   }
-  result.counts.remaining = survivors.size();
-  result.store.set_stage(Stage::kAfterRaceVerifier, survivors);
-  OWL_LOG(kInfo) << target.name << ": " << survivors.size()
+  counts.remaining = survivors.size();
+  result.store.set_stage(Stage::kAfterRaceVerifier, std::move(survivors));
+  const std::vector<race::RaceReport>& final_reports =
+      result.store.stage(Stage::kAfterRaceVerifier);
+  OWL_LOG(kInfo) << target.name << ": " << final_reports.size()
                  << " verified races remain";
 
   // Audit cross-check: a replay-confirmed data race the predictor called
   // infeasible falsifies the pruning verdict — with --predict on that race
-  // would have been lost. Advisory counter; the CLI and serve executor
-  // turn a non-zero count into exit 3.
+  // would have been lost.
   if (options_.predict == race::PredictMode::kAudit &&
       predict_outcome.has_value()) {
-    std::uint64_t violations = 0;
-    for (const race::RaceReport& report :
-         result.store.stage(Stage::kAfterRaceVerifier)) {
+    for (const race::RaceReport& report : final_reports) {
       if (report.kind == race::ReportKind::kDataRace && report.verified &&
-          predict_outcome->verdict_for(report.key()) ==
-              race::predict::Feasibility::kInfeasible) {
-        ++violations;
+          infeasible(report)) {
+        ++result.audit.predict;
       }
     }
-    support::metrics().advisory("predict.audit_violations").inc(violations);
+    support::metrics().advisory("predict.audit_violations")
+        .inc(result.audit.predict);
   }
 
   // Flow-audit cross-check: every store→load dependence the detection
   // schedules actually exhibited must be explained by a static mem edge
   // (or flagged unknown on either side). An uncovered pair means the
   // value-flow graph would have missed a real memory-mediated propagation
-  // — a soundness violation. Advisory counter; the CLI and serve executor
-  // turn a non-zero count into exit 3, mirroring --prescreen audit.
+  // — a soundness violation.
   if (flow_audit != nullptr) {
-    std::uint64_t violations = 0;
     for (const auto& [writer, reader] : flow_recorder.pairs()) {
-      if (!value_flow->covers(writer, reader)) ++violations;
+      if (!value_flow->covers(writer, reader)) ++result.audit.vuln_flow;
     }
-    support::metrics().advisory("vulnflow.audit_violations").inc(violations);
+    support::metrics().advisory("vulnflow.audit_violations")
+        .inc(result.audit.vuln_flow);
   }
 
   // ---- step (4): static vulnerability analysis (Algorithm 1) ----
@@ -644,147 +644,103 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
     vuln::ExploitReport exploit;
   };
   std::vector<PendingAttack> pending;
-  const std::vector<race::RaceReport>& final_reports =
-      result.store.stage(Stage::kAfterRaceVerifier);
-  {
-    TRACE_SPAN("vuln-analysis", target.name);
-    const StageTimer analysis_timer(options_.stage_timings, "vuln-analysis");
-    if (injector != nullptr) {
-      injector->begin_stage(PipelineStage::kVulnAnalysis);
-    }
+  stages.enter(PipelineStage::kVulnAnalysis, [&] {
     vuln::VulnerabilityAnalyzer::Options aopts;
     aopts.mode = options_.analyzer_mode;
-    if (module_static.has_value()) {
-      aopts.resolved_indirect = &module_static->resolved_calls;
-    }
+    aopts.resolved_indirect = &module_static.resolved_calls;
     if (value_flow.has_value()) aopts.value_flow = &*value_flow;
     const vuln::VulnerabilityAnalyzer analyzer(*target.module, aopts);
-    support::Budget analysis_budget(options_.stage_budgets.vuln_analysis);
+    support::Budget budget(options_.stage_budgets.vuln_analysis);
     double analysis_seconds = 0.0;
-    std::size_t analysis_failures = 0;
-    std::string analysis_error;
+    std::size_t failures = 0;
+    std::string last_error;
     for (std::size_t r = 0; r < final_reports.size(); ++r) {
-      if (const auto cause = analysis_budget.exhausted_by()) {
-        record_failure(result.counts, PipelineStage::kVulnAnalysis, *cause,
-                       str_format("%zu of %zu reports unanalyzed",
-                                  final_reports.size() - r,
-                                  final_reports.size()),
-                       analysis_budget.steps_spent(),
-                       analysis_budget.elapsed_seconds());
+      if (out_of_budget(budget, counts, PipelineStage::kVulnAnalysis, r,
+                        final_reports.size(), "reports unanalyzed")) {
         break;
       }
-      try {
-        if (injector != nullptr) injector->maybe_throw();
-        const vuln::VulnAnalysis analysis = analyzer.analyze(final_reports[r]);
-        analysis_seconds += analysis.stats.seconds;
-        for (const vuln::ExploitReport& exploit : analysis.exploits) {
-          result.exploits.push_back(exploit);
-          pending.push_back({r, exploit});
-        }
-      } catch (const std::exception& error) {
-        ++analysis_failures;
-        analysis_error = error.what();
+      const std::optional<std::string> error =
+          stages.attempt_item(1, [&](unsigned) {
+            const vuln::VulnAnalysis analysis =
+                analyzer.analyze(final_reports[r]);
+            analysis_seconds += analysis.stats.seconds;
+            for (const vuln::ExploitReport& exploit : analysis.exploits) {
+              result.exploits.push_back(exploit);
+              pending.push_back({r, exploit});
+            }
+          });
+      if (error.has_value()) {
+        ++failures;
+        last_error = *error;
       }
     }
-    if (analysis_failures > 0) {
-      record_failure(result.counts, PipelineStage::kVulnAnalysis,
+    if (failures > 0) {
+      record_failure(counts, PipelineStage::kVulnAnalysis,
                      FailureCause::kException,
-                     str_format("%zu report(s) unanalyzable: %s",
-                                analysis_failures, analysis_error.c_str()));
+                     str_format("%zu report(s) unanalyzable: %s", failures,
+                                last_error.c_str()));
     }
-    result.counts.vulnerability_reports = result.exploits.size();
-    result.counts.avg_analysis_seconds =
+    counts.vulnerability_reports = result.exploits.size();
+    counts.avg_analysis_seconds =
         final_reports.empty()
             ? 0.0
             : analysis_seconds / static_cast<double>(final_reports.size());
     OWL_LOG(kInfo) << target.name << ": " << result.exploits.size()
                    << " vulnerability reports";
-  }
+  });
 
   // ---- step (5): dynamic vulnerability verification ----
   if (options_.enable_vuln_verifier) {
-    TRACE_SPAN("vuln-verification", target.name);
-    const StageTimer timer(options_.stage_timings, "vuln-verification");
-    if (injector != nullptr) {
-      injector->begin_stage(PipelineStage::kVulnVerification);
-    }
-    const race::MachineFactory& factory =
-        target.exploit_factory ? target.exploit_factory : target.factory;
-    support::Budget stage_budget(options_.stage_budgets.vuln_verification);
-    std::size_t livelocked_exploits = 0;
-    std::size_t skipped_exploits = 0;
-    bool stage_exception_absorbed = false;
-    for (std::size_t c = 0; c < pending.size(); ++c) {
-      const PendingAttack& candidate = pending[c];
-      if (const auto cause = stage_budget.exhausted_by()) {
-        record_failure(result.counts, PipelineStage::kVulnVerification,
-                       *cause,
-                       str_format("%zu of %zu exploit candidates unverified",
-                                  pending.size() - c, pending.size()),
-                       stage_budget.steps_spent(),
-                       stage_budget.elapsed_seconds());
-        break;
-      }
-      verify::VulnVerifyResult vr;
-      bool verify_ran = false;
-      for (unsigned attempt = 0; attempt < retry.max_attempts(); ++attempt) {
-        verify::VulnVerifier::Options vopts;
-        vopts.max_attempts = options_.vuln_verifier_attempts;
-        vopts.base_seed =
-            retry.seed_for(target.seed * 104729 + 7, attempt);
-        vopts.thread_order = target.thread_order;
-        vopts.fault_injector = injector;
-        support::BudgetSpec per_exploit;
-        per_exploit.steps = stage_budget.remaining_steps() == UINT64_MAX
-                                ? 0
-                                : stage_budget.remaining_steps();
-        vopts.budget = retry.budget_for(per_exploit, attempt);
-        try {
-          if (injector != nullptr) injector->maybe_throw();
-          vr = verify::VulnVerifier(vopts).verify(
-              candidate.exploit, factory,
-              &final_reports[candidate.report_index]);
-          verify_ran = true;
-          result.counts.retries_used += attempt;
+    stages.enter(PipelineStage::kVulnVerification, [&] {
+      const race::MachineFactory& factory =
+          target.exploit_factory ? target.exploit_factory : target.factory;
+      support::Budget budget(options_.stage_budgets.vuln_verification);
+      std::size_t livelocked = 0;
+      bool failure_recorded = false;
+      for (std::size_t c = 0; c < pending.size(); ++c) {
+        const PendingAttack& candidate = pending[c];
+        if (out_of_budget(budget, counts, PipelineStage::kVulnVerification, c,
+                          pending.size(), "exploit candidates unverified")) {
           break;
-        } catch (const std::exception& error) {
-          if (attempt + 1 >= retry.max_attempts()) {
-            if (!stage_exception_absorbed) {
-              record_failure(result.counts,
-                             PipelineStage::kVulnVerification,
-                             FailureCause::kException, error.what(), 0, 0.0,
-                             attempt);
-              stage_exception_absorbed = true;
-            }
-            result.counts.retries_used += attempt;
-          }
         }
+        const support::BudgetSpec per_exploit = remaining_steps(budget);
+        verify::VulnVerifyResult vr;
+        const bool ran = stages.retry_item(
+            PipelineStage::kVulnVerification, failure_recorded,
+            [&](unsigned attempt) {
+              verify::VulnVerifier::Options vopts;
+              vopts.max_attempts = options_.vuln_verifier_attempts;
+              vopts.base_seed =
+                  retry.seed_for(target.seed * 104729 + 7, attempt);
+              vopts.thread_order = target.thread_order;
+              vopts.fault_injector = injector;
+              vopts.budget = retry.budget_for(per_exploit, attempt);
+              vr = verify::VulnVerifier(vopts).verify(
+                  candidate.exploit, factory,
+                  &final_reports[candidate.report_index]);
+            });
+        if (!ran) continue;
+        budget.charge_steps(vr.steps_spent);
+        if (vr.livelocked) ++livelocked;
+        if (!vr.site_reached) continue;
+        ConcurrencyAttack attack;
+        attack.program = target.name;
+        attack.race = final_reports[candidate.report_index];
+        attack.exploit = candidate.exploit;
+        attack.verification = vr;
+        result.attacks.push_back(std::move(attack));
       }
-      if (!verify_ran) {
-        ++skipped_exploits;
-        continue;
+      if (livelocked > 0) {
+        record_failure(counts, PipelineStage::kVulnVerification,
+                       FailureCause::kLivelock,
+                       str_format("%zu exploit session(s) livelocked",
+                                  livelocked),
+                       budget.steps_spent(), budget.elapsed_seconds());
       }
-      stage_budget.charge_steps(vr.steps_spent);
-      if (vr.livelocked) ++livelocked_exploits;
-      if (!vr.site_reached) continue;
-      ConcurrencyAttack attack;
-      attack.program = target.name;
-      attack.race = final_reports[candidate.report_index];
-      attack.exploit = candidate.exploit;
-      attack.verification = vr;
-      result.attacks.push_back(std::move(attack));
-    }
-    if (livelocked_exploits > 0) {
-      record_failure(result.counts, PipelineStage::kVulnVerification,
-                     FailureCause::kLivelock,
-                     str_format("%zu exploit session(s) livelocked",
-                                livelocked_exploits),
-                     stage_budget.steps_spent(),
-                     stage_budget.elapsed_seconds());
-    }
-    OWL_LOG(kInfo) << target.name << ": " << result.attacks.size()
-                   << " attack candidates reached their site, "
-                   << result.confirmed_attacks() << " realized";
+      OWL_LOG(kInfo) << target.name << ": " << result.attacks.size()
+                     << " attack candidates reached their site, "
+                     << result.confirmed_attacks() << " realized";
+    });
   }
 
   // ---- repair stage (optional, DESIGN.md §13) ----
@@ -794,30 +750,20 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   // equivalence), report the first winner. Nested verification pipelines
   // run with repair disabled — the stage never recurses. Degrades, never
   // dies, like every other stage.
-  if (options_.repair.enabled && target.module != nullptr &&
-      module_static.has_value()) {
-    TRACE_SPAN("repair", target.name);
-    const StageTimer timer(options_.stage_timings, "repair");
-    if (injector != nullptr) injector->begin_stage(PipelineStage::kRepair);
-    result.repair_ran = true;
-    result.counts.repair_ran = true;
-    std::vector<race::RaceReport> confirmed;
-    for (const race::RaceReport& report :
-         result.store.stage(Stage::kAfterRaceVerifier)) {
-      if (report.verified) confirmed.push_back(report);
-    }
-    try {
-      if (injector != nullptr) injector->maybe_throw();
-      result.repair =
-          repair::attempt_repair(target, options_, *module_static, confirmed);
-    } catch (const std::exception& error) {
-      record_failure(result.counts, PipelineStage::kRepair,
-                     FailureCause::kException, error.what());
-      result.repair = repair::RepairReport{};
+  if (options_.repair.enabled) {
+    counts.repair_ran = true;
+    if (!stages.run(PipelineStage::kRepair, [&] {
+          std::vector<race::RaceReport> confirmed;
+          for (const race::RaceReport& report : final_reports) {
+            if (report.verified) confirmed.push_back(report);
+          }
+          result.repair = repair::attempt_repair(target, options_,
+                                                 module_static, confirmed);
+        })) {
       result.repair.status = "unrepaired";
     }
-    result.counts.repair_status = result.repair.status;
-    result.counts.repair_candidates = result.repair.candidates_tried;
+    counts.repair_status = result.repair.status;
+    counts.repair_candidates = result.repair.candidates_tried;
     OWL_LOG(kInfo) << target.name << ": repair " << result.repair.status
                    << " (" << result.repair.candidates_tried
                    << " candidate(s) tried)";
@@ -833,65 +779,53 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   // Behavioral rollup into the global registry — the Table 2/3 column
   // cross-check the manifest snapshot carries. All counters: sums are
   // interleaving-independent, so jobs=N flushes identically to jobs=1.
-  {
-    support::MetricsRegistry& registry = support::metrics();
-    registry.counter("pipeline.reports.raw").inc(result.counts.raw_reports);
-    registry.counter("pipeline.adhoc_syncs").inc(result.counts.adhoc_syncs);
-    registry.counter("pipeline.reports.after_annotation")
-        .inc(result.counts.after_annotation);
-    registry.counter("pipeline.reports.verifier_eliminated")
-        .inc(result.counts.verifier_eliminated);
-    registry.counter("pipeline.reports.verified")
-        .inc(result.counts.remaining);
-    registry.counter("pipeline.vulnerability_reports")
-        .inc(result.counts.vulnerability_reports);
-    registry.counter("pipeline.attacks.site_reached")
-        .inc(result.attacks.size());
-    registry.counter("pipeline.attacks.confirmed")
-        .inc(result.confirmed_attacks());
-    registry.counter("pipeline.retries").inc(result.counts.retries_used);
-    if (result.checkers_ran) {
-      // Registered only when the stage ran: the metrics snapshot in the
-      // manifest stays byte-identical to pre-suite runs with checkers off.
-      registry.counter("pipeline.checker_findings")
-          .inc(result.checker_findings.size());
-    }
-    if (result.predict_ran) {
-      // Same gating: predict-off snapshots carry no predict keys at all.
-      registry.counter("predict.candidates")
-          .inc(result.counts.predict_candidates);
-      registry.counter("predict.schedules_avoided")
-          .inc(result.counts.predict_schedules_avoided);
-      if (predict_outcome.has_value()) {
-        registry.advisory("predict.closure_iterations")
-            .inc(predict_outcome->closure_iterations);
-      }
-    }
-    if (result.repair_ran) {
-      // Same gating: repair-off snapshots carry no repair keys at all.
-      registry.counter("repair.candidates_tried")
-          .inc(result.counts.repair_candidates);
-      registry.counter("repair.repaired")
-          .inc(result.repair.status == "repaired" ? 1 : 0);
-    }
-    if (value_flow.has_value()) {
-      // Same gating: vuln-flow-off snapshots carry no valueflow keys.
-      const analysis::ValueFlowGraph::Stats& vf = value_flow->stats();
-      registry.counter("valueflow.nodes").inc(vf.nodes);
-      registry.counter("valueflow.edges")
-          .inc(vf.def_use_edges + vf.call_edges);
-      registry.counter("valueflow.mem_edges").inc(vf.mem_edges);
-    }
-    registry.histogram("pipeline.raw_reports_per_target")
-        .observe(result.counts.raw_reports);
-    registry.wall_clock("pipeline.wall_seconds").add(result.total_seconds);
-    if (module_static.has_value()) {
-      registry.counter("callgraph.indirect_resolved")
-          .inc(module_static->indirect_resolved_edges);
-      registry.counter("prescreen.prunable_instructions")
-          .inc(module_static->prescreen.no_race().size());
+  support::MetricsRegistry& registry = support::metrics();
+  registry.counter("pipeline.reports.raw").inc(counts.raw_reports);
+  registry.counter("pipeline.adhoc_syncs").inc(counts.adhoc_syncs);
+  registry.counter("pipeline.reports.after_annotation")
+      .inc(counts.after_annotation);
+  registry.counter("pipeline.reports.verifier_eliminated")
+      .inc(counts.verifier_eliminated);
+  registry.counter("pipeline.reports.verified").inc(counts.remaining);
+  registry.counter("pipeline.vulnerability_reports")
+      .inc(counts.vulnerability_reports);
+  registry.counter("pipeline.attacks.site_reached").inc(result.attacks.size());
+  registry.counter("pipeline.attacks.confirmed")
+      .inc(result.confirmed_attacks());
+  registry.counter("pipeline.retries").inc(counts.retries_used);
+  // Optional layers register their keys only when they ran, so the
+  // snapshot stays byte-identical to builds without them when they are off.
+  if (counts.checkers_ran) {
+    registry.counter("pipeline.checker_findings")
+        .inc(result.checker_findings.size());
+  }
+  if (counts.predict_ran) {
+    registry.counter("predict.candidates").inc(counts.predict_candidates);
+    registry.counter("predict.schedules_avoided")
+        .inc(counts.predict_schedules_avoided);
+    if (predict_outcome.has_value()) {
+      registry.advisory("predict.closure_iterations")
+          .inc(predict_outcome->closure_iterations);
     }
   }
+  if (counts.repair_ran) {
+    registry.counter("repair.candidates_tried").inc(counts.repair_candidates);
+    registry.counter("repair.repaired")
+        .inc(result.repair.status == "repaired" ? 1 : 0);
+  }
+  if (value_flow.has_value()) {
+    const analysis::ValueFlowGraph::Stats& vf = value_flow->stats();
+    registry.counter("valueflow.nodes").inc(vf.nodes);
+    registry.counter("valueflow.edges").inc(vf.def_use_edges + vf.call_edges);
+    registry.counter("valueflow.mem_edges").inc(vf.mem_edges);
+  }
+  registry.histogram("pipeline.raw_reports_per_target")
+      .observe(counts.raw_reports);
+  registry.wall_clock("pipeline.wall_seconds").add(result.total_seconds);
+  registry.counter("callgraph.indirect_resolved")
+      .inc(module_static.indirect_resolved_edges);
+  registry.counter("prescreen.prunable_instructions")
+      .inc(module_static.prescreen.no_race().size());
   return result;
 }
 
@@ -943,17 +877,6 @@ std::vector<PipelineResult> Pipeline::run_many(
       if (fork != nullptr) options_.fault_injector->absorb(*fork);
     }
   }
-
-  if (!options_.manifest_path.empty()) {
-    const std::string json =
-        render_manifest(options_.manifest_tool, options_, targets, results);
-    if (!write_manifest(options_.manifest_path, json)) {
-      // An unwritable manifest must not degrade the results themselves —
-      // it is observability, not behavior. Loud log, nothing else.
-      OWL_LOG(kWarn) << "run manifest not written to "
-                     << options_.manifest_path;
-    }
-  }
   return results;
 }
 
@@ -961,14 +884,14 @@ std::string serialize_result(const PipelineResult& result) {
   std::string out = "=== target " + result.target_name + " ===\n";
   out += result.counts.serialize();
   out += result.store.canonical_dump();
-  if (result.checkers_ran) {
+  if (result.counts.checkers_ran) {
     out += str_format("[checker findings %zu]\n",
                       result.checker_findings.size());
     for (const checkers::BugReport& report : result.checker_findings) {
       out += report.to_string();
     }
   }
-  if (result.repair_ran) {
+  if (result.counts.repair_ran) {
     // The patched module is folded in as a size + FNV-1a digest: repeat
     // runs and jobs=1-vs-N runs must synthesize byte-identical fixes, and
     // this pins that without dumping whole modules into the diff.

@@ -108,23 +108,22 @@ struct PipelineOptions {
   /// (DESIGN.md §9). kOff (default) skips nothing; kOn prunes shadow work
   /// for accesses the whole-module analysis proved race-free; kAudit runs
   /// full detection and counts pruned-but-raced soundness violations
-  /// (advisory counter prescreen.audit_violations — must stay zero).
+  /// (PipelineResult::audit — must stay zero).
   race::PrescreenMode prescreen = race::PrescreenMode::kOff;
   /// Sync-preserving race prediction (DESIGN.md §12). kOff (default)
   /// changes nothing; kOn hands the race verifier only predicted-feasible
   /// candidates plus replay-confirmed predicted races the observed
   /// schedules never exhibited; kAudit keeps the exhaustive path and
   /// cross-checks the predictor's verdicts against what the verifier
-  /// confirmed (advisory counter predict.audit_violations — must stay
-  /// zero).
+  /// confirmed (PipelineResult::audit — must stay zero).
   race::PredictMode predict = race::PredictMode::kOff;
   /// Memory-aware value flow for Algorithm 1 (DESIGN.md §14). kOff
   /// (default) keeps the register-only walk, byte-identical everywhere;
   /// kOn builds the module value-flow graph and extends the walk across
   /// store→load may-alias edges; kAudit additionally records every
   /// runtime store→load dependence the detection schedules exhibit and
-  /// cross-checks it against the static edge set (advisory counter
-  /// vulnflow.audit_violations — must stay zero).
+  /// cross-checks it against the static edge set (PipelineResult::audit —
+  /// must stay zero).
   analysis::ValueFlowMode vuln_flow = analysis::ValueFlowMode::kOff;
   bool enable_race_verifier = true;     ///< off for kernels (paper §8.3)
   bool enable_vuln_verifier = true;
@@ -173,14 +172,15 @@ struct PipelineOptions {
   /// Concurrent-safe per-stage wall-clock aggregation (not owned; may be
   /// null). Workers from every target record into the same instance.
   StageTimings* stage_timings = nullptr;
+};
 
-  // --- observability ---
-  /// When non-empty, run_many writes a run manifest (core/manifest.hpp:
-  /// inputs, options, seeds, StageCounts, metrics snapshot) here after the
-  /// sweep; a write failure degrades the driver, not the results.
-  std::string manifest_path;
-  /// Tool label recorded in the manifest ("owl_cli", "bench:table2", ...).
-  std::string manifest_tool = "pipeline";
+/// Soundness violations the audit modes counted on one target (each zero
+/// unless its mode is kAudit). The advisory counters
+/// prescreen/predict/vulnflow.audit_violations carry the same numbers.
+struct AuditCounts {
+  std::uint64_t prescreen = 0;  ///< pruned-but-raced accesses
+  std::uint64_t predict = 0;    ///< verified races the SP-closure pruned
+  std::uint64_t vuln_flow = 0;  ///< runtime store→load pairs the graph lacks
 };
 
 struct PipelineResult {
@@ -194,15 +194,10 @@ struct PipelineResult {
   /// Checker-suite findings (empty unless checkers were enabled), sorted
   /// into BugReportMgr's deterministic order.
   std::vector<checkers::BugReport> checker_findings;
-  /// True when the checker stage ran — rendering keys off this, not off
-  /// findings being non-empty, so "ran and found nothing" is visible.
-  bool checkers_ran = false;
-  /// True when the predict stage ran (same gating idiom as checkers_ran).
-  bool predict_ran = false;
   /// Repair-stage outcome (status empty unless the stage ran).
   repair::RepairReport repair;
-  /// True when the repair stage ran (same gating idiom as checkers_ran).
-  bool repair_ran = false;
+  /// Audit-mode soundness violations; any nonzero count exits 3.
+  AuditCounts audit;
   double total_seconds = 0.0;
 
   /// Attacks with a realized security consequence.
@@ -216,11 +211,11 @@ class Pipeline {
   Pipeline() : Pipeline(PipelineOptions{}) {}
   explicit Pipeline(PipelineOptions options) : options_(std::move(options)) {}
 
-  /// Runs the five Fig. 3 stages on one target. Never throws: a stage
-  /// failure (exception, livelock, stall, budget exhaustion) is retried per
-  /// the RetryPolicy where that makes sense, then absorbed as a
-  /// FailureRecord on the result's StageCounts and the remaining stages run
-  /// on best-effort inputs.
+  /// Runs the five Fig. 3 stages on one target. Throws only when the
+  /// target has no module: a stage failure (exception, livelock, stall,
+  /// budget exhaustion) is retried per the RetryPolicy where that makes
+  /// sense, then absorbed as a FailureRecord on the result's StageCounts
+  /// and the remaining stages run on best-effort inputs.
   PipelineResult run(const PipelineTarget& target) const;
 
   /// Multi-target driver with per-target fault isolation: one result per
@@ -242,14 +237,15 @@ class Pipeline {
 
  private:
   /// Steps (1)/(2): run the configured detector over N schedules under the
-  /// detection budget, retrying per policy on a thrown fault. Failures are
-  /// recorded on `counts`; nullopt means every attempt failed (the caller
-  /// picks the fallback: empty for step (1), the raw reports for step (2)).
+  /// detection budget, retrying per policy on a thrown fault. Failures and
+  /// prescreen audit violations are recorded on `result`; nullopt means
+  /// every attempt failed (the caller picks the fallback: empty for step
+  /// (1), the raw reports for step (2)).
   /// `recorder`, when non-null, captures each schedule's event trace for
   /// the predict stage (only the final pass's traces are kept).
   std::optional<std::vector<race::RaceReport>> detect(
       const PipelineTarget& target, const race::AnnotationSet* annotations,
-      race::PrescreenView prescreen, StageCounts& counts,
+      race::PrescreenView prescreen, PipelineResult& result,
       race::predict::TraceRecorder* recorder,
       FlowAuditRecorder* flow_audit) const;
 
@@ -257,7 +253,7 @@ class Pipeline {
   std::vector<race::RaceReport> detect_once(
       const PipelineTarget& target, const race::AnnotationSet* annotations,
       race::PrescreenView prescreen, std::uint64_t base_seed,
-      support::Budget& budget, StageCounts& counts,
+      support::Budget& budget, PipelineResult& result,
       race::predict::TraceRecorder* recorder,
       FlowAuditRecorder* flow_audit) const;
 

@@ -1,5 +1,6 @@
 #include "core/render.hpp"
 
+#include "checkers/sarif.hpp"
 #include "support/strings.hpp"
 #include "vuln/hint.hpp"
 
@@ -19,18 +20,18 @@ std::string render_cli_summary(const PipelineResult& result) {
                     result.counts.vulnerability_reports);
   out += str_format("  attacks (site reached/realized): %zu/%zu\n",
                     result.attacks.size(), result.confirmed_attacks());
-  if (result.checkers_ran) {
+  if (result.counts.checkers_ran) {
     out += str_format("  checker findings:      %zu\n",
                       result.checker_findings.size());
   }
-  if (result.predict_ran) {
+  if (result.counts.predict_ran) {
     out += str_format(
         "  predict: candidates=%zu pruned=%zu new=%zu avoided=%zu\n",
         result.counts.predict_candidates, result.counts.predict_pruned,
         result.counts.predict_new_confirmed,
         result.counts.predict_schedules_avoided);
   }
-  if (result.repair_ran) {
+  if (result.counts.repair_ran) {
     out += str_format("  repair: status=%s strategy=%s candidates=%u\n",
                       result.repair.status.c_str(),
                       result.repair.strategy.empty()
@@ -73,7 +74,7 @@ std::string render_cli_details(const PipelineResult& result,
       out += attack.to_string();
     }
   }
-  if (result.checkers_ran) {
+  if (result.counts.checkers_ran) {
     out += str_format("\n--- checker findings (%s) ---\n",
                       result.target_name.c_str());
     if (result.checker_findings.empty()) {
@@ -83,9 +84,9 @@ std::string render_cli_details(const PipelineResult& result,
       out += report.to_string();
     }
   }
-  if (result.repair_ran) {
+  if (result.counts.repair_ran) {
     // Identical from the CLI and from owl_served: everything here is a
-    // function of the analysis alone — file paths (out_dir) never appear,
+    // function of the analysis alone — the --repair DIR never appears,
     // only the deterministic basename of the fixed module.
     const repair::RepairReport& repair = result.repair;
     out += str_format("\n--- repair (%s) ---\n", result.target_name.c_str());
@@ -112,6 +113,16 @@ std::string render_cli_details(const PipelineResult& result,
     }
   }
   return out;
+}
+
+std::string render_sarif(const std::vector<PipelineResult>& results) {
+  std::vector<checkers::SarifTarget> targets;
+  targets.reserve(results.size());
+  for (const PipelineResult& result : results) {
+    targets.push_back(
+        checkers::SarifTarget{result.target_name, &result.checker_findings});
+  }
+  return checkers::render_sarif(targets);
 }
 
 }  // namespace owl::core

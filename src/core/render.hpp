@@ -11,6 +11,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/pipeline.hpp"
 
@@ -26,5 +27,9 @@ std::string render_cli_summary(const PipelineResult& result);
 /// and attacks. Empty string when there is nothing to show.
 std::string render_cli_details(const PipelineResult& result,
                                bool print_reports);
+
+/// One SARIF 2.1.0 log covering every result's checker findings, in input
+/// order (`--sarif-out`).
+std::string render_sarif(const std::vector<PipelineResult>& results);
 
 }  // namespace owl::core

@@ -8,31 +8,10 @@
 // verified race the predictor called infeasible is a soundness violation).
 #pragma once
 
-#include <string_view>
+#include "support/audit_mode.hpp"
 
 namespace owl::race {
 
-enum class PredictMode {
-  kOff,    ///< predictor not consulted (default)
-  kOn,     ///< verifier sees only predicted-feasible candidates
-  kAudit,  ///< exhaustive path plus verdict cross-check (must agree)
-};
-
-inline std::string_view predict_mode_name(PredictMode mode) noexcept {
-  switch (mode) {
-    case PredictMode::kOff: return "off";
-    case PredictMode::kOn: return "on";
-    case PredictMode::kAudit: return "audit";
-  }
-  return "?";
-}
-
-inline bool parse_predict_mode(std::string_view text,
-                               PredictMode& out) noexcept {
-  if (text == "off") { out = PredictMode::kOff; return true; }
-  if (text == "on") { out = PredictMode::kOn; return true; }
-  if (text == "audit") { out = PredictMode::kAudit; return true; }
-  return false;
-}
+using PredictMode = support::AuditMode;
 
 }  // namespace owl::race

@@ -8,8 +8,9 @@
 // nevertheless participated in a race (soundness violations — must be zero).
 #pragma once
 
-#include <string_view>
 #include <unordered_set>
+
+#include "support/audit_mode.hpp"
 
 namespace owl::ir {
 class Instruction;
@@ -17,28 +18,7 @@ class Instruction;
 
 namespace owl::race {
 
-enum class PrescreenMode {
-  kOff,    ///< prescreen not consulted (default)
-  kOn,     ///< prune shadow work for no-race accesses
-  kAudit,  ///< full detection plus pruned-but-raced violation counting
-};
-
-inline std::string_view prescreen_mode_name(PrescreenMode mode) noexcept {
-  switch (mode) {
-    case PrescreenMode::kOff: return "off";
-    case PrescreenMode::kOn: return "on";
-    case PrescreenMode::kAudit: return "audit";
-  }
-  return "?";
-}
-
-inline bool parse_prescreen_mode(std::string_view text,
-                                 PrescreenMode& out) noexcept {
-  if (text == "off") { out = PrescreenMode::kOff; return true; }
-  if (text == "on") { out = PrescreenMode::kOn; return true; }
-  if (text == "audit") { out = PrescreenMode::kAudit; return true; }
-  return false;
-}
+using PrescreenMode = support::AuditMode;
 
 /// What a detector needs from the prescreen. Default-constructed views are
 /// inert (mode off, no set), so existing call sites need no changes.

@@ -24,11 +24,9 @@ std::string_view strategy_name(Strategy strategy) noexcept;
 struct RepairOptions {
   /// Master switch. Off (the default) leaves every output byte-identical
   /// to a build without the repair stage.
+  /// The stage never touches the filesystem: owl_cli --repair DIR writes
+  /// `<stem>_fixed.mir` + `<stem>_repair.json` from the report.
   bool enabled = false;
-  /// Directory for `<stem>_fixed.mir` + `<stem>_repair.json` (owl_cli
-  /// --repair DIR). Empty = verify-only: the stage runs and reports, but
-  /// nothing touches the filesystem (the serve path).
-  std::string out_dir;
 };
 
 /// One repaired race, identified portably across modules (instruction ids
@@ -57,7 +55,7 @@ struct RepairReport {
   std::string lock;      ///< guard mutex name ("" for relocate)
   unsigned candidates_tried = 0;
   /// Basename of the emitted module ("<stem>_fixed.mir"); recorded even
-  /// when out_dir is empty so CLI and serve render identically.
+  /// when nothing is written, so CLI and serve render identically.
   std::string fixed_module;
   /// Verification-gate verdicts for the winning candidate (all false when
   /// nothing passed).
@@ -68,8 +66,9 @@ struct RepairReport {
   /// One entry per candidate in planner order; the winner (if any) is the
   /// last entry and carries an empty killed_by.
   std::vector<CandidateOutcome> candidates;
-  /// Canonical text of the patched module ("" unless repaired). The CLI
-  /// writes it to out_dir; serialize/render never include it wholesale.
+  /// Canonical text of the patched module ("" unless repaired). owl_cli
+  /// writes it to its --repair DIR; serialize/render never include it
+  /// wholesale.
   std::string patched_text;
 };
 

@@ -1,219 +1,20 @@
 #include "serve/executor.hpp"
 
-#include <fstream>
-#include <memory>
-#include <sstream>
-#include <vector>
-
-#include "checkers/sarif.hpp"
 #include "core/manifest.hpp"
-#include "core/render.hpp"
-#include "interp/machine.hpp"
-#include "ir/parser.hpp"
-#include "ir/printer.hpp"
-#include "ir/verifier.hpp"
 #include "support/metrics.hpp"
-#include "support/strings.hpp"
-#include "support/thread_pool.hpp"
 
 namespace owl::serve {
-namespace {
-
-std::vector<interp::Word> to_words(const std::vector<std::int64_t>& values) {
-  return std::vector<interp::Word>(values.begin(), values.end());
-}
-
-}  // namespace
-
-bool read_module_file(const std::string& path, std::string& text,
-                      std::string& error) {
-  std::ifstream file(path);
-  if (!file) {
-    error = str_format("owl_cli: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  text = buffer.str();
-  return true;
-}
 
 ExecResult Executor::run(const std::string& module_text,
                          const std::string& display_name,
                          const AnalysisOptions& options) {
-  ExecResult result;
   // Fresh-process equivalence: zero the registry so this request's
-  // metrics (and the audit exit decision below) see only themselves.
+  // metrics snapshot sees only itself.
   support::metrics().reset();
-
-  auto parsed = ir::parse_module(module_text);
-  if (!parsed.is_ok()) {
-    result.exit_code = 1;
-    result.error = str_format("owl_cli: %s: %s\n", display_name.c_str(),
-                              parsed.status().to_string().c_str());
-    return result;
-  }
-  std::shared_ptr<ir::Module> module = std::move(parsed).value();
-  if (const Status status = ir::verify_module(*module); !status.is_ok()) {
-    result.exit_code = 2;
-    result.error = str_format("owl_cli: %s: %s\n", display_name.c_str(),
-                              status.to_string().c_str());
-    return result;
-  }
-  const ir::Function* entry = module->find_function(options.entry);
-  if (entry == nullptr || !entry->has_body()) {
-    result.exit_code = 1;
-    result.error = str_format("owl_cli: %s: no entry function @%s\n",
-                              display_name.c_str(), options.entry.c_str());
-    return result;
-  }
-  if (options.print_module) {
-    result.output += ir::print_module(*module);
-  }
-
-  const std::vector<interp::Word> inputs = to_words(options.inputs);
-  const std::vector<interp::Word> exploit_inputs =
-      options.exploit_inputs.empty() ? inputs
-                                     : to_words(options.exploit_inputs);
-  const auto factory_for = [&](std::vector<interp::Word> run_inputs) {
-    return race::MachineFactory(
-        [module, entry, run_inputs, max_steps = options.max_steps] {
-          interp::MachineOptions machine_options;
-          machine_options.inputs = run_inputs;
-          machine_options.max_steps = max_steps;
-          auto machine =
-              std::make_unique<interp::Machine>(*module, machine_options);
-          machine->start(entry);
-          return machine;
-        });
-  };
-
-  core::PipelineTarget target;
-  target.name = display_name;
-  target.module = module.get();
-  target.factory = factory_for(inputs);
-  target.exploit_factory = factory_for(exploit_inputs);
-  // Module-agnostic factory for the repair engine's verification re-runs
-  // on patched clones — same wiring as owl_cli, so responses stay
-  // byte-identical to the one-shot invocation.
-  target.factory_for_module = [entry_name = options.entry, inputs,
-                               max_steps = options.max_steps](
-                                  std::shared_ptr<const ir::Module> patched) {
-    return race::MachineFactory([patched, entry_name, inputs, max_steps] {
-      interp::MachineOptions machine_options;
-      machine_options.inputs = inputs;
-      machine_options.max_steps = max_steps;
-      auto machine =
-          std::make_unique<interp::Machine>(*patched, machine_options);
-      machine->start(patched->find_function(entry_name));
-      return machine;
-    });
-  };
-  target.detector = options.detector;
-  target.detection_schedules = options.schedules;
-  target.seed = options.seed;  // single target: --seed kept exactly
-
-  core::PipelineOptions pipeline_options;
-  pipeline_options.enable_adhoc_annotation = options.adhoc;
-  pipeline_options.enable_race_verifier = options.race_verifier;
-  pipeline_options.enable_vuln_verifier = options.vuln_verifier;
-  pipeline_options.analyzer_mode =
-      options.whole_program ? vuln::VulnerabilityAnalyzer::Mode::kWholeProgram
-                            : vuln::VulnerabilityAnalyzer::Mode::kDirected;
-  if (options.stage_deadline > 0) {
-    pipeline_options.stage_budgets =
-        core::StageBudgets::uniform_wall(options.stage_deadline);
-  }
-  pipeline_options.retry.max_retries = options.retries;
-  pipeline_options.detector_impl = options.detector_impl;
-  pipeline_options.prescreen = options.prescreen;
-  pipeline_options.predict = options.predict;
-  pipeline_options.vuln_flow = options.vuln_flow;
-  pipeline_options.checkers = options.checkers;
-  pipeline_options.repair.enabled = options.repair;  // out_dir stays empty
-  pipeline_options.manifest_tool = "owl_cli";
-  if (pipeline_faults_ != nullptr && !pipeline_faults_->empty()) {
-    pipeline_options.fault_injector = pipeline_faults_;
-  }
-
-  // Single target: jobs buys verifier schedule sharding, exactly as
-  // owl_cli wires it (run_many itself stays sequential).
-  pipeline_options.jobs = 1;
-  std::unique_ptr<support::ThreadPool> pool;
-  if (options.jobs > 1) {
-    pool = std::make_unique<support::ThreadPool>(options.jobs);
-    pipeline_options.verifier_pool = pool.get();
-  }
-
-  const std::vector<core::PipelineTarget> targets = [&] {
-    std::vector<core::PipelineTarget> out;
-    out.push_back(std::move(target));
-    return out;
-  }();
-  const std::vector<core::PipelineResult> results =
-      core::Pipeline(pipeline_options).run_many(targets);
-
-  result.ran_pipeline = true;
-  for (const core::PipelineResult& pipeline_result : results) {
-    result.output += core::render_cli_summary(pipeline_result);
-    result.degraded = result.degraded || pipeline_result.degraded();
-  }
-  for (const core::PipelineResult& pipeline_result : results) {
-    if (options.quiet) break;
-    result.output +=
-        core::render_cli_details(pipeline_result, options.print_reports);
-  }
-  if (options.sarif) {
-    // Mirrors `owl_cli --sarif-out -`: the log is appended to the output
-    // after the details, so responses stay byte-identical to the one-shot
-    // invocation (and SARIF rides the result cache for free).
-    std::vector<checkers::SarifTarget> sarif_targets;
-    sarif_targets.reserve(results.size());
-    for (const core::PipelineResult& pipeline_result : results) {
-      sarif_targets.push_back(checkers::SarifTarget{
-          pipeline_result.target_name, &pipeline_result.checker_findings});
-    }
-    result.output += checkers::render_sarif(sarif_targets);
-  }
-  // The manifest body is the provenance record the cache seals into the
-  // entry. Tool label "owl_cli": the manifest documents the canonical
-  // one-shot invocation this response is byte-identical to, and keeping
-  // the label lets serve_check diff it against `owl_cli --manifest`.
-  result.manifest = core::strip_manifest_environment(
-      core::render_manifest("owl_cli", pipeline_options, targets, results));
-
-  if (options.prescreen == race::PrescreenMode::kAudit) {
-    const std::uint64_t violations =
-        support::metrics().advisory("prescreen.audit_violations").value();
-    if (violations != 0) {
-      result.error += str_format(
-          "owl_cli: prescreen audit: %llu pruned-but-raced "
-          "access(es) falsify the static no-race verdict\n",
-          static_cast<unsigned long long>(violations));
-      result.exit_code = 3;
-    }
-  }
-  if (options.predict == race::PredictMode::kAudit) {
-    const std::uint64_t violations =
-        support::metrics().advisory("predict.audit_violations").value();
-    if (violations != 0) {
-      result.error += str_format(
-          "owl_cli: predict audit: %llu verified race(s) the "
-          "SP-closure wrongly called infeasible\n",
-          static_cast<unsigned long long>(violations));
-      result.exit_code = 3;
-    }
-  }
-  if (options.vuln_flow == analysis::ValueFlowMode::kAudit) {
-    const std::uint64_t violations =
-        support::metrics().advisory("vulnflow.audit_violations").value();
-    if (violations != 0) {
-      result.error += str_format(
-          "owl_cli: vuln-flow audit: %llu runtime store->load "
-          "dependence(s) missing from the static value-flow graph\n",
-          static_cast<unsigned long long>(violations));
-      result.exit_code = 3;
-    }
+  ExecResult result = core::analyze({{display_name, module_text}}, options,
+                                    pipeline_faults_);
+  if (result.ran_pipeline) {
+    result.manifest = core::strip_manifest_environment(result.manifest);
   }
   return result;
 }

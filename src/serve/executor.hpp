@@ -1,12 +1,9 @@
 // Per-request analysis execution for the serve layer (DESIGN.md §10).
 //
-// One Executor::run() is the in-process twin of one `owl_cli <module>
-// [flags]` invocation: same module loading, same pipeline wiring (PR 1
-// budgets/retries, PR 2 ThreadPool for --jobs verifier sharding, PR 3/5
-// substrate and prescreen options), same rendering (core/render.hpp), same
-// exit-code contract — so the returned output/exit are byte-identical to
-// the one-shot CLI by construction, which is what the differential gate
-// verifies end to end.
+// One Executor::run() is one `owl_cli <module> [flags]` invocation run in
+// process: it calls core::analyze, the run path owl_cli itself takes, so
+// the returned output/exit are byte-identical to the one-shot CLI by
+// construction — which is what the differential gate verifies end to end.
 //
 // Isolation: every run builds its module, machines, detectors, and
 // pipeline from scratch, and the process-wide MetricsRegistry is reset()
@@ -14,27 +11,22 @@
 // would. That reset is also why the daemon executes requests one at a time
 // (the executor is owned and driven by a single ServiceCore thread):
 // serialized execution is a *correctness* choice — it is what makes every
-// response reproducible and the audit exit path well-defined — while
-// throughput comes from the result cache and per-request --jobs
-// parallelism, not from interleaving analyses that share process globals.
+// response reproducible — while throughput comes from the result cache and
+// per-request --jobs parallelism, not from interleaving analyses that share
+// process globals.
 #pragma once
 
 #include <string>
 
+#include "core/analyze.hpp"
 #include "serve/protocol.hpp"
 #include "support/fault_injector.hpp"
 
 namespace owl::serve {
 
-/// Outcome of one analysis execution.
-struct ExecResult {
-  int exit_code = 0;      ///< owl_cli exit contract: 0 ran, 1/2 load, 3 audit
-  bool ran_pipeline = false;  ///< false for load/verify failures (uncacheable)
-  bool degraded = false;
-  std::string output;     ///< owl_cli stdout bytes
-  std::string error;      ///< owl_cli stderr bytes (load errors, audit note)
-  std::string manifest;   ///< environment-stripped run manifest (JSON)
-};
+/// Outcome of one analysis execution; Executor::run strips the manifest's
+/// environment tail (the cache seals the deterministic body).
+using ExecResult = core::AnalysisOutcome;
 
 class Executor {
  public:
@@ -45,7 +37,7 @@ class Executor {
       : pipeline_faults_(pipeline_faults) {}
 
   /// Executes one analysis request. Never throws: internal faults degrade
-  /// into the FailureRecord machinery (pipeline stages) or an exit-1
+  /// into the FailureRecord machinery (pipeline stages) or an exit-1/2
   /// ExecResult (load phase).
   ExecResult run(const std::string& module_text,
                  const std::string& display_name,
@@ -57,7 +49,6 @@ class Executor {
 
 /// Reads the module file the way owl_cli does; false + error text on
 /// failure (the error is the owl_cli stderr line, byte-identical).
-bool read_module_file(const std::string& path, std::string& text,
-                      std::string& error);
+using core::read_module_file;
 
 }  // namespace owl::serve

@@ -1,19 +1,22 @@
 #include "serve/protocol.hpp"
 
-#include "core/manifest.hpp"
-#include "race/prescreen_view.hpp"
+#include <type_traits>
+
 #include "support/strings.hpp"
 
 namespace owl::serve {
 namespace {
 
-bool read_uint(const JsonValue& value, std::uint64_t& out) {
-  if (!value.is_int() || value.as_int() < 0) return false;
-  out = static_cast<std::uint64_t>(value.as_int());
+// --- "options" members: one reader per request field type ---
+
+bool read_option(const JsonValue& value, std::string& out, core::IntRange) {
+  if (!value.is_string() || value.as_string().empty()) return false;
+  out = value.as_string();
   return true;
 }
 
-bool read_word_list(const JsonValue& value, std::vector<std::int64_t>& out) {
+bool read_option(const JsonValue& value, std::vector<std::int64_t>& out,
+                 core::IntRange) {
   if (!value.is_array()) return false;
   out.clear();
   for (const JsonValue& item : value.as_array()) {
@@ -23,188 +26,69 @@ bool read_word_list(const JsonValue& value, std::vector<std::int64_t>& out) {
   return true;
 }
 
-std::string words_csv(const std::vector<std::int64_t>& words) {
-  std::string out;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    if (i != 0) out += ',';
-    out += std::to_string(words[i]);
-  }
-  return out;
-}
-
-}  // namespace
-
-bool AnalysisOptions::from_json(const JsonValue& value, AnalysisOptions& out,
-                                std::string& error) {
-  if (!value.is_object()) {
-    error = "options must be an object";
-    return false;
-  }
-  const auto bad = [&error](const std::string& key) {
-    error = "bad value for option \"" + key + "\"";
-    return false;
-  };
-  for (const auto& [key, field] : value.as_object()) {
-    if (key == "entry") {
-      if (!field.is_string() || field.as_string().empty()) return bad(key);
-      out.entry = field.as_string();
-    } else if (key == "inputs") {
-      if (!read_word_list(field, out.inputs)) return bad(key);
-    } else if (key == "exploit_inputs") {
-      if (!read_word_list(field, out.exploit_inputs)) return bad(key);
-    } else if (key == "detector") {
-      if (!field.is_string()) return bad(key);
-      const std::string& name = field.as_string();
-      if (name == "tsan") {
-        out.detector = core::DetectorKind::kTsan;
-      } else if (name == "ski") {
-        out.detector = core::DetectorKind::kSki;
-      } else if (name == "atomicity") {
-        out.detector = core::DetectorKind::kAtomicity;
-      } else {
-        return bad(key);
-      }
-    } else if (key == "detector_impl") {
-      if (!field.is_string()) return bad(key);
-      const std::string& name = field.as_string();
-      if (name == "fast") {
-        out.detector_impl = race::DetectorImpl::kFast;
-      } else if (name == "reference") {
-        out.detector_impl = race::DetectorImpl::kReference;
-      } else {
-        return bad(key);
-      }
-    } else if (key == "prescreen") {
-      if (!field.is_string() ||
-          !race::parse_prescreen_mode(field.as_string(), out.prescreen)) {
-        return bad(key);
-      }
-    } else if (key == "predict") {
-      if (!field.is_string() ||
-          !race::parse_predict_mode(field.as_string(), out.predict)) {
-        return bad(key);
-      }
-    } else if (key == "vuln_flow") {
-      if (!field.is_string() ||
-          !analysis::parse_value_flow_mode(field.as_string(),
-                                           out.vuln_flow)) {
-        return bad(key);
-      }
-    } else if (key == "schedules") {
-      std::uint64_t n = 0;
-      if (!read_uint(field, n) || n == 0 || n > 1u << 20) return bad(key);
-      out.schedules = static_cast<unsigned>(n);
-    } else if (key == "seed") {
-      if (!field.is_int()) return bad(key);
-      out.seed = static_cast<std::uint64_t>(field.as_int());
-    } else if (key == "max_steps") {
-      std::uint64_t n = 0;
-      if (!read_uint(field, n) || n == 0) return bad(key);
-      out.max_steps = n;
-    } else if (key == "adhoc") {
-      if (!field.is_bool()) return bad(key);
-      out.adhoc = field.as_bool();
-    } else if (key == "race_verifier") {
-      if (!field.is_bool()) return bad(key);
-      out.race_verifier = field.as_bool();
-    } else if (key == "vuln_verifier") {
-      if (!field.is_bool()) return bad(key);
-      out.vuln_verifier = field.as_bool();
-    } else if (key == "whole_program") {
-      if (!field.is_bool()) return bad(key);
-      out.whole_program = field.as_bool();
-    } else if (key == "print_module") {
-      if (!field.is_bool()) return bad(key);
-      out.print_module = field.as_bool();
-    } else if (key == "print_reports") {
-      if (!field.is_bool()) return bad(key);
-      out.print_reports = field.as_bool();
-    } else if (key == "quiet") {
-      if (!field.is_bool()) return bad(key);
-      out.quiet = field.as_bool();
-    } else if (key == "stage_deadline") {
-      if (!field.is_number() || field.as_double() < 0) return bad(key);
-      out.stage_deadline = field.as_double();
-    } else if (key == "retries") {
-      std::uint64_t n = 0;
-      if (!read_uint(field, n) || n > 1000) return bad(key);
-      out.retries = static_cast<unsigned>(n);
-    } else if (key == "jobs") {
-      std::uint64_t n = 0;
-      if (!read_uint(field, n) || n > 256) return bad(key);
-      out.jobs = static_cast<unsigned>(n);
-    } else if (key == "checkers") {
-      std::string checker_error;
-      if (!field.is_string() ||
-          !checkers::CheckerOptions::parse(field.as_string(), out.checkers,
-                                           checker_error)) {
-        return bad(key);
-      }
-    } else if (key == "sarif") {
-      if (!field.is_bool()) return bad(key);
-      out.sarif = field.as_bool();
-    } else if (key == "repair") {
-      if (!field.is_bool()) return bad(key);
-      out.repair = field.as_bool();
-    } else {
-      // Strict: an ignored option would silently answer for the wrong
-      // owl_cli invocation.
-      error = "unknown option \"" + key + "\"";
-      return false;
-    }
-  }
+bool read_option(const JsonValue& value, bool& out, core::IntRange) {
+  if (!value.is_bool()) return false;
+  out = value.as_bool();
   return true;
 }
 
-std::string AnalysisOptions::canonical_blob(
-    const std::string& target_name) const {
-  // v5: the blob gained vuln_flow= (v4 repair=, v3 predict=, v2
-  // checkers=/sarif=) — the marker bump makes keys from older daemons
-  // differ even for flow-off requests.
-  std::string out = "owl-options-v5\n";
-  out += "name=" + target_name + "\n";
-  out += "entry=" + entry + "\n";
-  out += "inputs=" + words_csv(inputs) + "\n";
-  out += "exploit_inputs=" + words_csv(exploit_inputs) + "\n";
-  out += "detector=";
-  out += core::detector_kind_name(detector);
-  out += "\n";
-  out += "detector_impl=";
-  out += detector_impl == race::DetectorImpl::kFast ? "fast" : "reference";
-  out += "\n";
-  out += "prescreen=";
-  out += race::prescreen_mode_name(prescreen);
-  out += "\n";
-  out += "predict=";
-  out += race::predict_mode_name(predict);
-  out += "\n";
-  out += "vuln_flow=";
-  out += analysis::value_flow_mode_name(vuln_flow);
-  out += "\n";
-  out += str_format("schedules=%u\n", schedules);
-  out += str_format("seed=%llu\n", static_cast<unsigned long long>(seed));
-  out += str_format("max_steps=%llu\n",
-                    static_cast<unsigned long long>(max_steps));
-  out += str_format("adhoc=%d\n", adhoc ? 1 : 0);
-  out += str_format("race_verifier=%d\n", race_verifier ? 1 : 0);
-  out += str_format("vuln_verifier=%d\n", vuln_verifier ? 1 : 0);
-  out += str_format("whole_program=%d\n", whole_program ? 1 : 0);
-  out += str_format("print_module=%d\n", print_module ? 1 : 0);
-  out += str_format("print_reports=%d\n", print_reports ? 1 : 0);
-  out += str_format("quiet=%d\n", quiet ? 1 : 0);
-  out += str_format("stage_deadline=%.6f\n", stage_deadline);
-  out += str_format("retries=%u\n", retries);
-  // NOTE: jobs is deliberately part of the blob even though responses are
-  // byte-identical across jobs values — the equivalence is a *property the
-  // differential gate proves*, not an assumption the cache bakes in. Two
-  // keys that collapse only if the property holds would make a determinism
-  // bug unobservable.
-  out += str_format("jobs=%u\n", jobs);
-  out += "checkers=" + checkers.canonical() + "\n";
-  out += str_format("sarif=%d\n", sarif ? 1 : 0);
-  out += str_format("repair=%d\n", repair ? 1 : 0);
-  return out;
+bool read_option(const JsonValue& value, double& out, core::IntRange) {
+  if (!value.is_number() || value.as_double() < 0) return false;
+  out = value.as_double();
+  return true;
 }
+
+template <typename Int>
+  requires std::is_integral_v<Int>
+bool read_option(const JsonValue& value, Int& out, core::IntRange range) {
+  if (!value.is_int() || value.as_int() < range.min ||
+      value.as_int() > range.max) {
+    return false;
+  }
+  out = static_cast<Int>(value.as_int());
+  return true;
+}
+
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+bool read_option(const JsonValue& value, Enum& out, core::IntRange) {
+  return value.is_string() && core::parse_field(value.as_string(), out);
+}
+
+bool read_option(const JsonValue& value, checkers::CheckerOptions& out,
+                 core::IntRange) {
+  std::string error;
+  return value.is_string() &&
+         checkers::CheckerOptions::parse(value.as_string(), out, error);
+}
+
+Status parse_options(const JsonValue& value, AnalysisOptions& out) {
+  if (!value.is_object()) {
+    return invalid_argument_error("options must be an object");
+  }
+  for (const auto& [key, field] : value.as_object()) {
+    bool known = false;
+    bool ok = false;
+    AnalysisOptions::for_each_field(
+        out, [&](std::string_view name, auto& member,
+                 core::IntRange range = {}) {
+          if (name != key) return;
+          known = true;
+          ok = read_option(field, member, range);
+        });
+    // Strict: an ignored option would silently answer for the wrong
+    // owl_cli invocation.
+    if (!known) {
+      return invalid_argument_error("unknown option \"" + key + "\"");
+    }
+    if (!ok) {
+      return invalid_argument_error("bad value for option \"" + key + "\"");
+    }
+  }
+  return Status::ok();
+}
+
+}  // namespace
 
 Status parse_request(std::string_view line, Request& out) {
   JsonValue root;
@@ -266,10 +150,9 @@ Status parse_request(std::string_view line, Request& out) {
     }
   }
   if (options_value != nullptr) {
-    std::string options_error;
-    if (!AnalysisOptions::from_json(*options_value, out.options,
-                                    options_error)) {
-      return invalid_argument_error(options_error);
+    if (Status status = parse_options(*options_value, out.options);
+        !status.is_ok()) {
+      return status;
     }
   }
   if (out.op == Request::Op::kAnalyze) {
@@ -285,55 +168,13 @@ Status parse_request(std::string_view line, Request& out) {
 }
 
 std::string serialize_request(const Request& request) {
-  const AnalysisOptions& opt = request.options;
-  const auto words_json = [](const std::vector<std::int64_t>& words) {
-    std::string out = "[";
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      if (i != 0) out += ',';
-      out += std::to_string(words[i]);
-    }
-    out += "]";
-    return out;
-  };
   std::string out = "{\"op\":\"analyze\"";
   out += ",\"id\":" + json_quote(request.id);
   out += ",\"client\":" + json_quote(request.client);
   out += ",\"module_text\":" + json_quote(request.module_text);
   out += ",\"name\":" + json_quote(request.display_name());
-  out += ",\"options\":{";
-  out += "\"entry\":" + json_quote(opt.entry);
-  out += ",\"inputs\":" + words_json(opt.inputs);
-  out += ",\"exploit_inputs\":" + words_json(opt.exploit_inputs);
-  out += ",\"detector\":" +
-         json_quote(core::detector_kind_name(opt.detector));
-  out += ",\"detector_impl\":";
-  out += opt.detector_impl == race::DetectorImpl::kFast ? "\"fast\""
-                                                        : "\"reference\"";
-  out += ",\"prescreen\":" +
-         json_quote(race::prescreen_mode_name(opt.prescreen));
-  out += ",\"predict\":" + json_quote(race::predict_mode_name(opt.predict));
-  out += ",\"vuln_flow\":" +
-         json_quote(analysis::value_flow_mode_name(opt.vuln_flow));
-  out += str_format(",\"schedules\":%u", opt.schedules);
-  out += str_format(",\"seed\":%lld", static_cast<long long>(opt.seed));
-  out += str_format(",\"max_steps\":%llu",
-                    static_cast<unsigned long long>(opt.max_steps));
-  const auto flag = [](bool value) { return value ? "true" : "false"; };
-  out += std::string(",\"adhoc\":") + flag(opt.adhoc);
-  out += std::string(",\"race_verifier\":") + flag(opt.race_verifier);
-  out += std::string(",\"vuln_verifier\":") + flag(opt.vuln_verifier);
-  out += std::string(",\"whole_program\":") + flag(opt.whole_program);
-  out += std::string(",\"print_module\":") + flag(opt.print_module);
-  out += std::string(",\"print_reports\":") + flag(opt.print_reports);
-  out += std::string(",\"quiet\":") + flag(opt.quiet);
-  out += str_format(",\"stage_deadline\":%.6f", opt.stage_deadline);
-  out += str_format(",\"retries\":%u", opt.retries);
-  out += str_format(",\"jobs\":%u", opt.jobs);
-  out += ",\"checkers\":" + json_quote(opt.checkers.canonical());
-  out += std::string(",\"sarif\":") + flag(opt.sarif);
-  out += std::string(",\"repair\":") + flag(opt.repair);
-  out += "}}";
-  return out;
+  out += ",\"options\":" + request.options.to_json();
+  return out + "}";
 }
 
 std::string ok_response(const std::string& id, std::string_view cache,

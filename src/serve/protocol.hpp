@@ -40,61 +40,16 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.hpp"
-#include "race/tsan_detector.hpp"
+#include "core/analyze.hpp"
 #include "serve/json.hpp"
 #include "support/status.hpp"
 
 namespace owl::serve {
 
-/// Per-request analysis options — the service mirror of owl_cli's flags
-/// (only the analysis-behavioral ones; process concerns like --trace-out
-/// stay CLI-only). Defaults match owl_cli exactly, so an empty options
-/// object means "what owl_cli does with no flags".
-struct AnalysisOptions {
-  std::string entry = "main";
-  std::vector<std::int64_t> inputs;
-  std::vector<std::int64_t> exploit_inputs;  ///< empty = same as inputs
-  core::DetectorKind detector = core::DetectorKind::kTsan;
-  race::DetectorImpl detector_impl = race::DetectorImpl::kFast;
-  race::PrescreenMode prescreen = race::PrescreenMode::kOff;
-  race::PredictMode predict = race::PredictMode::kOff;
-  analysis::ValueFlowMode vuln_flow = analysis::ValueFlowMode::kOff;
-  unsigned schedules = 4;
-  std::uint64_t seed = 1;
-  std::uint64_t max_steps = 400'000;
-  bool adhoc = true;
-  bool race_verifier = true;
-  bool vuln_verifier = true;
-  bool whole_program = false;
-  bool print_module = false;
-  bool print_reports = false;
-  bool quiet = false;
-  double stage_deadline = 0.0;  ///< 0 = unlimited
-  unsigned retries = 2;
-  unsigned jobs = 1;  ///< intra-request parallelism (verifier sharding)
-  /// Concurrency checker suite selection (mirror of --checkers); stored
-  /// parsed so canonical_blob hashes the canonical spelling, not whatever
-  /// comma order the client typed.
-  checkers::CheckerOptions checkers;
-  /// Mirror of `--sarif-out -`: append the SARIF 2.1.0 log to the output.
-  bool sarif = false;
-  /// Mirror of `--repair DIR` minus the DIR: the repair stage runs and its
-  /// path-independent report renders into the output; the daemon never
-  /// writes fixed-module files (that emission is CLI-only).
-  bool repair = false;
-
-  /// Parses the "options" object; st carries the offending key on error.
-  static bool from_json(const JsonValue& value, AnalysisOptions& out,
-                        std::string& error);
-
-  /// Canonical key=value text form, one option per line in a fixed order,
-  /// with the target's display name folded in (the name appears in the
-  /// rendered output, so it is part of what identifies a result). This
-  /// blob — not the JSON, whose member order the client controls — is what
-  /// the cache key hashes.
-  std::string canonical_blob(const std::string& target_name) const;
-};
+/// Per-request analysis options: the owl_cli request model
+/// (core/analyze.hpp). An empty options object means "what owl_cli does
+/// with no flags" (with one worker).
+using AnalysisOptions = core::AnalysisRequest;
 
 /// One parsed request line.
 struct Request {

@@ -14,11 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "core/analyze.hpp"
 #include "core/pipeline.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
 #include "race/predict/sp_predictor.hpp"
 #include "support/metrics.hpp"
+#include "workloads/registry.hpp"
 
 namespace owl::race::predict {
 namespace {
@@ -446,7 +448,7 @@ TEST(PredictPipelineTest, AuditAgreesWithExhaustiveOnEveryExample) {
     const bool planted = path.filename() == "predicted_only.mir";
 
     const core::PipelineResult off = run_one(m, PredictMode::kOff);
-    EXPECT_FALSE(off.predict_ran) << path.filename();
+    EXPECT_FALSE(off.counts.predict_ran) << path.filename();
     // Off mode must leak nothing: no predict counters, no predict line in
     // the counts serialization.
     EXPECT_EQ(support::metrics().serialize().find("predict"),
@@ -456,7 +458,7 @@ TEST(PredictPipelineTest, AuditAgreesWithExhaustiveOnEveryExample) {
         << path.filename();
 
     const core::PipelineResult audit = run_one(m, PredictMode::kAudit);
-    EXPECT_TRUE(audit.predict_ran) << path.filename();
+    EXPECT_TRUE(audit.counts.predict_ran) << path.filename();
     EXPECT_EQ(audit.store.canonical_dump(), off.store.canonical_dump())
         << "audit changed the report stream for " << path.filename();
     EXPECT_EQ(audit.counts.remaining, off.counts.remaining) << path.filename();
@@ -466,7 +468,7 @@ TEST(PredictPipelineTest, AuditAgreesWithExhaustiveOnEveryExample) {
         << path.filename();
 
     const core::PipelineResult on = run_one(m, PredictMode::kOn);
-    EXPECT_TRUE(on.predict_ran) << path.filename();
+    EXPECT_TRUE(on.counts.predict_ran) << path.filename();
     if (planted) {
       // The planted example: exhaustive exploration never exhibits the
       // race; prediction finds it and targeted replay confirms it.
@@ -504,7 +506,7 @@ TEST(PredictPipelineTest, PipelineIsByteIdenticalAcrossJobsInEveryMode) {
         baseline = fingerprint;
       } else {
         EXPECT_EQ(fingerprint, baseline)
-            << "predict mode " << predict_mode_name(mode)
+            << "predict mode " << support::audit_mode_name(mode)
             << " is jobs-dependent at jobs=" << jobs;
       }
     }
@@ -552,6 +554,32 @@ TEST(PredictPipelineTest, PredictedOnlyRaceIsFoundAndReplayConfirmed) {
   EXPECT_TRUE(survivors[0].verified);
   EXPECT_EQ(survivors[0].object_name, "stat");
   EXPECT_EQ(on.counts.predict_new_confirmed, 1u);
+  support::metrics().clear_for_test();
+}
+
+// --predict is not yet sound on the paper workloads (ROADMAP open item 2):
+// at scale 1, seed 1, chrome verifies two races the SP-closure called
+// infeasible. The typed per-target count must carry the same number as the
+// advisory counter, and the shared exit decision must turn it into exit 3
+// with owl_cli's stderr line. Once predict is sound this pins zero instead.
+TEST(PredictPipelineTest, WorkloadAuditViolationsExitThree) {
+  const workloads::Workload chrome = workloads::make_chrome();
+  core::PipelineOptions options = chrome.pipeline_options();
+  options.predict = PredictMode::kAudit;
+  support::metrics().clear_for_test();
+  const core::PipelineResult result =
+      core::Pipeline(options).run(chrome.target(1));
+  EXPECT_EQ(result.audit.predict, 2u);
+  EXPECT_EQ(result.audit.predict,
+            support::metrics().advisory("predict.audit_violations").value());
+  EXPECT_EQ(result.audit.prescreen, 0u);
+  EXPECT_EQ(result.audit.vuln_flow, 0u);
+
+  std::string error;
+  EXPECT_EQ(core::audit_exit_code({result}, error), 3);
+  EXPECT_EQ(error,
+            "owl_cli: predict audit: 2 verified race(s) the SP-closure "
+            "wrongly called infeasible\n");
   support::metrics().clear_for_test();
 }
 

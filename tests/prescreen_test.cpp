@@ -405,7 +405,7 @@ TEST(PrescreenTest, PipelineBehaviorIsIdenticalAcrossModesAndJobs) {
         baseline = fingerprint;
       } else {
         EXPECT_EQ(fingerprint, baseline)
-            << "prescreen mode " << race::prescreen_mode_name(mode)
+            << "prescreen mode " << support::audit_mode_name(mode)
             << " changed behavior at jobs=" << jobs;
       }
       if (mode == race::PrescreenMode::kOn) {

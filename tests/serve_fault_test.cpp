@@ -170,6 +170,17 @@ TEST(ServeExecutorTest, LoadErrorsMatchOwlCliContract) {
   const ExecResult no_entry = executor.run(kModule, "m", wrong_entry);
   EXPECT_EQ(no_entry.exit_code, 1);
   EXPECT_EQ(no_entry.error, "owl_cli: m: no entry function @nope\n");
+
+  // Parses, but fails ir::verify_module: exit 2, as owl_cli does.
+  const ExecResult verify_fail = executor.run(
+      "module bad\nfunc @main() {\nentry:\n  io_delay 1\n}\n", "bad.mir",
+      options);
+  EXPECT_EQ(verify_fail.exit_code, 2);
+  EXPECT_FALSE(verify_fail.ran_pipeline);
+  EXPECT_TRUE(verify_fail.output.empty());
+  EXPECT_EQ(verify_fail.error,
+            "owl_cli: bad.mir: verify-error: in @main at 'io_delay 1': block "
+            "'entry' does not end in a terminator\n");
 }
 
 // ---- service-phase fault injection ----

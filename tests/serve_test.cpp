@@ -282,6 +282,74 @@ TEST(ProtocolTest, CanonicalBlobSeparatesCheckerAndSarifOptions) {
             request.options.canonical_blob(request.display_name()));
 }
 
+// The cache key hashes these exact bytes: a change to any line silently
+// re-keys every cached entry, so the v6 format is pinned for the default
+// request and for a request with every field away from its default.
+TEST(ProtocolTest, CanonicalBlobV6BytesArePinned) {
+  EXPECT_EQ(AnalysisOptions().canonical_blob("m"),
+            "owl-options-v6\nname=m\nentry=main\ninputs=\nexploit_inputs=\n"
+            "detector=tsan\ndetector_impl=fast\nprescreen=off\npredict=off\n"
+            "vuln_flow=off\nschedules=4\nseed=1\nmax_steps=400000\nadhoc=1\n"
+            "race_verifier=1\nvuln_verifier=1\nwhole_program=0\n"
+            "print_module=0\nprint_reports=0\nquiet=0\nstage_deadline=0\n"
+            "retries=2\njobs=1\ncheckers=off\nsarif=0\nrepair=0\n");
+
+  AnalysisOptions all;
+  all.entry = "start";
+  all.inputs = {3, -1};
+  all.exploit_inputs = {7};
+  all.detector = core::DetectorKind::kSki;
+  all.detector_impl = race::DetectorImpl::kReference;
+  all.prescreen = support::AuditMode::kAudit;
+  all.predict = support::AuditMode::kOn;
+  all.vuln_flow = support::AuditMode::kAudit;
+  all.schedules = 9;
+  all.seed = 42;
+  all.max_steps = 1000;
+  all.adhoc = false;
+  all.race_verifier = false;
+  all.vuln_verifier = false;
+  all.whole_program = true;
+  all.print_module = true;
+  all.print_reports = true;
+  all.quiet = true;
+  all.stage_deadline = 0.25;
+  all.retries = 5;
+  all.jobs = 3;
+  all.checkers.condvar = true;
+  all.checkers.deadlock = true;
+  all.sarif = true;
+  all.repair = true;
+  EXPECT_EQ(all.canonical_blob("dir/x.mir"),
+            "owl-options-v6\nname=dir/x.mir\nentry=start\ninputs=3,-1\n"
+            "exploit_inputs=7\ndetector=ski\ndetector_impl=reference\n"
+            "prescreen=audit\npredict=on\nvuln_flow=audit\nschedules=9\n"
+            "seed=42\nmax_steps=1000\nadhoc=0\nrace_verifier=0\n"
+            "vuln_verifier=0\nwhole_program=1\nprint_module=1\n"
+            "print_reports=1\nquiet=1\nstage_deadline=0.25\nretries=5\n"
+            "jobs=3\ncheckers=deadlock,condvar\nsarif=1\nrepair=1\n");
+}
+
+// v5 printed stage_deadline with %.6f, so a 1e-7 s deadline — which the
+// executor honours, degrading the run — shared the default request's key
+// and its journal line replayed as "no deadline".
+TEST(ProtocolTest, StageDeadlineKeysAndRoundTripsExactly) {
+  AnalysisOptions none;
+  AnalysisOptions tiny;
+  tiny.stage_deadline = 1e-7;
+  EXPECT_NE(ResultCache::key_for("module m\n", tiny.canonical_blob("m")),
+            ResultCache::key_for("module m\n", none.canonical_blob("m")));
+
+  Request request;
+  request.module_text = "module m\n";
+  request.options = tiny;
+  Request replayed;
+  ASSERT_TRUE(parse_request(serialize_request(request), replayed).is_ok());
+  EXPECT_EQ(replayed.options.stage_deadline, 1e-7);
+  EXPECT_EQ(replayed.options.canonical_blob(replayed.display_name()),
+            request.options.canonical_blob(request.display_name()));
+}
+
 TEST(ProtocolTest, ResponsesAreSingleJsonLines) {
   for (const std::string& line :
        {ok_response("r1", "hit", 0, false, "sha", "out\nput", ""),

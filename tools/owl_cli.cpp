@@ -94,61 +94,41 @@
 // usage/parse errors, 2 when the module fails verification, 3 when
 // --prescreen audit, --predict audit, or --vuln-flow audit observed
 // soundness violations.
+//
+// The analysis itself is core::analyze (core/analyze.hpp), the run path
+// owl_served shares: this file maps flags to a core::AnalysisRequest and
+// owns the file sinks.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <type_traits>
 
-#include "checkers/sarif.hpp"
-#include "core/pipeline.hpp"
+#include "core/analyze.hpp"
+#include "core/manifest.hpp"
 #include "core/render.hpp"
 #include "repair/engine.hpp"
-#include "interp/machine.hpp"
-#include "ir/parser.hpp"
-#include "ir/printer.hpp"
-#include "ir/verifier.hpp"
+#include "support/log.hpp"
 #include "support/metrics.hpp"
-#include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
-#include "vuln/hint.hpp"
 
 using namespace owl;
 
 namespace {
 
+/// owl_cli's flags: the analysis request plus the process-side sinks.
 struct CliOptions {
+  core::AnalysisRequest request;
   std::vector<std::string> paths;
-  std::string entry = "main";
-  std::vector<interp::Word> inputs;
-  std::vector<interp::Word> exploit_inputs;
-  core::DetectorKind detector = core::DetectorKind::kTsan;
-  race::DetectorImpl detector_impl = race::DetectorImpl::kFast;
-  race::PrescreenMode prescreen = race::PrescreenMode::kOff;
-  race::PredictMode predict = race::PredictMode::kOff;
-  analysis::ValueFlowMode vuln_flow = analysis::ValueFlowMode::kOff;
-  unsigned schedules = 4;
-  std::uint64_t seed = 1;
-  std::uint64_t max_steps = 400'000;
-  bool adhoc = true;
-  bool race_verifier = true;
-  bool vuln_verifier = true;
-  bool whole_program = false;
-  bool print_module = false;
-  bool print_reports = false;
-  bool quiet = false;
-  double stage_deadline = 0.0;  ///< 0 = unlimited
-  unsigned retries = 2;
   std::vector<support::FaultPlan> fault_plans;
-  unsigned jobs = 0;  ///< 0 = hardware_concurrency
   bool timings = false;
   std::string trace_out;    ///< Chrome trace JSON path ("" = tracing off)
   std::string manifest_out; ///< run-manifest JSON path ("" = none)
   std::string metrics_out;  ///< metrics snapshot text path ("" = none)
-  checkers::CheckerOptions checkers;  ///< all off by default
   std::string sarif_out;    ///< SARIF log path; "-" = stdout ("" = none)
   std::string repair_dir;   ///< --repair DIR; "" = repair stage off
 };
@@ -180,7 +160,7 @@ bool parse_fault_spec(const char* text, support::FaultPlan& plan) {
          !support::is_service_phase(plan.stage);
 }
 
-bool parse_word_list(const char* text, std::vector<interp::Word>& out) {
+bool parse_word_list(const char* text, std::vector<std::int64_t>& out) {
   for (const std::string& part : split(text, ',')) {
     std::int64_t value = 0;
     if (!parse_int64(part, value)) return false;
@@ -190,397 +170,206 @@ bool parse_word_list(const char* text, std::vector<interp::Word>& out) {
 }
 
 bool parse_args(int argc, char** argv, CliOptions& options) {
+  core::AnalysisRequest& request = options.request;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    // The current flag's value: the next argument (null when missing) or,
+    // for the flags that accept it, the text after `--flag=`.
+    const char* v = nullptr;
+    const auto flag = [&](std::string_view name, bool inline_value = false) {
+      if (arg == name) {
+        v = i + 1 < argc ? argv[++i] : nullptr;
+        return true;
+      }
+      if (!inline_value || !arg.starts_with(name) ||
+          arg.size() <= name.size() || arg[name.size()] != '=') {
+        return false;
+      }
+      v = argv[i] + name.size() + 1;
+      return true;
     };
-    if (arg == "--entry") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      options.entry = v;
-    } else if (arg == "--inputs") {
-      const char* v = next();
-      if (v == nullptr || !parse_word_list(v, options.inputs)) return false;
-    } else if (arg == "--exploit-inputs") {
-      const char* v = next();
-      if (v == nullptr || !parse_word_list(v, options.exploit_inputs)) {
-        return false;
-      }
-    } else if (arg == "--detector") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "tsan") == 0) {
-        options.detector = core::DetectorKind::kTsan;
-      } else if (std::strcmp(v, "ski") == 0) {
-        options.detector = core::DetectorKind::kSki;
-      } else if (std::strcmp(v, "atomicity") == 0) {
-        options.detector = core::DetectorKind::kAtomicity;
-      } else {
-        return false;
-      }
-    } else if (arg == "--detector-impl") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "fast") == 0) {
-        options.detector_impl = race::DetectorImpl::kFast;
-      } else if (std::strcmp(v, "reference") == 0) {
-        options.detector_impl = race::DetectorImpl::kReference;
-      } else {
-        return false;
-      }
-    } else if (arg == "--prescreen") {
-      const char* v = next();
-      if (v == nullptr || !race::parse_prescreen_mode(v, options.prescreen)) {
-        return false;
-      }
-    } else if (arg.rfind("--prescreen=", 0) == 0) {
-      if (!race::parse_prescreen_mode(arg.substr(12), options.prescreen)) {
-        return false;
-      }
-    } else if (arg == "--predict") {
-      const char* v = next();
-      if (v == nullptr || !race::parse_predict_mode(v, options.predict)) {
-        return false;
-      }
-    } else if (arg.rfind("--predict=", 0) == 0) {
-      if (!race::parse_predict_mode(arg.substr(10), options.predict)) {
-        return false;
-      }
-    } else if (arg == "--vuln-flow") {
-      const char* v = next();
-      if (v == nullptr ||
-          !analysis::parse_value_flow_mode(v, options.vuln_flow)) {
-        return false;
-      }
-    } else if (arg.rfind("--vuln-flow=", 0) == 0) {
-      if (!analysis::parse_value_flow_mode(arg.substr(12),
-                                           options.vuln_flow)) {
-        return false;
-      }
-    } else if (arg == "--schedules") {
-      const char* v = next();
+    const auto integer = [&v](auto& out, std::int64_t min) {
       std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n) || n <= 0) return false;
-      options.schedules = static_cast<unsigned>(n);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n)) return false;
-      options.seed = static_cast<std::uint64_t>(n);
-    } else if (arg == "--max-steps") {
-      const char* v = next();
-      std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n) || n <= 0) return false;
-      options.max_steps = static_cast<std::uint64_t>(n);
-    } else if (arg == "--stage-deadline") {
-      const char* v = next();
-      if (v == nullptr) return false;
+      if (v == nullptr || !parse_int64(v, n) || n < min) return false;
+      out = static_cast<std::remove_reference_t<decltype(out)>>(n);
+      return true;
+    };
+    const auto named = [&v](auto& out) {
+      return v != nullptr && core::parse_field(v, out);
+    };
+    const auto path = [&v](std::string& out) {
+      if (v == nullptr || *v == '\0') return false;
+      out = v;
+      return true;
+    };
+    bool ok = true;
+    if (flag("--entry")) {
+      ok = v != nullptr;
+      if (ok) request.entry = v;
+    } else if (flag("--inputs")) {
+      ok = v != nullptr && parse_word_list(v, request.inputs);
+    } else if (flag("--exploit-inputs")) {
+      ok = v != nullptr && parse_word_list(v, request.exploit_inputs);
+    } else if (flag("--detector")) {
+      ok = named(request.detector);
+    } else if (flag("--detector-impl")) {
+      ok = named(request.detector_impl);
+    } else if (flag("--prescreen", true)) {
+      ok = named(request.prescreen);
+    } else if (flag("--predict", true)) {
+      ok = named(request.predict);
+    } else if (flag("--vuln-flow", true)) {
+      ok = named(request.vuln_flow);
+    } else if (flag("--schedules")) {
+      ok = integer(request.schedules, 1);
+    } else if (flag("--seed")) {
+      ok = integer(request.seed, INT64_MIN);
+    } else if (flag("--max-steps")) {
+      ok = integer(request.max_steps, 1);
+    } else if (flag("--stage-deadline")) {
       char* end = nullptr;
-      options.stage_deadline = std::strtod(v, &end);
-      if (end == v || *end != '\0' || options.stage_deadline <= 0) {
-        return false;
-      }
-    } else if (arg == "--retries") {
-      const char* v = next();
-      std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n) || n < 0) return false;
-      options.retries = static_cast<unsigned>(n);
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n) || n < 0) return false;
-      options.jobs = static_cast<unsigned>(n);
+      ok = v != nullptr;
+      if (ok) request.stage_deadline = std::strtod(v, &end);
+      ok = ok && end != v && *end == '\0' && request.stage_deadline > 0;
+    } else if (flag("--retries")) {
+      ok = integer(request.retries, 0);
+    } else if (flag("--jobs")) {
+      ok = integer(request.jobs, 0);
+      if (request.jobs == 0) request.jobs = support::ThreadPool::default_jobs();
+    } else if (flag("--checkers", true)) {
+      std::string error;
+      ok = v != nullptr &&
+           checkers::CheckerOptions::parse(v, request.checkers, error);
+      if (!error.empty()) std::fprintf(stderr, "owl_cli: %s\n", error.c_str());
+    } else if (flag("--trace-out")) {
+      ok = path(options.trace_out);
+    } else if (flag("--manifest")) {
+      ok = path(options.manifest_out);
+    } else if (flag("--metrics-out")) {
+      ok = path(options.metrics_out);
+    } else if (flag("--sarif-out")) {
+      ok = path(options.sarif_out);
+    } else if (flag("--repair")) {
+      ok = path(options.repair_dir);
+    } else if (flag("--inject-fault")) {
+      support::FaultPlan plan;
+      ok = v != nullptr && parse_fault_spec(v, plan);
+      if (ok) options.fault_plans.push_back(std::move(plan));
     } else if (arg == "--timings") {
       options.timings = true;
-    } else if (arg == "--trace-out") {
-      const char* v = next();
-      if (v == nullptr || *v == '\0') return false;
-      options.trace_out = v;
-    } else if (arg == "--manifest") {
-      const char* v = next();
-      if (v == nullptr || *v == '\0') return false;
-      options.manifest_out = v;
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (v == nullptr || *v == '\0') return false;
-      options.metrics_out = v;
-    } else if (arg == "--checkers") {
-      const char* v = next();
-      std::string error;
-      if (v == nullptr ||
-          !checkers::CheckerOptions::parse(v, options.checkers, error)) {
-        if (!error.empty()) {
-          std::fprintf(stderr, "owl_cli: %s\n", error.c_str());
-        }
-        return false;
-      }
-    } else if (arg.rfind("--checkers=", 0) == 0) {
-      std::string error;
-      if (!checkers::CheckerOptions::parse(arg.substr(11), options.checkers,
-                                           error)) {
-        if (!error.empty()) {
-          std::fprintf(stderr, "owl_cli: %s\n", error.c_str());
-        }
-        return false;
-      }
-    } else if (arg == "--sarif-out") {
-      const char* v = next();
-      if (v == nullptr || *v == '\0') return false;
-      options.sarif_out = v;
-    } else if (arg == "--repair") {
-      const char* v = next();
-      if (v == nullptr || *v == '\0') return false;
-      options.repair_dir = v;
-    } else if (arg == "--inject-fault") {
-      const char* v = next();
-      support::FaultPlan plan;
-      if (v == nullptr || !parse_fault_spec(v, plan)) return false;
-      options.fault_plans.push_back(std::move(plan));
     } else if (arg == "--no-adhoc") {
-      options.adhoc = false;
+      request.adhoc = false;
     } else if (arg == "--no-race-verifier") {
-      options.race_verifier = false;
+      request.race_verifier = false;
     } else if (arg == "--no-vuln-verifier") {
-      options.vuln_verifier = false;
+      request.vuln_verifier = false;
     } else if (arg == "--whole-program") {
-      options.whole_program = true;
+      request.whole_program = true;
     } else if (arg == "--print-module") {
-      options.print_module = true;
+      request.print_module = true;
     } else if (arg == "--print-reports") {
-      options.print_reports = true;
+      request.print_reports = true;
     } else if (arg == "-q" || arg == "--quiet") {
-      options.quiet = true;
+      request.quiet = true;
     } else if (!arg.empty() && arg[0] == '-') {
       return false;
     } else {
       options.paths.emplace_back(arg);
     }
+    if (!ok) return false;
   }
+  request.sarif = options.sarif_out == "-";
+  request.repair = !options.repair_dir.empty();
   return !options.paths.empty();
+}
+
+/// Writes `text` to `path`; on failure warns on stderr and returns false.
+bool write_file(const std::string& path, const std::string& text,
+                const char* what) {
+  std::ofstream out(path, std::ios::trunc);
+  out << text;
+  out.close();
+  if (out) return true;
+  std::fprintf(stderr, "owl_cli: cannot write %s to %s\n", what,
+               path.c_str());
+  return false;
+}
+
+/// --repair DIR: <stem>_repair.json per repaired target, plus
+/// <stem>_fixed.mir when a patch won. owl_served never writes files; the
+/// rendered output carries everything path-independent.
+bool write_repair_files(const std::string& dir,
+                        const std::vector<core::PipelineResult>& results) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  bool ok = true;
+  for (const core::PipelineResult& result : results) {
+    if (!result.counts.repair_ran) continue;
+    const std::string fixed_name =
+        repair::fixed_module_name(result.target_name);
+    const std::string stem =
+        fixed_name.substr(0, fixed_name.size() - std::strlen("_fixed.mir"));
+    ok &= write_file(dir + "/" + stem + "_repair.json",
+                     repair::render_repair_json(result.repair,
+                                                result.target_name),
+                     "repair report");
+    if (result.repair.status == "repaired" &&
+        !result.repair.patched_text.empty()) {
+      ok &= write_file(dir + "/" + fixed_name, result.repair.patched_text,
+                       "fixed module");
+    }
+  }
+  return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions options;
+  options.request.jobs = support::ThreadPool::default_jobs();
   if (!parse_args(argc, argv, options)) {
     usage();
     return 1;
   }
-  if (options.exploit_inputs.empty()) {
-    options.exploit_inputs = options.inputs;
-  }
-  const unsigned jobs =
-      options.jobs == 0 ? support::ThreadPool::default_jobs() : options.jobs;
-
-  // Load and verify every module up front (fail fast, old exit codes),
-  // then audit them as one multi-target sweep.
-  std::vector<std::shared_ptr<ir::Module>> modules;
-  std::vector<core::PipelineTarget> targets;
-  // Per-target schedule seeds: one program keeps --seed exactly (replay
-  // compatibility); several derive an independent SplitMix stream per
-  // input position via the splittable Rng — a function of (--seed,
-  // position) only, never of worker interleaving.
-  Rng seed_stream(options.seed);
-  for (const std::string& path : options.paths) {
-    std::ifstream file(path);
-    if (!file) {
-      std::fprintf(stderr, "owl_cli: cannot open %s\n", path.c_str());
-      return 1;
-    }
-    std::ostringstream text;
-    text << file.rdbuf();
-
-    auto parsed = ir::parse_module(text.str());
-    if (!parsed.is_ok()) {
-      std::fprintf(stderr, "owl_cli: %s: %s\n", path.c_str(),
-                   parsed.status().to_string().c_str());
-      return 1;
-    }
-    std::shared_ptr<ir::Module> module = std::move(parsed).value();
-    if (const Status status = ir::verify_module(*module); !status.is_ok()) {
-      std::fprintf(stderr, "owl_cli: %s: %s\n", path.c_str(),
-                   status.to_string().c_str());
-      return 2;
-    }
-    const ir::Function* entry = module->find_function(options.entry);
-    if (entry == nullptr || !entry->has_body()) {
-      std::fprintf(stderr, "owl_cli: %s: no entry function @%s\n",
-                   path.c_str(), options.entry.c_str());
-      return 1;
-    }
-    if (options.print_module) {
-      std::fputs(ir::print_module(*module).c_str(), stdout);
-    }
-
-    const auto factory_for = [&](std::vector<interp::Word> inputs) {
-      return race::MachineFactory([module, entry, inputs,
-                                   max_steps = options.max_steps] {
-        interp::MachineOptions machine_options;
-        machine_options.inputs = inputs;
-        machine_options.max_steps = max_steps;
-        auto machine =
-            std::make_unique<interp::Machine>(*module, machine_options);
-        machine->start(entry);
-        return machine;
-      });
-    };
-
-    core::PipelineTarget target;
-    target.name = path;
-    target.module = module.get();
-    target.factory = factory_for(options.inputs);
-    target.exploit_factory = factory_for(options.exploit_inputs);
-    // Module-agnostic twin of factory_for: the repair engine verifies
-    // candidate patches by running the pipeline on a cloned, rewritten
-    // module, so the factory must resolve the entry by name on whatever
-    // module it is handed (the shared_ptr keeps the clone alive for as
-    // long as any machine is outstanding).
-    target.factory_for_module =
-        [entry_name = options.entry, inputs = options.inputs,
-         max_steps =
-             options.max_steps](std::shared_ptr<const ir::Module> patched) {
-          return race::MachineFactory([patched, entry_name, inputs,
-                                       max_steps] {
-            interp::MachineOptions machine_options;
-            machine_options.inputs = inputs;
-            machine_options.max_steps = max_steps;
-            auto machine =
-                std::make_unique<interp::Machine>(*patched, machine_options);
-            machine->start(patched->find_function(entry_name));
-            return machine;
-          });
-        };
-    target.detector = options.detector;
-    target.detection_schedules = options.schedules;
-    target.seed =
-        options.paths.size() == 1 ? options.seed : seed_stream.split().next();
-    modules.push_back(std::move(module));
-    targets.push_back(std::move(target));
-  }
-
-  core::PipelineOptions pipeline_options;
-  pipeline_options.enable_adhoc_annotation = options.adhoc;
-  pipeline_options.enable_race_verifier = options.race_verifier;
-  pipeline_options.enable_vuln_verifier = options.vuln_verifier;
-  pipeline_options.analyzer_mode =
-      options.whole_program ? vuln::VulnerabilityAnalyzer::Mode::kWholeProgram
-                            : vuln::VulnerabilityAnalyzer::Mode::kDirected;
-  if (options.stage_deadline > 0) {
-    pipeline_options.stage_budgets =
-        core::StageBudgets::uniform_wall(options.stage_deadline);
-  }
-  pipeline_options.retry.max_retries = options.retries;
-  pipeline_options.detector_impl = options.detector_impl;
-  pipeline_options.prescreen = options.prescreen;
-  pipeline_options.predict = options.predict;
-  pipeline_options.vuln_flow = options.vuln_flow;
-  pipeline_options.checkers = options.checkers;
-  pipeline_options.repair.enabled = !options.repair_dir.empty();
-  pipeline_options.repair.out_dir = options.repair_dir;
-  pipeline_options.jobs = jobs;
-  pipeline_options.manifest_path = options.manifest_out;
-  pipeline_options.manifest_tool = "owl_cli";
-  StageTimings stage_timings;
-  if (options.timings) pipeline_options.stage_timings = &stage_timings;
-  support::FaultInjector injector(options.seed);
+  const core::AnalysisRequest& request = options.request;
+  support::FaultInjector injector(request.seed);
   for (const support::FaultPlan& plan : options.fault_plans) {
     injector.add_plan(plan);
   }
-  if (!injector.empty()) pipeline_options.fault_injector = &injector;
+  StageTimings stage_timings;
   if (!options.trace_out.empty()) {
     support::TraceCollector::instance().set_enabled(true);
   }
+  std::vector<core::ModuleSource> sources;
+  for (const std::string& path : options.paths) sources.push_back({path, {}});
 
-  // Every invocation goes through run_many — the single entry point that
-  // emits the run manifest. With one target, --jobs buys wall-clock through
-  // the race verifier's schedule-exploration sharding instead of the
-  // target fan-out (run_many forwards the pool only when jobs == 1).
-  std::unique_ptr<support::ThreadPool> pool;
-  if (targets.size() == 1) {
-    pipeline_options.jobs = 1;
-    if (jobs > 1) {
-      pool = std::make_unique<support::ThreadPool>(jobs);
-      pipeline_options.verifier_pool = pool.get();
-    }
+  const core::AnalysisOutcome outcome =
+      core::analyze(sources, request, &injector,
+                    options.timings ? &stage_timings : nullptr);
+  std::fputs(outcome.output.c_str(), stdout);
+  if (!outcome.ran_pipeline) {
+    std::fputs(outcome.error.c_str(), stderr);
+    return outcome.exit_code;
   }
-  std::vector<core::PipelineResult> results =
-      core::Pipeline(pipeline_options).run_many(targets);
+  if (!options.manifest_out.empty() &&
+      !core::write_manifest(options.manifest_out, outcome.manifest)) {
+    // An unwritable manifest must not degrade the results themselves — it
+    // is observability, not behavior. Loud log, nothing else.
+    OWL_LOG(kWarn) << "run manifest not written to " << options.manifest_out;
+  }
 
-  // Rendering is shared with the serve layer (core/render.hpp) so
-  // owl_served responses stay byte-identical to this output.
-  for (const core::PipelineResult& result : results) {
-    std::fputs(core::render_cli_summary(result).c_str(), stdout);
-  }
-  for (const core::PipelineResult& result : results) {
-    if (options.quiet) break;
-    std::fputs(
-        core::render_cli_details(result, options.print_reports).c_str(),
-        stdout);
-  }
   int status = 0;
-  if (!options.repair_dir.empty()) {
-    // File emission is CLI-only (owl_served never writes): the rendered
-    // summary/details above carry everything path-independent, the repair
-    // artifacts land here. Write failures warn and fail the run like the
-    // trace/metrics sinks below.
-    std::error_code ec;
-    std::filesystem::create_directories(options.repair_dir, ec);
-    for (const core::PipelineResult& result : results) {
-      if (!result.repair_ran) continue;
-      const std::string fixed_name =
-          repair::fixed_module_name(result.target_name);
-      const std::string stem =
-          fixed_name.substr(0, fixed_name.size() - std::strlen("_fixed.mir"));
-      const std::string report_path =
-          options.repair_dir + "/" + stem + "_repair.json";
-      std::ofstream report_out(report_path, std::ios::trunc);
-      report_out << repair::render_repair_json(result.repair,
-                                               result.target_name);
-      report_out.close();
-      if (!report_out) {
-        std::fprintf(stderr, "owl_cli: cannot write repair report to %s\n",
-                     report_path.c_str());
-        status = 1;
-      }
-      if (result.repair.status == "repaired" &&
-          !result.repair.patched_text.empty()) {
-        const std::string fixed_path =
-            options.repair_dir + "/" + fixed_name;
-        std::ofstream fixed_out(fixed_path, std::ios::trunc);
-        fixed_out << result.repair.patched_text;
-        fixed_out.close();
-        if (!fixed_out) {
-          std::fprintf(stderr, "owl_cli: cannot write fixed module to %s\n",
-                       fixed_path.c_str());
-          status = 1;
-        }
-      }
-    }
+  if (!options.repair_dir.empty() &&
+      !write_repair_files(options.repair_dir, outcome.results)) {
+    status = 1;
   }
-  if (!options.sarif_out.empty()) {
-    std::vector<checkers::SarifTarget> sarif_targets;
-    sarif_targets.reserve(results.size());
-    for (const core::PipelineResult& result : results) {
-      sarif_targets.push_back(
-          checkers::SarifTarget{result.target_name, &result.checker_findings});
-    }
-    const std::string sarif = checkers::render_sarif(sarif_targets);
-    if (options.sarif_out == "-") {
-      std::fputs(sarif.c_str(), stdout);
-    } else {
-      std::ofstream out(options.sarif_out, std::ios::trunc);
-      out << sarif;
-      if (!out) {
-        std::fprintf(stderr, "owl_cli: cannot write SARIF to %s\n",
-                     options.sarif_out.c_str());
-        status = 1;
-      }
-    }
+  if (!options.sarif_out.empty() && options.sarif_out != "-" &&
+      !write_file(options.sarif_out, core::render_sarif(outcome.results),
+                  "SARIF")) {
+    status = 1;
   }
   if (options.timings) {
-    std::printf("\n--- per-stage timings (jobs=%u) ---\n", jobs);
+    std::printf("\n--- per-stage timings (jobs=%u) ---\n", request.jobs);
     std::fputs(stage_timings.summary().c_str(), stdout);
   }
   if (!options.trace_out.empty() &&
@@ -590,48 +379,11 @@ int main(int argc, char** argv) {
                  options.trace_out.c_str());
     status = 1;
   }
-  if (!options.metrics_out.empty()) {
-    std::ofstream out(options.metrics_out, std::ios::trunc);
-    out << support::metrics().serialize();
-    if (!out) {
-      std::fprintf(stderr, "owl_cli: cannot write metrics to %s\n",
-                   options.metrics_out.c_str());
-      status = 1;
-    }
+  if (!options.metrics_out.empty() &&
+      !write_file(options.metrics_out, support::metrics().serialize(),
+                  "metrics")) {
+    status = 1;
   }
-  if (options.prescreen == race::PrescreenMode::kAudit) {
-    const std::uint64_t violations =
-        support::metrics().advisory("prescreen.audit_violations").value();
-    if (violations != 0) {
-      std::fprintf(stderr,
-                   "owl_cli: prescreen audit: %llu pruned-but-raced "
-                   "access(es) falsify the static no-race verdict\n",
-                   static_cast<unsigned long long>(violations));
-      status = 3;
-    }
-  }
-  if (options.predict == race::PredictMode::kAudit) {
-    const std::uint64_t violations =
-        support::metrics().advisory("predict.audit_violations").value();
-    if (violations != 0) {
-      std::fprintf(stderr,
-                   "owl_cli: predict audit: %llu verified race(s) the "
-                   "SP-closure wrongly called infeasible\n",
-                   static_cast<unsigned long long>(violations));
-      status = 3;
-    }
-  }
-  if (options.vuln_flow == analysis::ValueFlowMode::kAudit) {
-    const std::uint64_t violations =
-        support::metrics().advisory("vulnflow.audit_violations").value();
-    if (violations != 0) {
-      std::fprintf(stderr,
-                   "owl_cli: vuln-flow audit: %llu runtime store->load "
-                   "dependence(s) missing from the static value-flow "
-                   "graph\n",
-                   static_cast<unsigned long long>(violations));
-      status = 3;
-    }
-  }
-  return status;
+  std::fputs(outcome.error.c_str(), stderr);
+  return outcome.exit_code != 0 ? outcome.exit_code : status;
 }
