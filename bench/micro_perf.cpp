@@ -31,6 +31,7 @@
 #include "race/shadow_memory.hpp"
 #include "race/tsan_detector.hpp"
 #include "race/vector_clock.hpp"
+#include "reference_detector.hpp"
 #include "serve/service_core.hpp"
 #include "support/strings.hpp"
 #include "support/thread_pool.hpp"
@@ -113,10 +114,24 @@ BENCHMARK(BM_TsanDetectionOverhead);
 // --- detection-substrate benches (BENCH_detector.json) ---------------------
 // The fast-vs-reference numbers behind DESIGN.md §2's "fast substrate":
 // run with --benchmark_filter='Detector|ShadowLookup|VectorClockJoin'.
-// The `impl` argument selects the substrate: 0 = DetectorImpl::kReference
-// (hash-map shadow, eager capture), 1 = DetectorImpl::kFast (paged shadow,
-// epoch fast paths, lazy capture). Both emit identical reports (the CI
-// differential gate proves it); these measure only the hot-path cost.
+// The `impl` argument selects the substrate: 0 = the test-only
+// race::ReferenceDetector (tests/reference_detector.hpp: hash-map shadow,
+// eager capture), 1 = the product race::TsanDetector (paged shadow, epoch
+// fast paths, lazy capture). Both emit identical reports (the co-observer
+// differential test proves it); these measure only the hot-path cost.
+
+/// Calls `body(detector)` with the substrate the `impl` argument selects.
+template <typename Body>
+void with_detector(const benchmark::State& state, race::PrescreenView view,
+                   Body&& body) {
+  if (state.range(0) == 0) {
+    race::ReferenceDetector detector(nullptr, false, view);
+    body(detector);
+  } else {
+    race::TsanDetector detector(nullptr, false, view);
+    body(detector);
+  }
+}
 
 /// Fixture state for driving TsanDetector::on_access directly: a machine
 /// with two spawned (never run) worker threads supplies real instruction
@@ -155,23 +170,22 @@ struct DetectorBenchSetup {
 /// common case. The fast impl should hit the same-reader epoch shortcut on
 /// every access after the first sweep.
 void BM_DetectorRead(benchmark::State& state) {
-  const auto impl = state.range(0) == 0 ? race::DetectorImpl::kReference
-                                        : race::DetectorImpl::kFast;
   const DetectorBenchSetup setup;
-  race::TsanDetector detector(nullptr, false, impl);
-  constexpr std::uint64_t kAddrs = 256;
-  const interp::Address base = 4096;
-  std::uint64_t accesses = 0;
-  for (auto _ : state) {
-    for (std::uint64_t i = 0; i < kAddrs; ++i) {
-      const interp::Address addr = base + i * 8;
-      detector.on_access(setup.access(0, addr, false), *setup.machine);
-      detector.on_access(setup.access(1, addr, false), *setup.machine);
+  with_detector(state, {}, [&](auto& detector) {
+    constexpr std::uint64_t kAddrs = 256;
+    const interp::Address base = 4096;
+    std::uint64_t accesses = 0;
+    for (auto _ : state) {
+      for (std::uint64_t i = 0; i < kAddrs; ++i) {
+        const interp::Address addr = base + i * 8;
+        detector.on_access(setup.access(0, addr, false), *setup.machine);
+        detector.on_access(setup.access(1, addr, false), *setup.machine);
+      }
+      accesses += 2 * kAddrs;
     }
-    accesses += 2 * kAddrs;
-  }
-  benchmark::DoNotOptimize(detector.reports().size());
-  state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+    benchmark::DoNotOptimize(detector.reports().size());
+    state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+  });
 }
 BENCHMARK(BM_DetectorRead)->ArgName("impl")->Arg(0)->Arg(1);
 
@@ -179,23 +193,22 @@ BENCHMARK(BM_DetectorRead)->ArgName("impl")->Arg(0)->Arg(1);
 /// fast impl should hit the same-owner store shortcut on every access
 /// after the first sweep.
 void BM_DetectorWrite(benchmark::State& state) {
-  const auto impl = state.range(0) == 0 ? race::DetectorImpl::kReference
-                                        : race::DetectorImpl::kFast;
   const DetectorBenchSetup setup;
-  race::TsanDetector detector(nullptr, false, impl);
-  constexpr std::uint64_t kAddrs = 256;
-  const interp::Address base = 4096;
-  std::uint64_t accesses = 0;
-  for (auto _ : state) {
-    for (std::uint64_t i = 0; i < kAddrs; ++i) {
-      const interp::Address addr = base + i * 8;
-      detector.on_access(setup.access(i % 2 == 0 ? 0 : 1, addr, true),
-                         *setup.machine);
+  with_detector(state, {}, [&](auto& detector) {
+    constexpr std::uint64_t kAddrs = 256;
+    const interp::Address base = 4096;
+    std::uint64_t accesses = 0;
+    for (auto _ : state) {
+      for (std::uint64_t i = 0; i < kAddrs; ++i) {
+        const interp::Address addr = base + i * 8;
+        detector.on_access(setup.access(i % 2 == 0 ? 0 : 1, addr, true),
+                           *setup.machine);
+      }
+      accesses += kAddrs;
     }
-    accesses += kAddrs;
-  }
-  benchmark::DoNotOptimize(detector.reports().size());
-  state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+    benchmark::DoNotOptimize(detector.reports().size());
+    state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+  });
 }
 BENCHMARK(BM_DetectorWrite)->ArgName("impl")->Arg(0)->Arg(1);
 
@@ -502,26 +515,25 @@ BENCHMARK(BM_PrescreenClassify)->ArgName("funcs")->Arg(16)->Arg(64)->Arg(256);
 /// prescreen: the pruned path skips shadow lookup and capture entirely, so
 /// the gap to BM_DetectorRead is the payoff of a no_race verdict.
 void BM_DetectorPrescreenedRead(benchmark::State& state) {
-  const auto impl = state.range(0) == 0 ? race::DetectorImpl::kReference
-                                        : race::DetectorImpl::kFast;
   const DetectorBenchSetup setup;
   const std::unordered_set<const ir::Instruction*> no_race{setup.load,
                                                            setup.store};
   const race::PrescreenView view{race::PrescreenMode::kOn, &no_race};
-  race::TsanDetector detector(nullptr, false, impl, view);
-  constexpr std::uint64_t kAddrs = 256;
-  const interp::Address base = 4096;
-  std::uint64_t accesses = 0;
-  for (auto _ : state) {
-    for (std::uint64_t i = 0; i < kAddrs; ++i) {
-      const interp::Address addr = base + i * 8;
-      detector.on_access(setup.access(0, addr, false), *setup.machine);
-      detector.on_access(setup.access(1, addr, false), *setup.machine);
+  with_detector(state, view, [&](auto& detector) {
+    constexpr std::uint64_t kAddrs = 256;
+    const interp::Address base = 4096;
+    std::uint64_t accesses = 0;
+    for (auto _ : state) {
+      for (std::uint64_t i = 0; i < kAddrs; ++i) {
+        const interp::Address addr = base + i * 8;
+        detector.on_access(setup.access(0, addr, false), *setup.machine);
+        detector.on_access(setup.access(1, addr, false), *setup.machine);
+      }
+      accesses += 2 * kAddrs;
     }
-    accesses += 2 * kAddrs;
-  }
-  benchmark::DoNotOptimize(detector.reports().size());
-  state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+    benchmark::DoNotOptimize(detector.reports().size());
+    state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+  });
 }
 BENCHMARK(BM_DetectorPrescreenedRead)->ArgName("impl")->Arg(0)->Arg(1);
 

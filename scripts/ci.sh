@@ -8,7 +8,7 @@
 #   ctest         full test suite on the main tree
 #   asan          unit tests under ASan+UBSan (own tree: build-asan)
 #   tsan          concurrency tests under TSan (own tree: build-tsan)
-#   differential  jobs/impl/manifest differential gates on the examples
+#   differential  jobs/manifest differential gates on the examples
 #   serve         owl_served robustness + differential gate under
 #                 ASan+UBSan (shares the asan tree)
 #   repair        automated race repair gate: every confirmed-race example
@@ -129,86 +129,56 @@ stage_tsan() {
 
 stage_differential() {
   # Differential gates on every shipped example: parallel execution must
-  # be byte-identical to sequential, for both detector implementations,
-  # on stdout AND on the run manifest (scripts/manifest_diff.py strips
-  # the non-diffable "environment" tail before comparing).
+  # be byte-identical to sequential on stdout AND on the run manifest
+  # (scripts/manifest_diff.py strips the non-diffable "environment" tail
+  # before comparing). The detection substrate's own differential — the
+  # product detector against the test-only reference on the pipeline's
+  # schedules, examples and paper models, fault case included — is the
+  # ctest DetectorDifferentialTest.PipelineSchedulesOnExamplesAndModels.
   current_step="collect examples"
   examples=(examples/ir/*.mir)
   [ ${#examples[@]} -ge 2 ] \
     || { echo "ci.sh: expected at least 2 examples, got ${#examples[@]}" >&2
          exit 1; }
 
-  current_step="jobs=1 vs jobs=4 differential (examples, both impls)"
-  for impl in fast reference; do
-    for j in 1 4; do
-      ./build/tools/owl_cli --jobs "$j" --print-reports \
-        --detector-impl "$impl" \
-        --manifest "build/manifest-$impl-j$j.json" \
-        --metrics-out "build/metrics-$impl-j$j.txt" \
-        "${examples[@]}" > "build/out-$impl-j$j.txt"
-    done
-    diff -u "build/out-$impl-j1.txt" "build/out-$impl-j4.txt" \
-      || { echo "ci.sh: jobs=4 output diverged from jobs=1 ($impl)" >&2
-           exit 1; }
-    python3 scripts/manifest_diff.py \
-      "build/manifest-$impl-j1.json" "build/manifest-$impl-j4.json" \
-      || { echo "ci.sh: jobs=4 manifest diverged from jobs=1 ($impl)" >&2
-           exit 1; }
-    cmp "build/metrics-$impl-j1.txt" "build/metrics-$impl-j4.txt" \
-      || { echo "ci.sh: jobs=4 metrics diverged from jobs=1 ($impl)" >&2
-           exit 1; }
-  done
-
-  # Detector differential: the fast substrate (paged shadow, epoch fast
-  # paths, lazy capture) must emit byte-identical reports to the
-  # reference hash-map substrate. Reports, not metrics: the two impls
-  # legitimately differ on substrate counters (that is their point).
-  current_step="detector differential gate (reference vs fast)"
+  current_step="jobs=1 vs jobs=4 differential (examples)"
   for j in 1 4; do
-    diff -u "build/out-reference-j$j.txt" "build/out-fast-j$j.txt" \
-      || { echo "ci.sh: fast detector diverged from reference (jobs=$j)" >&2
-           exit 1; }
+    ./build/tools/owl_cli --jobs "$j" --print-reports \
+      --manifest "build/manifest-j$j.json" \
+      --metrics-out "build/metrics-j$j.txt" \
+      "${examples[@]}" > "build/out-j$j.txt"
   done
-  ./build/tools/owl_cli --jobs 1 --print-reports --seed 5 \
-    --inject-fault detect:truncate:2 \
-    --detector-impl reference "${examples[@]}" > build/impl-ref-fault.out
-  ./build/tools/owl_cli --jobs 1 --print-reports --seed 5 \
-    --inject-fault detect:truncate:2 \
-    --detector-impl fast "${examples[@]}" > build/impl-fast-fault.out
-  diff -u build/impl-ref-fault.out build/impl-fast-fault.out \
-    || { echo "ci.sh: fast detector diverged under injected fault" >&2
-         exit 1; }
+  diff -u build/out-j1.txt build/out-j4.txt \
+    || { echo "ci.sh: jobs=4 output diverged from jobs=1" >&2; exit 1; }
+  python3 scripts/manifest_diff.py build/manifest-j1.json build/manifest-j4.json \
+    || { echo "ci.sh: jobs=4 manifest diverged from jobs=1" >&2; exit 1; }
+  cmp build/metrics-j1.txt build/metrics-j4.txt \
+    || { echo "ci.sh: jobs=4 metrics diverged from jobs=1" >&2; exit 1; }
 
   # Prescreen gate: the static may-race pre-screen must never change
   # behavior. Stdout, manifest body (scripts/manifest_diff.py), and metric
   # snapshots must be byte-identical across --prescreen off/on/audit for
-  # both detector impls and jobs=1/4. Audit mode exits 3 on any
-  # pruned-but-raced access, which fails this stage via set -e.
+  # jobs=1/4. Audit mode exits 3 on any pruned-but-raced access, which
+  # fails this stage via set -e.
   current_step="prescreen differential gate (off/on/audit)"
-  for impl in fast reference; do
-    for j in 1 4; do
-      for mode in off on audit; do
-        ./build/tools/owl_cli --jobs "$j" --print-reports \
-          --detector-impl "$impl" --prescreen "$mode" \
-          --manifest "build/manifest-ps-$mode-$impl-j$j.json" \
-          --metrics-out "build/metrics-ps-$mode-$impl-j$j.txt" \
-          "${examples[@]}" > "build/out-ps-$mode-$impl-j$j.txt"
-      done
-      for mode in on audit; do
-        diff -u "build/out-ps-off-$impl-j$j.txt" \
-          "build/out-ps-$mode-$impl-j$j.txt" \
-          || { echo "ci.sh: --prescreen $mode changed reports ($impl, jobs=$j)" >&2
-               exit 1; }
-        python3 scripts/manifest_diff.py \
-          "build/manifest-ps-off-$impl-j$j.json" \
-          "build/manifest-ps-$mode-$impl-j$j.json" \
-          || { echo "ci.sh: --prescreen $mode changed the manifest body ($impl, jobs=$j)" >&2
-               exit 1; }
-        cmp "build/metrics-ps-off-$impl-j$j.txt" \
-          "build/metrics-ps-$mode-$impl-j$j.txt" \
-          || { echo "ci.sh: --prescreen $mode changed metrics ($impl, jobs=$j)" >&2
-               exit 1; }
-      done
+  for j in 1 4; do
+    for mode in off on audit; do
+      ./build/tools/owl_cli --jobs "$j" --print-reports --prescreen "$mode" \
+        --manifest "build/manifest-ps-$mode-j$j.json" \
+        --metrics-out "build/metrics-ps-$mode-j$j.txt" \
+        "${examples[@]}" > "build/out-ps-$mode-j$j.txt"
+    done
+    for mode in on audit; do
+      diff -u "build/out-ps-off-j$j.txt" "build/out-ps-$mode-j$j.txt" \
+        || { echo "ci.sh: --prescreen $mode changed reports (jobs=$j)" >&2
+             exit 1; }
+      python3 scripts/manifest_diff.py \
+        "build/manifest-ps-off-j$j.json" "build/manifest-ps-$mode-j$j.json" \
+        || { echo "ci.sh: --prescreen $mode changed the manifest body (jobs=$j)" >&2
+             exit 1; }
+      cmp "build/metrics-ps-off-j$j.txt" "build/metrics-ps-$mode-j$j.txt" \
+        || { echo "ci.sh: --prescreen $mode changed metrics (jobs=$j)" >&2
+             exit 1; }
     done
   done
 
@@ -219,8 +189,8 @@ stage_differential() {
   current_step="prescreen pruning effectiveness"
   python3 - <<'EOF'
 import json
-on = json.load(open("build/manifest-ps-on-fast-j1.json"))
-audit = json.load(open("build/manifest-ps-audit-fast-j1.json"))
+on = json.load(open("build/manifest-ps-on-j1.json"))
+audit = json.load(open("build/manifest-ps-audit-j1.json"))
 pruned = on["environment"]["advisory_metrics"].get("prescreen.pruned_accesses", 0)
 prunable = on["metrics"].get("prescreen.prunable_instructions", 0)
 violations = audit["environment"]["advisory_metrics"].get(
@@ -246,19 +216,19 @@ EOF
   #       are nonzero on the guarded examples.
   current_step="predict off-mode byte-identity"
   for j in 1 4; do
-    ./build/tools/owl_cli --jobs "$j" --print-reports --detector-impl fast \
+    ./build/tools/owl_cli --jobs "$j" --print-reports \
       --predict off \
       --manifest "build/manifest-pr-off-j$j.json" \
       --metrics-out "build/metrics-pr-off-j$j.txt" \
       "${examples[@]}" > "build/out-pr-off-j$j.txt"
-    diff -u "build/out-fast-j$j.txt" "build/out-pr-off-j$j.txt" \
+    diff -u "build/out-j$j.txt" "build/out-pr-off-j$j.txt" \
       || { echo "ci.sh: --predict off changed the reports (jobs=$j)" >&2
            exit 1; }
     python3 scripts/manifest_diff.py \
-      "build/manifest-fast-j$j.json" "build/manifest-pr-off-j$j.json" \
+      "build/manifest-j$j.json" "build/manifest-pr-off-j$j.json" \
       || { echo "ci.sh: --predict off changed the manifest body (jobs=$j)" >&2
            exit 1; }
-    cmp "build/metrics-fast-j$j.txt" "build/metrics-pr-off-j$j.txt" \
+    cmp "build/metrics-j$j.txt" "build/metrics-pr-off-j$j.txt" \
       || { echo "ci.sh: --predict off changed metrics (jobs=$j)" >&2
            exit 1; }
   done
@@ -270,10 +240,10 @@ EOF
     steady+=("$example")
   done
   for j in 1 4; do
-    ./build/tools/owl_cli --jobs "$j" --print-reports --detector-impl fast \
+    ./build/tools/owl_cli --jobs "$j" --print-reports \
       "${steady[@]}" > "build/out-pr-base-j$j.txt"
     for mode in on audit; do
-      ./build/tools/owl_cli --jobs "$j" --print-reports --detector-impl fast \
+      ./build/tools/owl_cli --jobs "$j" --print-reports \
         --predict "$mode" \
         --manifest "build/manifest-pr-$mode-j$j.json" \
         "${steady[@]}" > "build/out-pr-$mode-j$j.txt"
@@ -343,19 +313,19 @@ EOF
   #       nonzero nodes and memory edges.
   current_step="vuln-flow off-mode byte-identity"
   for j in 1 4; do
-    ./build/tools/owl_cli --jobs "$j" --print-reports --detector-impl fast \
+    ./build/tools/owl_cli --jobs "$j" --print-reports \
       --vuln-flow off \
       --manifest "build/manifest-vf-off-j$j.json" \
       --metrics-out "build/metrics-vf-off-j$j.txt" \
       "${examples[@]}" > "build/out-vf-off-j$j.txt"
-    diff -u "build/out-fast-j$j.txt" "build/out-vf-off-j$j.txt" \
+    diff -u "build/out-j$j.txt" "build/out-vf-off-j$j.txt" \
       || { echo "ci.sh: --vuln-flow off changed the reports (jobs=$j)" >&2
            exit 1; }
     python3 scripts/manifest_diff.py \
-      "build/manifest-fast-j$j.json" "build/manifest-vf-off-j$j.json" \
+      "build/manifest-j$j.json" "build/manifest-vf-off-j$j.json" \
       || { echo "ci.sh: --vuln-flow off changed the manifest (jobs=$j)" >&2
            exit 1; }
-    cmp "build/metrics-fast-j$j.txt" "build/metrics-vf-off-j$j.txt" \
+    cmp "build/metrics-j$j.txt" "build/metrics-vf-off-j$j.txt" \
       || { echo "ci.sh: --vuln-flow off changed metrics (jobs=$j)" >&2
            exit 1; }
   done
@@ -363,7 +333,7 @@ EOF
   current_step="vuln-flow on vs audit report identity"
   for j in 1 4; do
     for mode in on audit; do
-      ./build/tools/owl_cli --jobs "$j" --print-reports --detector-impl fast \
+      ./build/tools/owl_cli --jobs "$j" --print-reports \
         --vuln-flow "$mode" \
         --manifest "build/manifest-vf-$mode-j$j.json" \
         "${examples[@]}" > "build/out-vf-$mode-j$j.txt"
@@ -416,14 +386,14 @@ EOF
   #   (c) reports and the SARIF log are byte-identical across jobs=1/4
   #       and across repeat runs.
   current_step="checker suite off-mode byte-identity"
-  ./build/tools/owl_cli --jobs 1 --print-reports --detector-impl fast \
+  ./build/tools/owl_cli --jobs 1 --print-reports \
     --checkers off "${examples[@]}" > build/out-check-off.txt
-  diff -u build/out-fast-j1.txt build/out-check-off.txt \
+  diff -u build/out-j1.txt build/out-check-off.txt \
     || { echo "ci.sh: --checkers off changed the reports" >&2; exit 1; }
 
   current_step="checker suite jobs=1 vs jobs=4 differential + SARIF"
   for j in 1 4; do
-    ./build/tools/owl_cli --jobs "$j" --print-reports --detector-impl fast \
+    ./build/tools/owl_cli --jobs "$j" --print-reports \
       --checkers all --sarif-out "build/checkers-j$j.sarif" \
       "${examples[@]}" > "build/out-check-on-j$j.txt"
   done
@@ -542,8 +512,8 @@ stage_serve() {
 #   (a) every confirmed-race example yields a *_fixed.mir whose report
 #       passes the owl-repair-v1 schema with the planted strategy, and
 #       race-free examples report no_races;
-#   (b) re-running the full pipeline on each fixed module — fast detector,
-#       --predict on, --checkers all — confirms zero races and no checker
+#   (b) re-running the full pipeline on each fixed module — --predict on,
+#       --checkers all — confirms zero races and no checker
 #       finding the original did not already have;
 #   (c) the produced fixed modules are byte-identical to the committed
 #       goldens in examples/fixed/, across jobs=1/4 and repeat runs;

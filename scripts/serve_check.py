@@ -6,8 +6,8 @@
 Drives a real owl_served over its Unix-domain socket and proves the
 service-mode claims (DESIGN.md §10):
 
-  differential  every example x detector impl x jobs, cold cache and warm
-                cache: the response's "output" bytes and "exit" status are
+  differential  every example x jobs, cold cache and warm cache: the
+                response's "output" bytes and "exit" status are
                 byte-identical to one-shot owl_cli, and the warm hit
                 reproduces the cold miss (same bytes, same manifest_sha)
   options       every example x the non-default option sets the serve-mixed
@@ -29,7 +29,7 @@ service-mode claims (DESIGN.md §10):
                 concurrent connections, mixed jobs: every response
                 byte-identical to owl_cli, hit/miss/store counters exact
 
---quick runs the ctest-sized subset (2 examples, fast impl, jobs 1; one
+--quick runs the ctest-sized subset (2 examples, jobs 1; one
 example per option set; shed + drain + corrupt) and skips kill9 and the
 soak.
 """
@@ -179,10 +179,10 @@ LOAD_FAILURES = [
 QUICK_OPTIONS_EXAMPLE = "lost_update.mir"
 
 
-def run_cli(cli, module, impl="fast", jobs=1):
+def run_cli(cli, module, jobs=1):
     """Expected bytes: one-shot owl_cli on the same module and options."""
     result = subprocess.run(
-        [cli, module, "--detector-impl", impl, "--jobs", str(jobs)],
+        [cli, module, "--jobs", str(jobs)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -190,11 +190,11 @@ def run_cli(cli, module, impl="fast", jobs=1):
     return result.stdout, result.returncode
 
 
-def analyze(module, impl="fast", jobs=1, client=None):
+def analyze(module, jobs=1, client=None):
     req = {
         "op": "analyze",
         "module_path": module,
-        "options": {"detector_impl": impl, "jobs": jobs},
+        "options": {"jobs": jobs},
     }
     if client is not None:
         req["client"] = client
@@ -254,49 +254,40 @@ def corrupt_cache_dir(cache_dir):
 # --- phases -----------------------------------------------------------
 
 
-def phase_differential(cfg, examples, impls, jobs_list):
+def phase_differential(cfg, examples, jobs_list):
     """Daemon bytes == owl_cli bytes, cold and warm, every combination."""
     cache_dir = os.path.join(cfg.tmp, "diff-cache")
     daemon = Daemon(cfg.served, cfg.socket, "--cache-dir", cache_dir)
     conn = Conn(cfg.socket)
     cases = 0
     for module in examples:
-        per_jobs = {}
-        for impl in impls:
-            for jobs in jobs_list:
-                expected_out, expected_exit = run_cli(
-                    cfg.cli, module, impl, jobs
-                )
-                what = f"{os.path.basename(module)} impl={impl} jobs={jobs}"
-                cold = conn.call(analyze(module, impl, jobs))
-                expect_identical(cold, expected_out, expected_exit, what)
-                check(
-                    cold.get("cache") == "miss",
-                    f"{what}: first request was {cold.get('cache')}, "
-                    "want miss",
-                )
-                warm = conn.call(analyze(module, impl, jobs))
-                expect_identical(warm, expected_out, expected_exit, what)
-                check(
-                    warm.get("cache") == "hit",
-                    f"{what}: repeat request was {warm.get('cache')}, "
-                    "want hit",
-                )
-                check(
-                    warm.get("manifest_sha") == cold.get("manifest_sha"),
-                    f"{what}: warm manifest_sha diverged from cold",
-                )
-                per_jobs.setdefault(impl, {})[jobs] = cold["output"]
-                cases += 1
-        # Jobs-invariance and impl-invariance through the daemon: every
-        # combination must have produced the same report bytes.
-        outputs = {
-            out for by_jobs in per_jobs.values() for out in by_jobs.values()
-        }
+        outputs = set()
+        for jobs in jobs_list:
+            expected_out, expected_exit = run_cli(cfg.cli, module, jobs)
+            what = f"{os.path.basename(module)} jobs={jobs}"
+            cold = conn.call(analyze(module, jobs))
+            expect_identical(cold, expected_out, expected_exit, what)
+            check(
+                cold.get("cache") == "miss",
+                f"{what}: first request was {cold.get('cache')}, want miss",
+            )
+            warm = conn.call(analyze(module, jobs))
+            expect_identical(warm, expected_out, expected_exit, what)
+            check(
+                warm.get("cache") == "hit",
+                f"{what}: repeat request was {warm.get('cache')}, want hit",
+            )
+            check(
+                warm.get("manifest_sha") == cold.get("manifest_sha"),
+                f"{what}: warm manifest_sha diverged from cold",
+            )
+            outputs.add(cold["output"])
+            cases += 1
+        # Jobs-invariance through the daemon: every jobs value must have
+        # produced the same report bytes.
         check(
             len(outputs) == 1,
-            f"{os.path.basename(module)}: outputs differ across "
-            f"impl/jobs combinations",
+            f"{os.path.basename(module)}: outputs differ across jobs values",
         )
     stats = conn.stats()
     check(
@@ -552,7 +543,7 @@ def phase_soak(cfg, examples, total):
     modules = examples[: min(4, len(examples))]
     jobs_list = [1, 4]
     expected = {
-        (m, j): run_cli(cfg.cli, m, "fast", j)
+        (m, j): run_cli(cfg.cli, m, j)
         for m in modules
         for j in jobs_list
     }
@@ -580,7 +571,7 @@ def phase_soak(cfg, examples, total):
             for i in range(count):
                 module = modules[i % len(modules)]
                 jobs = jobs_list[(i // len(modules)) % len(jobs_list)]
-                rid = conn.send(analyze(module, "fast", jobs))
+                rid = conn.send(analyze(module, jobs))
                 window.append((rid, module, jobs))
                 if len(window) >= 8:
                     settle(conn, *window.pop(0))
@@ -691,9 +682,9 @@ def main():
         cfg.socket = os.path.join(tmp, "owl.sock")
 
         if args.quick:
-            phase_differential(cfg, examples[:2], ["fast"], [1])
+            phase_differential(cfg, examples[:2], [1])
         else:
-            phase_differential(cfg, examples, ["fast", "reference"], [1, 4])
+            phase_differential(cfg, examples, [1, 4])
         phase_options(cfg, examples, args.quick)
         phase_shed(cfg, examples[0])
         phase_drain(cfg, examples[0])

@@ -1,6 +1,5 @@
 #include "core/analyze.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -41,17 +40,12 @@ std::string field_text(std::uint64_t value, bool json) {
               : std::to_string(value);
 }
 std::string field_text(double value, bool) {
-  // Shortest text that parses back to exactly `value`: a fixed-precision
-  // format would fold distinct deadlines (1e-7 vs 0) into one cache key.
-  char buffer[32];
-  const auto end = std::to_chars(buffer, buffer + sizeof buffer, value).ptr;
-  return std::string(buffer, end);
+  // Exact: a fixed-precision format would fold distinct deadlines (1e-7 vs
+  // 0) into one cache key.
+  return exact_double(value);
 }
 std::string field_text(DetectorKind kind, bool json) {
   return field_text(std::string(detector_kind_name(kind)), json);
-}
-std::string field_text(race::DetectorImpl impl, bool json) {
-  return field_text(std::string(detector_impl_name(impl)), json);
 }
 std::string field_text(support::AuditMode mode, bool json) {
   return field_text(std::string(support::audit_mode_name(mode)), json);
@@ -91,7 +85,6 @@ PipelineOptions pipeline_options(const AnalysisRequest& request) {
     options.stage_budgets = StageBudgets::uniform_wall(request.stage_deadline);
   }
   options.retry.max_retries = request.retries;
-  options.detector_impl = request.detector_impl;
   options.prescreen = request.prescreen;
   options.predict = request.predict;
   options.vuln_flow = request.vuln_flow;
@@ -104,10 +97,11 @@ PipelineOptions pipeline_options(const AnalysisRequest& request) {
 
 std::string AnalysisRequest::canonical_blob(
     const std::string& target_name) const {
-  // v6: stage_deadline prints exactly (v5 gained vuln_flow=, v4 repair=,
-  // v3 predict=, v2 checkers=/sarif=); the marker bump keeps keys from
-  // older daemons distinct.
-  std::string out = "owl-options-v6\nname=" + target_name + "\n";
+  // v7 dropped the detection-substrate field (v6 printed stage_deadline
+  // exactly, v5 gained vuln_flow=, v4 repair=, v3 predict=, v2
+  // checkers=/sarif=); the marker bump keeps keys from older daemons
+  // distinct.
+  std::string out = "owl-options-v7\nname=" + target_name + "\n";
   for_each_field(*this, [&out](std::string_view name, const auto& field,
                                IntRange = {}) {
     out += std::string(name) + "=" + field_text(field, false) + "\n";
@@ -125,26 +119,11 @@ std::string AnalysisRequest::to_json() const {
   return out + "}";
 }
 
-std::string_view detector_impl_name(race::DetectorImpl impl) noexcept {
-  return impl == race::DetectorImpl::kFast ? "fast" : "reference";
-}
-
 bool parse_field(std::string_view text, DetectorKind& out) noexcept {
   for (const DetectorKind kind :
        {DetectorKind::kTsan, DetectorKind::kSki, DetectorKind::kAtomicity}) {
     if (text == detector_kind_name(kind)) {
       out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool parse_field(std::string_view text, race::DetectorImpl& out) noexcept {
-  for (const race::DetectorImpl impl :
-       {race::DetectorImpl::kFast, race::DetectorImpl::kReference}) {
-    if (text == detector_impl_name(impl)) {
-      out = impl;
       return true;
     }
   }

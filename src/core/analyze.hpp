@@ -39,7 +39,6 @@ struct AnalysisRequest {
   std::vector<std::int64_t> inputs;
   std::vector<std::int64_t> exploit_inputs;  ///< empty = same as inputs
   DetectorKind detector = DetectorKind::kTsan;
-  race::DetectorImpl detector_impl = race::DetectorImpl::kFast;
   support::AuditMode prescreen = support::AuditMode::kOff;
   support::AuditMode predict = support::AuditMode::kOff;
   support::AuditMode vuln_flow = support::AuditMode::kOff;
@@ -76,7 +75,6 @@ struct AnalysisRequest {
     f("inputs", r.inputs);
     f("exploit_inputs", r.exploit_inputs);
     f("detector", r.detector);
-    f("detector_impl", r.detector_impl);
     f("prescreen", r.prescreen);
     f("predict", r.predict);
     f("vuln_flow", r.vuln_flow);
@@ -111,12 +109,10 @@ struct AnalysisRequest {
   std::string to_json() const;
 };
 
-/// Wire names of the enum-valued request fields (flag values, serve option
-/// values, cache-key text) and their parsers; detector_kind_name lives in
-/// core/manifest.hpp.
-std::string_view detector_impl_name(race::DetectorImpl impl) noexcept;
+/// Parsers of the enum-valued request fields (flag values, serve option
+/// values); their wire names come from detector_kind_name
+/// (core/manifest.hpp) and support::audit_mode_name.
 bool parse_field(std::string_view text, DetectorKind& out) noexcept;
-bool parse_field(std::string_view text, race::DetectorImpl& out) noexcept;
 bool parse_field(std::string_view text, support::AuditMode& out) noexcept;
 
 /// One program to analyze.

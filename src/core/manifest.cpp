@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "core/analyze.hpp"
+#include "support/audit_mode.hpp"
 #include "support/metrics.hpp"
 #include "support/strings.hpp"
 
@@ -125,29 +125,22 @@ std::string render_manifest(const std::string& tool,
                             const std::vector<PipelineTarget>& targets,
                             const std::vector<PipelineResult>& results) {
   ManifestKv kv;
-  kv.reserve(11);
+  kv.reserve(10);
   const auto flag = [](bool b) { return std::string(b ? "true" : "false"); };
-  kv.emplace_back("detector_impl",
-                  std::string(detector_impl_name(options.detector_impl)));
   kv.emplace_back("enable_adhoc_annotation",
                   flag(options.enable_adhoc_annotation));
   kv.emplace_back("enable_race_verifier", flag(options.enable_race_verifier));
   kv.emplace_back("enable_vuln_verifier", flag(options.enable_vuln_verifier));
   kv.emplace_back("race_verifier_attempts",
                   str_format("%u", options.race_verifier_attempts));
-  kv.emplace_back("vuln_verifier_attempts",
-                  str_format("%u", options.vuln_verifier_attempts));
   kv.emplace_back("analyzer_mode",
                   options.analyzer_mode ==
                           vuln::VulnerabilityAnalyzer::Mode::kDirected
                       ? "directed"
                       : "whole-program");
   kv.emplace_back("retries", str_format("%u", options.retry.max_retries));
-  kv.emplace_back(
-      "stage_deadline_seconds",
-      str_format("%.3f", options.stage_budgets.detection.wall_seconds));
-  kv.emplace_back("keep_unverified_on_degradation",
-                  flag(options.keep_unverified_on_degradation));
+  kv.emplace_back("stage_deadline_seconds",
+                  exact_double(options.stage_budgets.detection.wall_seconds));
   kv.emplace_back("fault_injection", flag(options.fault_injector != nullptr));
   if (options.checkers.any()) {
     // Echoed only when enabled — checkers-off manifests keep the

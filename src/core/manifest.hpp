@@ -3,8 +3,8 @@
 // per-target StageCounts and failure records, and the behavioral metrics
 // snapshot. Everything outside the "environment" object is deterministic
 // for a fixed workload (no wall clock, no host facts, no jobs count), so CI
-// byte-diffs manifests across jobs values, detector implementations, and
-// repeat runs (scripts/manifest_diff.py strips "environment" and compares).
+// byte-diffs manifests across jobs values, prescreen modes, and repeat
+// runs (scripts/manifest_diff.py strips "environment" and compares).
 //
 // core::analyze renders one per run (owl_cli --manifest writes it, the
 // serve cache seals its body), and bench's run_all_pipelines writes

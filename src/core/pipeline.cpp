@@ -60,6 +60,9 @@ using support::FaultInjector;
 using support::FaultKind;
 using support::PipelineStage;
 
+/// Schedules the step-(5) verifier tries per exploit candidate.
+constexpr unsigned kVulnVerifierAttempts = 8;
+
 // The prescreen treats integer constants below this limit as null-page
 // values that can never alias a real object; the detector's dynamic
 // re-check uses the interpreter's actual guard. They must agree.
@@ -278,14 +281,12 @@ std::vector<race::RaceReport> Pipeline::detect_once(
       machine->add_observer(&atomicity.emplace());
       scheduler = std::make_unique<interp::RandomScheduler>(base_seed + i);
     } else if (target.detector == DetectorKind::kSki) {
-      detector = std::make_unique<race::SkiDetector>(
-          annotations, options_.detector_impl, prescreen);
+      detector = std::make_unique<race::SkiDetector>(annotations, prescreen);
       scheduler = std::make_unique<interp::PctScheduler>(
           base_seed + i, /*depth=*/3, /*expected_steps=*/20000);
     } else {
       detector = std::make_unique<race::TsanDetector>(
-          annotations, /*ski_watch_mode=*/false, options_.detector_impl,
-          prescreen);
+          annotations, /*ski_watch_mode=*/false, prescreen);
       scheduler = std::make_unique<interp::RandomScheduler>(base_seed + i);
     }
     if (detector != nullptr) machine->add_observer(detector.get());
@@ -518,7 +519,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
 
   // ---- step (3): dynamic race verification ----
   std::vector<race::RaceReport> survivors;
-  const bool keep_unverified = options_.keep_unverified_on_degradation;
   if (options_.enable_race_verifier) {
     stages.enter(PipelineStage::kRaceVerification, [&] {
       support::Budget budget(options_.stage_budgets.race_verification);
@@ -534,7 +534,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
           // must not hide attacks) — except predicted candidates, which
           // are hypotheses, not observations.
           for (std::size_t k = r; k < reduced.size(); ++k) {
-            if (keep_unverified && !reduced[k].predicted) {
+            if (!reduced[k].predicted) {
               survivors.push_back(reduced[k]);
             }
           }
@@ -567,7 +567,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
           if (!vr.livelocked && !vr.budget_exhausted) continue;
           ++livelocked;
         }
-        if (keep_unverified && !report.predicted) {
+        if (!report.predicted) {
           survivors.push_back(report);
           ++passed_through;
         }
@@ -709,7 +709,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
             PipelineStage::kVulnVerification, failure_recorded,
             [&](unsigned attempt) {
               verify::VulnVerifier::Options vopts;
-              vopts.max_attempts = options_.vuln_verifier_attempts;
+              vopts.max_attempts = kVulnVerifierAttempts;
               vopts.base_seed =
                   retry.seed_for(target.seed * 104729 + 7, attempt);
               vopts.thread_order = target.thread_order;

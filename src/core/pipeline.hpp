@@ -95,10 +95,6 @@ struct StageBudgets {
 
 struct PipelineOptions {
   bool enable_adhoc_annotation = true;  ///< ablation knob (step 2)
-  /// Detection-substrate implementation for steps (1)/(2). kFast is the
-  /// default; kReference is the original hash-map substrate the CI
-  /// differential gate diffs against (both emit byte-identical reports).
-  race::DetectorImpl detector_impl = race::DetectorImpl::kFast;
   /// When set, step (2) applies these annotations instead of running OWL's
   /// report-guided classifier — the hook for plugging in a different
   /// adhoc-sync front end (e.g. the SyncFinder-like static scanner, used by
@@ -128,7 +124,6 @@ struct PipelineOptions {
   bool enable_race_verifier = true;     ///< off for kernels (paper §8.3)
   bool enable_vuln_verifier = true;
   unsigned race_verifier_attempts = 3;
-  unsigned vuln_verifier_attempts = 8;
   vuln::VulnerabilityAnalyzer::Mode analyzer_mode =
       vuln::VulnerabilityAnalyzer::Mode::kDirected;
   /// Concurrency checker suite beyond data races (DESIGN.md §11): deadlock,
@@ -151,10 +146,6 @@ struct PipelineOptions {
   /// Deterministic fault-injection harness; null disables injection. Not
   /// owned; must outlive the pipeline run.
   support::FaultInjector* fault_injector = nullptr;
-  /// Keep reports the race verifier could not process (livelock/budget) in
-  /// the surviving set instead of silently eliminating them. Conservative
-  /// for security: degradation must not hide a potential attack.
-  bool keep_unverified_on_degradation = true;
 
   // --- parallel execution ---
   /// Worker threads for run_many's target fan-out: 1 = in-caller

@@ -1,12 +1,13 @@
 // Paged shadow memory for the fast detection substrate (DESIGN.md §2).
 //
-// Replaces the reference detector's `unordered_map<Address, Shadow>` with a
-// direct-mapped page table: an address indexes a 4096-slot page allocated on
-// first touch, so the per-access lookup is two shifts and an array index
-// instead of a hash, probe, and node chase. Addresses are byte-keyed exactly
-// like the reference map — two distinct raw addresses never share a slot, so
-// even corrupted unaligned pointers shadow independently and the emitted
-// reports stay identical.
+// Replaces the reference detector's `unordered_map<Address, Shadow>` (the
+// test oracle in tests/reference_detector.hpp) with a direct-mapped page
+// table: an address indexes a 4096-slot page allocated on first touch, so
+// the per-access lookup is two shifts and an array index instead of a
+// hash, probe, and node chase. Addresses are byte-keyed exactly like the
+// reference map — two distinct raw addresses never share a slot, so even
+// corrupted unaligned pointers shadow independently and the emitted reports
+// stay identical.
 //
 // Iteration order is explicit (direct pages ascending, then overflow pages
 // ascending, slots ascending within a page) so anything that ever walks the
@@ -166,17 +167,9 @@ class PagedShadow {
     for (const auto& [page, p] : overflow_) visit_page(page, *p);
   }
 
-  /// Cumulative first-touch page allocations over this shadow's lifetime —
-  /// unlike page_count() it survives clear(), so it feeds the metrics
-  /// registry (DESIGN.md §8) as a monotone counter.
+  /// First-touch page allocations over this shadow's lifetime, kept as a
+  /// counter so the metrics flush (DESIGN.md §8) need not walk the pages.
   std::uint64_t pages_allocated() const noexcept { return pages_allocated_; }
-
-  /// Drops every page (shadow returns to the never-touched state). Does not
-  /// reset pages_allocated(): that counter is cumulative by design.
-  void clear() noexcept {
-    direct_.clear();
-    overflow_.clear();
-  }
 
  private:
   struct Page {

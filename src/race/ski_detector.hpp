@@ -1,12 +1,13 @@
 // SKI substrate: systematic kernel-schedule exploration (paper §3, §6.3).
 //
 // SKI finds kernel races by running the same workload under many controlled
-// schedules. Our equivalent sweeps deterministic PCT schedules over a
-// machine factory and merges the per-run reports. The per-run detector is
-// the happens-before core in SKI watch-list mode: after a race, the racy
-// address stays watched and the call stack of every subsequent read is
-// logged until a write sanitizes the value — the §6.3 policy modification
-// that gives Algorithm 1 precise corrupted-read stacks in kernel code.
+// schedules. Our equivalent is the pipeline's detection stage with a PCT
+// scheduler per schedule (core::Pipeline::detect_once), merging the per-run
+// reports. The per-run detector is the happens-before core in SKI
+// watch-list mode: after a race, the racy address stays watched and the
+// call stack of every subsequent read is logged until a write sanitizes the
+// value — the §6.3 policy modification that gives Algorithm 1 precise
+// corrupted-read stacks in kernel code.
 #pragma once
 
 #include <functional>
@@ -19,28 +20,12 @@ namespace owl::race {
 class SkiDetector final : public TsanDetector {
  public:
   explicit SkiDetector(const AnnotationSet* annotations = nullptr,
-                       DetectorImpl impl = DetectorImpl::kFast,
                        PrescreenView prescreen = {})
-      : TsanDetector(annotations, /*ski_watch_mode=*/true, impl, prescreen) {}
+      : TsanDetector(annotations, /*ski_watch_mode=*/true, prescreen) {}
 };
 
 /// Builds one fresh, ready-to-run machine per schedule (threads spawned,
 /// inputs set). The factory owns nothing after returning.
 using MachineFactory = std::function<std::unique_ptr<interp::Machine>()>;
-
-struct ScheduleExplorationResult {
-  std::vector<RaceReport> reports;   ///< merged across schedules
-  std::uint64_t schedules_run = 0;
-  std::uint64_t schedules_with_races = 0;
-  std::uint64_t total_steps = 0;
-};
-
-/// Runs `num_schedules` PCT schedules (seeds base_seed, base_seed+1, ...)
-/// and merges reports by static pair.
-ScheduleExplorationResult explore_schedules(
-    const MachineFactory& factory, unsigned num_schedules,
-    std::uint64_t base_seed, const AnnotationSet* annotations = nullptr,
-    unsigned pct_depth = 3, DetectorImpl impl = DetectorImpl::kFast,
-    PrescreenView prescreen = {});
 
 }  // namespace owl::race

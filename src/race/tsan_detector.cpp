@@ -1,7 +1,7 @@
 #include "race/tsan_detector.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <optional>
 
 #include "interp/memory.hpp"
 #include "support/metrics.hpp"
@@ -14,174 +14,9 @@ bool TsanDetector::prescreen_hit(const ir::Instruction* instr,
          prescreen_.no_race_instr(instr);
 }
 
-void TsanDetector::on_access(const Access& access,
-                             const interp::Machine& machine) {
-  ++counters_.accesses;
-  if (impl_ == DetectorImpl::kFast) {
-    fast_on_access(access, machine);
-  } else {
-    ref_on_access(access, machine);
-  }
-}
-
-void TsanDetector::on_sync(const Sync& sync, const interp::Machine& machine) {
-  ++counters_.sync_events;
-  if (impl_ == DetectorImpl::kFast) {
-    fast_on_sync(sync, machine);
-  } else {
-    ref_on_sync(sync, machine);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Reference implementation — the original hash-map substrate, kept verbatim
-// so the differential gate has a ground truth to compare the fast path
-// against. Do not optimize this path.
-// ---------------------------------------------------------------------------
-
-AccessRecord TsanDetector::make_record(const Access& access,
-                                       const interp::Machine& machine) const {
-  AccessRecord rec;
-  rec.tid = access.tid;
-  rec.instr = access.instr;
-  rec.addr = access.addr;
-  rec.value = access.value;
-  rec.is_write = access.is_write;
-  if (const interp::Thread* t = machine.thread(access.tid)) {
-    rec.stack = t->call_stack();
-  }
-  return rec;
-}
-
-void TsanDetector::ref_on_access(const Access& access,
-                                 const interp::Machine& machine) {
-  VectorClock& ct = clock(access.tid);
-  Shadow& shadow = shadow_[access.addr];
-
-  const bool annotated_release =
-      annotations_ != nullptr && annotations_->is_release_store(access.instr);
-  const bool annotated_acquire =
-      annotations_ != nullptr && annotations_->is_acquire_load(access.instr);
-
-  // Atomics and annotated accesses behave as synchronization: they carry
-  // happens-before edges through the address and are never themselves racy.
-  if (access.is_atomic || annotated_release || annotated_acquire) {
-    VectorClock& sync = sync_clocks_[access.addr];
-    if (access.is_atomic || annotated_acquire) {
-      ct.join(sync);  // acquire side
-    }
-    const AccessRecord rec = make_record(access, machine);
-    if (access.is_atomic || annotated_release) {
-      // Publish the store event, then advance past it.
-      if (access.is_write) {
-        shadow.write = ShadowAccess{access.tid, ct.get(access.tid), rec};
-        shadow.reads.clear();
-      }
-      sync.join(ct);  // release side
-      ct.increment(access.tid);
-    } else if (!access.is_write) {
-      feed_watchers(rec);
-    }
-    return;
-  }
-
-  // Statically race-free plain access (analysis/prescreen): kOn skips the
-  // shadow bookkeeping below entirely. Sound because pruned instructions can
-  // only touch never-escaping or consistently-locked objects — disjoint
-  // from any address that can race or sit on a watch list (DESIGN.md §9).
-  if (prescreen_hit(access.instr, access.addr)) {
-    ++counters_.prescreen_pruned;
-    if (prescreen_.mode == PrescreenMode::kOn) return;
-  }
-
-  const AccessRecord rec = make_record(access, machine);
-  ++counters_.clock_fallbacks;  // the reference substrate has no fast paths
-
-  if (access.is_write) {
-    if (shadow.write.has_value() && shadow.write->tid != access.tid &&
-        !VectorClock::epoch_leq(shadow.write->tid, shadow.write->epoch, ct)) {
-      record_race(shadow.write->rec, rec, machine);
-    }
-    for (const ShadowAccess& read : shadow.reads) {
-      if (read.tid != access.tid &&
-          !VectorClock::epoch_leq(read.tid, read.epoch, ct)) {
-        record_race(read.rec, rec, machine);
-      }
-    }
-    shadow.write = ShadowAccess{access.tid, ct.get(access.tid), rec};
-    shadow.reads.clear();
-    // A write sanitizes the watch list for this address (§6.3).
-    if (ski_watch_mode_) watched_.erase(access.addr);
-  } else {
-    if (shadow.write.has_value() && shadow.write->tid != access.tid &&
-        !VectorClock::epoch_leq(shadow.write->tid, shadow.write->epoch, ct)) {
-      record_race(shadow.write->rec, rec, machine);
-    }
-    // Keep at most one read epoch per thread.
-    bool replaced = false;
-    for (ShadowAccess& read : shadow.reads) {
-      if (read.tid == access.tid) {
-        read.epoch = ct.get(access.tid);
-        read.rec = rec;
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) {
-      shadow.reads.push_back(
-          ShadowAccess{access.tid, ct.get(access.tid), rec});
-    }
-    feed_watchers(rec);
-  }
-}
-
-void TsanDetector::ref_on_sync(const Sync& sync, const interp::Machine&) {
-  VectorClock& ct = clock(sync.tid);
-  switch (sync.kind) {
-    case SyncKind::kLockAcquire:
-      ct.join(lock_clocks_[sync.addr]);
-      break;
-    case SyncKind::kLockRelease:
-      lock_clocks_[sync.addr] = ct;
-      ct.increment(sync.tid);
-      break;
-    case SyncKind::kHbRelease:
-      sync_clocks_[sync.addr].join(ct);
-      ct.increment(sync.tid);
-      break;
-    case SyncKind::kHbAcquire:
-      ct.join(sync_clocks_[sync.addr]);
-      break;
-    case SyncKind::kThreadCreate: {
-      const auto child = static_cast<ThreadId>(sync.addr);
-      VectorClock& cc = clock(child);
-      cc.join(ct);
-      cc.increment(child);
-      ct.increment(sync.tid);
-      break;
-    }
-    case SyncKind::kThreadFinish:
-      finished_clocks_[sync.tid] = ct;
-      break;
-    case SyncKind::kThreadJoin: {
-      const auto target = static_cast<ThreadId>(sync.addr);
-      auto it = finished_clocks_.find(target);
-      if (it != finished_clocks_.end()) ct.join(it->second);
-      break;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fast implementation — paged shadow, epoch fast paths, dense clocks, lazy
-// candidate capture. Every divergence from ref_on_access must be provably
-// unobservable in the emitted reports; the comments below carry the proofs
-// the differential gate then checks empirically.
-// ---------------------------------------------------------------------------
-
-VectorClock& TsanDetector::fast_clock(ThreadId tid) {
-  if (tid >= fast_clocks_.size()) fast_clocks_.resize(tid + 1);
-  return fast_clocks_[tid];
+VectorClock& TsanDetector::clock(ThreadId tid) {
+  if (tid >= clocks_.size()) clocks_.resize(tid + 1);
+  return clocks_[tid];
 }
 
 AccessRecord TsanDetector::record_from_access(
@@ -215,29 +50,30 @@ AccessRecord TsanDetector::record_from_cell(
   return rec;
 }
 
-void TsanDetector::fast_feed_watchers(const Access& access,
-                                      const interp::Machine& machine) {
+void TsanDetector::feed_watchers_lazily(const Access& access,
+                                        const interp::Machine& machine) {
   if (watched_.empty()) return;
   if (watched_.find(access.addr) == watched_.end()) return;
   feed_watchers(record_from_access(access, machine));
 }
 
-void TsanDetector::fast_on_access(const Access& access,
-                                  const interp::Machine& machine) {
+void TsanDetector::on_access(const Access& access,
+                             const interp::Machine& machine) {
+  ++counters_.accesses;
   const bool annotated_release =
       annotations_ != nullptr && annotations_->is_release_store(access.instr);
   const bool annotated_acquire =
       annotations_ != nullptr && annotations_->is_acquire_load(access.instr);
 
   if (access.is_atomic || annotated_release || annotated_acquire) {
-    VectorClock& ct = fast_clock(access.tid);
-    VectorClock& sync = fast_sync_clocks_[access.addr];
+    VectorClock& ct = clock(access.tid);
+    VectorClock& sync = sync_clocks_[access.addr];
     if (access.is_atomic || annotated_acquire) {
       ct.join(sync);  // acquire side
     }
     if (access.is_atomic || annotated_release) {
       if (access.is_write) {
-        ShadowSlot& slot = fast_shadow_.slot(access.addr);
+        ShadowSlot& slot = shadow_.slot(access.addr);
         slot.set_write(ShadowCell{access.tid, access.context,
                                   ct.get(access.tid), access.instr,
                                   access.value});
@@ -246,28 +82,31 @@ void TsanDetector::fast_on_access(const Access& access,
       sync.join(ct);  // release side
       ct.increment(access.tid);
     } else if (!access.is_write) {
-      fast_feed_watchers(access, machine);
+      feed_watchers_lazily(access, machine);
     }
     return;
   }
 
-  // Statically race-free plain access: prune before the shadow-slot lookup
-  // so provably-local traffic never materializes shadow pages (see the
-  // matching comment in ref_on_access for the soundness argument).
+  // Statically race-free plain access (analysis/prescreen): kOn skips the
+  // shadow bookkeeping below entirely, before the shadow-slot lookup, so
+  // provably-local traffic never materializes shadow pages. Sound because
+  // pruned instructions can only touch never-escaping or consistently-locked
+  // objects — disjoint from any address that can race or sit on a watch
+  // list (DESIGN.md §9).
   if (prescreen_hit(access.instr, access.addr)) {
     ++counters_.prescreen_pruned;
     if (prescreen_.mode == PrescreenMode::kOn) return;
   }
 
-  ShadowSlot& slot = fast_shadow_.slot(access.addr);
-  VectorClock& ct = fast_clock(access.tid);
+  ShadowSlot& slot = shadow_.slot(access.addr);
+  VectorClock& ct = clock(access.tid);
   const std::uint64_t own_epoch = ct.get(access.tid);
 
   if (access.is_write) {
     // Same-owner store fast path (FastTrack's "same epoch" case): the last
     // write was ours and no reads intervened, so there is nothing to order
     // against — refresh the cell and leave. Requires an idle watch list:
-    // the reference path would erase this address from it.
+    // the slow path below would erase this address from it.
     if (slot.has_write && slot.write.tid == access.tid && !slot.has_reads() &&
         (!ski_watch_mode_ || watched_.empty())) {
       ++counters_.epoch_write_hits;
@@ -306,8 +145,8 @@ void TsanDetector::fast_on_access(const Access& access,
     // was checked race-free against the current shadow write. Every write
     // clears the read set (so the write cannot have changed while the cell
     // survives) and clocks only grow, so the check cannot newly fail —
-    // refresh the cell and leave. Requires an idle watch list: the
-    // reference path would feed this read to watchers.
+    // refresh the cell and leave. Requires an idle watch list: the slow
+    // path below would feed this read to watchers.
     ShadowCell* own = slot.find_read(access.tid);
     if (own != nullptr && own->no_race && watched_.empty()) {
       ++counters_.epoch_read_hits;
@@ -325,8 +164,8 @@ void TsanDetector::fast_on_access(const Access& access,
                                    /*is_write=*/true, machine),
                   record_from_access(access, machine), machine);
     }
-    // Keep at most one read epoch per thread (replace in place to preserve
-    // the reference's insertion-order iteration).
+    // Keep at most one read epoch per thread (replace in place to keep the
+    // insertion-order iteration).
     const ShadowCell cell{access.tid, access.context, own_epoch, access.instr,
                           access.value, /*no_race=*/!raced};
     if (own != nullptr) {
@@ -334,63 +173,60 @@ void TsanDetector::fast_on_access(const Access& access,
     } else {
       slot.add_read(cell);
     }
-    fast_feed_watchers(access, machine);
+    feed_watchers_lazily(access, machine);
   }
 }
 
-void TsanDetector::fast_on_sync(const Sync& sync, const interp::Machine&) {
+void TsanDetector::on_sync(const Sync& sync, const interp::Machine&) {
+  ++counters_.sync_events;
   switch (sync.kind) {
     case SyncKind::kLockAcquire:
-      fast_clock(sync.tid).join(fast_lock_clocks_[sync.addr]);
+      clock(sync.tid).join(lock_clocks_[sync.addr]);
       break;
     case SyncKind::kLockRelease: {
-      VectorClock& ct = fast_clock(sync.tid);
-      fast_lock_clocks_[sync.addr] = ct;
+      VectorClock& ct = clock(sync.tid);
+      lock_clocks_[sync.addr] = ct;
       ct.increment(sync.tid);
       break;
     }
     case SyncKind::kHbRelease: {
-      VectorClock& ct = fast_clock(sync.tid);
-      fast_sync_clocks_[sync.addr].join(ct);
+      VectorClock& ct = clock(sync.tid);
+      sync_clocks_[sync.addr].join(ct);
       ct.increment(sync.tid);
       break;
     }
     case SyncKind::kHbAcquire:
-      fast_clock(sync.tid).join(fast_sync_clocks_[sync.addr]);
+      clock(sync.tid).join(sync_clocks_[sync.addr]);
       break;
     case SyncKind::kThreadCreate: {
       const auto child = static_cast<ThreadId>(sync.addr);
       // Grow once up front: taking both references before any resize keeps
       // them valid (vector reallocation would invalidate the first).
-      fast_clock(std::max(child, sync.tid));
-      VectorClock& ct = fast_clocks_[sync.tid];
-      VectorClock& cc = fast_clocks_[child];
+      clock(std::max(child, sync.tid));
+      VectorClock& ct = clocks_[sync.tid];
+      VectorClock& cc = clocks_[child];
       cc.join(ct);
       cc.increment(child);
       ct.increment(sync.tid);
       break;
     }
     case SyncKind::kThreadFinish:
-      if (sync.tid >= fast_finished_.size()) {
-        fast_finished_.resize(sync.tid + 1);
+      if (sync.tid >= finished_.size()) {
+        finished_.resize(sync.tid + 1);
       }
-      fast_finished_[sync.tid] = fast_clock(sync.tid);
+      finished_[sync.tid] = clock(sync.tid);
       break;
     case SyncKind::kThreadJoin: {
       const auto target = static_cast<ThreadId>(sync.addr);
       // Slots a resize created but no finish filled hold empty clocks;
-      // joining one is a no-op, matching the reference's map miss.
-      if (target < fast_finished_.size()) {
-        fast_clock(sync.tid).join(fast_finished_[target]);
+      // joining one is a no-op, as for a thread that never finished.
+      if (target < finished_.size()) {
+        clock(sync.tid).join(finished_[target]);
       }
       break;
     }
   }
 }
-
-// ---------------------------------------------------------------------------
-// Shared report plumbing — byte-identical currency for both implementations.
-// ---------------------------------------------------------------------------
 
 void TsanDetector::record_race(const AccessRecord& prior,
                                const AccessRecord& current,
@@ -460,9 +296,9 @@ void TsanDetector::feed_watchers(const AccessRecord& read) {
 
 void TsanDetector::flush_metrics() {
   // Substrate accounting is *advisory*: deterministic for one configuration
-  // but legitimately different across substrate impls and prescreen modes
-  // that CI requires to be report- and snapshot-identical. Only the emitted
-  // report count is a behavioral metric.
+  // but legitimately different across prescreen modes that CI requires to
+  // be report- and snapshot-identical. Only the emitted report count is a
+  // behavioral metric.
   support::MetricsRegistry& registry = support::metrics();
   registry.advisory("detector.accesses").inc(counters_.accesses);
   registry.advisory("detector.sync_events").inc(counters_.sync_events);
@@ -473,38 +309,12 @@ void TsanDetector::flush_metrics() {
   registry.advisory("detector.lazy_materializations")
       .inc(counters_.lazy_materializations);
   registry.counter("detector.reports_emitted").inc(reports_.size());
-  // Delta, not the cumulative total: a reset-and-reused detector must
-  // flush the same per-schedule page counts as a fresh one.
-  registry.advisory("detector.shadow_pages")
-      .inc(fast_shadow_.pages_allocated() - shadow_pages_flushed_);
-  shadow_pages_flushed_ = fast_shadow_.pages_allocated();
+  registry.advisory("detector.shadow_pages").inc(shadow_.pages_allocated());
   registry.advisory("prescreen.pruned_accesses")
       .inc(counters_.prescreen_pruned);
   registry.advisory("prescreen.audit_violations")
       .inc(counters_.prescreen_audit_violations);
   counters_ = SubstrateCounters{};  // flush-once: take_reports may re-run
-}
-
-void TsanDetector::reset() {
-  clocks_.clear();
-  lock_clocks_.clear();
-  sync_clocks_.clear();
-  finished_clocks_.clear();
-  shadow_.clear();
-  fast_shadow_.clear();
-  // Keep the dense tables at size: an empty clock is observably identical
-  // to a never-touched one (fast_finished_ explicitly treats empty as
-  // "never finished"), and clearing in place keeps each clock's component
-  // buffer for the next schedule.
-  for (VectorClock& clock : fast_clocks_) clock.clear();
-  for (VectorClock& clock : fast_finished_) clock.clear();
-  fast_lock_clocks_.clear();
-  fast_sync_clocks_.clear();
-  index_.clear();
-  reports_.clear();
-  watched_.clear();
-  dynamic_races_ = 0;
-  counters_ = SubstrateCounters{};
 }
 
 std::vector<RaceReport> TsanDetector::take_reports() {

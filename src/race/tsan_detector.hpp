@@ -13,17 +13,15 @@
 //  - in SKI mode (ski_detector.hpp) every subsequent read's call stack is
 //    logged until a write sanitizes the address.
 //
-// Two implementations of the hot path live behind DetectorImpl:
-//  - kFast (default): paged shadow memory, FastTrack-style epoch fast
-//    paths, dense ThreadId-indexed clock tables, and lazy race-candidate
-//    capture (call stacks rebuilt from interned context ids only when an
-//    access actually races) — see DESIGN.md §2 "fast substrate";
-//  - kReference: the original hash-map implementation, kept verbatim so
-//    the CI differential gate can prove the fast path emits byte-identical
-//    reports on every workload, seed, and jobs value.
+// The hot path runs on paged shadow memory, FastTrack-style epoch fast
+// paths, dense ThreadId-indexed clock tables, and lazy race-candidate
+// capture (call stacks rebuilt from interned context ids only when an
+// access actually races) — see DESIGN.md §2.1. The original hash-map
+// implementation is the test oracle (tests/reference_detector.hpp): a
+// subclass that reuses the protected report plumbing below, diffed against
+// this class on the examples and the paper workloads.
 #pragma once
 
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,13 +34,6 @@
 #include "race/vector_clock.hpp"
 
 namespace owl::race {
-
-/// Which detection-substrate implementation runs the hot path. Both emit
-/// byte-identical reports; kReference exists for the differential gate.
-enum class DetectorImpl {
-  kFast,
-  kReference,
-};
 
 /// Hash for the (min instruction id, max instruction id) report key — the
 /// report index is a flat hash instead of an ordered map; take_reports'
@@ -64,34 +55,22 @@ class TsanDetector : public interp::Observer {
   /// accesses the static prescreen proved race-free skip all shadow work.
   explicit TsanDetector(const AnnotationSet* annotations = nullptr,
                         bool ski_watch_mode = false,
-                        DetectorImpl impl = DetectorImpl::kFast,
                         PrescreenView prescreen = {})
       : annotations_(annotations), ski_watch_mode_(ski_watch_mode),
-        impl_(impl), prescreen_(prescreen) {
+        prescreen_(prescreen) {
     index_.reserve(16);
-    if (impl_ == DetectorImpl::kFast) {
-      fast_lock_clocks_.reserve(16);
-      fast_sync_clocks_.reserve(16);
-    }
+    lock_clocks_.reserve(16);
+    sync_clocks_.reserve(16);
   }
 
   void on_access(const Access& access,
                  const interp::Machine& machine) override;
   void on_sync(const Sync& sync, const interp::Machine& machine) override;
 
-  DetectorImpl impl() const noexcept { return impl_; }
-
-  /// Returns the detector to its just-constructed observable state while
-  /// keeping every buffer's capacity (clock components, hash-table buckets,
-  /// report storage). explore_schedules reuses one detector across its
-  /// whole sweep through this instead of constructing a fresh one per
-  /// schedule — the per-schedule allocation churn (one heap vector per
-  /// thread clock per schedule) was bench-visible on the verifier hot loop.
-  void reset();
-
   /// Deduplicated reports in stable (key) order. Also flushes this run's
   /// SubstrateCounters into the global MetricsRegistry (one atomic add per
-  /// counter, so the hot path itself stays metric-free).
+  /// counter, so the hot path itself stays metric-free); call it once, at
+  /// the end of the run.
   std::vector<RaceReport> take_reports();
   const std::vector<RaceReport>& reports() const noexcept { return reports_; }
 
@@ -118,45 +97,11 @@ class TsanDetector : public interp::Observer {
     return counters_;
   }
 
- private:
-  struct ShadowAccess {
-    ThreadId tid = 0;
-    std::uint64_t epoch = 0;
-    AccessRecord rec;
-  };
-  struct Shadow {
-    std::optional<ShadowAccess> write;
-    std::vector<ShadowAccess> reads;  ///< reads since the last write
-  };
-
-  // --- reference implementation (DetectorImpl::kReference) ---
-  void ref_on_access(const Access& access, const interp::Machine& machine);
-  void ref_on_sync(const Sync& sync, const interp::Machine& machine);
-  VectorClock& clock(ThreadId tid) { return clocks_[tid]; }
-  AccessRecord make_record(const Access& access,
-                           const interp::Machine& machine) const;
-
-  // --- fast implementation (DetectorImpl::kFast) ---
-  void fast_on_access(const Access& access, const interp::Machine& machine);
-  void fast_on_sync(const Sync& sync, const interp::Machine& machine);
-  VectorClock& fast_clock(ThreadId tid);
-  /// Materializes the full record for the in-flight access (lazy capture:
-  /// only called once the access is a race candidate or watch-list food).
-  AccessRecord record_from_access(const Access& access,
-                                  const interp::Machine& machine) const;
-  /// Materializes the record for a prior access from its shadow cell,
-  /// rebuilding the as-of-access-time call stack from the interned context.
-  AccessRecord record_from_cell(const ShadowCell& cell, interp::Address addr,
-                                bool is_write,
-                                const interp::Machine& machine) const;
-  void fast_feed_watchers(const Access& access,
-                          const interp::Machine& machine);
-
-  // --- shared report plumbing (identical for both implementations) ---
+ protected:
+  // --- report plumbing, shared with the reference oracle in tests/ ---
   void record_race(const AccessRecord& prior, const AccessRecord& current,
                    const interp::Machine& machine);
   void feed_watchers(const AccessRecord& read);
-  void flush_metrics();
   /// True when the prescreen covers this dynamic access: view active, the
   /// instruction is statically race-free, and the address really lies in
   /// object space (the null page is where corrupted-pointer traffic the
@@ -166,40 +111,44 @@ class TsanDetector : public interp::Observer {
 
   const AnnotationSet* annotations_;
   bool ski_watch_mode_;
-  DetectorImpl impl_;
   PrescreenView prescreen_;
+  /// Addresses whose reports still await a supplemental read / SKI logging.
+  std::unordered_map<interp::Address, std::vector<std::size_t>> watched_;
+  // mutable: the lazy-capture record builders are const member functions.
+  mutable SubstrateCounters counters_;
 
-  // Reference state: hash-map shadow and clock tables.
-  std::unordered_map<ThreadId, VectorClock> clocks_;
+ private:
+  VectorClock& clock(ThreadId tid);
+  /// Materializes the full record for the in-flight access (lazy capture:
+  /// only called once the access is a race candidate or watch-list food).
+  AccessRecord record_from_access(const Access& access,
+                                  const interp::Machine& machine) const;
+  /// Materializes the record for a prior access from its shadow cell,
+  /// rebuilding the as-of-access-time call stack from the interned context.
+  AccessRecord record_from_cell(const ShadowCell& cell, interp::Address addr,
+                                bool is_write,
+                                const interp::Machine& machine) const;
+  /// feed_watchers for the in-flight access, materializing its record only
+  /// when the address is actually watched.
+  void feed_watchers_lazily(const Access& access,
+                            const interp::Machine& machine);
+  void flush_metrics();
+
+  // Paged shadow, dense ThreadId-indexed clock tables (Machine assigns tids
+  // sequentially from 0), reserved hash maps for the address-keyed clocks.
+  // An empty clock in finished_ means "never finished" — joining an empty
+  // clock is a no-op.
+  PagedShadow shadow_;
+  std::vector<VectorClock> clocks_;
+  std::vector<VectorClock> finished_;
   std::unordered_map<interp::Address, VectorClock> lock_clocks_;
   std::unordered_map<interp::Address, VectorClock> sync_clocks_;
-  std::unordered_map<ThreadId, VectorClock> finished_clocks_;
-  std::unordered_map<interp::Address, Shadow> shadow_;
-
-  // Fast state: paged shadow, dense ThreadId-indexed clock tables (Machine
-  // assigns tids sequentially from 0), reserved hash maps for the
-  // address-keyed clocks. An empty clock in fast_finished_ means "never
-  // finished" — joining an empty clock is a no-op, exactly like the
-  // reference's map-miss.
-  PagedShadow fast_shadow_;
-  std::vector<VectorClock> fast_clocks_;
-  std::vector<VectorClock> fast_finished_;
-  std::unordered_map<interp::Address, VectorClock> fast_lock_clocks_;
-  std::unordered_map<interp::Address, VectorClock> fast_sync_clocks_;
 
   std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, std::size_t,
                      ReportKeyHash>
       index_;
   std::vector<RaceReport> reports_;
-  /// Addresses whose reports still await a supplemental read / SKI logging.
-  std::unordered_map<interp::Address, std::vector<std::size_t>> watched_;
   std::uint64_t dynamic_races_ = 0;
-  /// Shadow pages already flushed to the metrics registry — flush_metrics
-  /// records the delta so a reset-and-reused detector reports the same
-  /// per-schedule page counts as a fresh one.
-  std::uint64_t shadow_pages_flushed_ = 0;
-  // mutable: the lazy-capture record builders are const member functions.
-  mutable SubstrateCounters counters_;
 };
 
 /// Merges `from` into `into`, collapsing identical static pairs (summing

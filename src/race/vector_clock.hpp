@@ -56,10 +56,6 @@ class VectorClock {
   /// observable size (detectors that know the thread count call this once
   /// so interleaved ensure() calls never reallocate).
   void reserve(std::size_t threads) { clocks_.reserve(threads); }
-  /// Back to the never-touched state, keeping the component buffer — the
-  /// detector-reuse path (TsanDetector::reset) clears clocks in place so a
-  /// schedule sweep stops paying one allocation per clock per schedule.
-  void clear() noexcept { clocks_.clear(); }
   std::size_t capacity() const noexcept { return clocks_.capacity(); }
 
   std::string to_string() const;

@@ -134,7 +134,6 @@ bool gate_race_free(const core::PipelineTarget& target,
        {race::PredictMode::kOff, race::PredictMode::kOn}) {
     core::PipelineOptions options;
     options.enable_adhoc_annotation = session.enable_adhoc_annotation;
-    options.detector_impl = session.detector_impl;
     options.predict = mode;
     options.enable_race_verifier = true;
     options.enable_vuln_verifier = false;

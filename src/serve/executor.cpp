@@ -8,8 +8,8 @@ namespace owl::serve {
 ExecResult Executor::run(const std::string& module_text,
                          const std::string& display_name,
                          const AnalysisOptions& options) {
-  // Fresh-process equivalence: zero the registry so this request's
-  // metrics snapshot sees only itself.
+  // Fresh-process equivalence: empty the registry so this request's
+  // metrics snapshot holds only the names it registered itself.
   support::metrics().reset();
   ExecResult result = core::analyze({{display_name, module_text}}, options,
                                     pipeline_faults_);

@@ -6,12 +6,6 @@
 
 namespace owl::support {
 
-void Histogram::reset() noexcept {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-}
-
 void WallClock::add(double seconds) noexcept {
   if (seconds <= 0) return;
   nanos_.fetch_add(static_cast<std::uint64_t>(seconds * 1e9),
@@ -36,7 +30,6 @@ MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
     fresh.kind = kind;
     switch (kind) {
       case Kind::kCounter: fresh.counter = std::make_unique<Counter>(); break;
-      case Kind::kGauge: fresh.gauge = std::make_unique<Gauge>(); break;
       case Kind::kHistogram:
         fresh.histogram = std::make_unique<Histogram>();
         break;
@@ -55,10 +48,6 @@ MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   return *entry(name, Kind::kCounter).counter;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  return *entry(name, Kind::kGauge).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
@@ -118,10 +107,6 @@ std::string MetricsRegistry::serialize() const {
             "counter %s = %llu\n", name.c_str(),
             static_cast<unsigned long long>(entry.counter->value()));
         break;
-      case Kind::kGauge:
-        out += str_format("gauge %s = %lld\n", name.c_str(),
-                          static_cast<long long>(entry.gauge->value()));
-        break;
       case Kind::kHistogram:
         out += str_format("histogram %s %s\n", name.c_str(),
                           render_histogram(*entry.histogram).c_str());
@@ -144,10 +129,6 @@ std::string MetricsRegistry::json() const {
       case Kind::kCounter:
         value = str_format(
             "%llu", static_cast<unsigned long long>(entry.counter->value()));
-        break;
-      case Kind::kGauge:
-        value =
-            str_format("%lld", static_cast<long long>(entry.gauge->value()));
         break;
       case Kind::kHistogram:
         value = histogram_json(*entry.histogram);
@@ -196,22 +177,6 @@ std::string MetricsRegistry::advisory_json() const {
 }
 
 void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, entry] : entries_) {
-    (void)name;
-    switch (entry.kind) {
-      case Kind::kCounter:
-      case Kind::kAdvisory:
-        entry.counter->reset();
-        break;
-      case Kind::kGauge: entry.gauge->reset(); break;
-      case Kind::kHistogram: entry.histogram->reset(); break;
-      case Kind::kWallClock: entry.wall->reset(); break;
-    }
-  }
-}
-
-void MetricsRegistry::clear_for_test() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
 }

@@ -1,6 +1,6 @@
 // Process-wide metrics registry for the pipeline (DESIGN.md §8).
 //
-// Named counters, gauges, and histograms record *behavioral* facts —
+// Named counters and histograms record *behavioral* facts —
 // detector fast-path hits vs. vector-clock fallbacks, shadow-page
 // allocations, retries, livelock releases, reports pruned per stage — and a
 // separate wall-clock kind records durations. serialize() renders only the
@@ -33,28 +33,9 @@ class Counter {
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-writer-wins signed level (also supports add()).
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
-  }
-  void add(std::int64_t v) noexcept {
-    value_.fetch_add(v, std::memory_order_relaxed);
-  }
-  std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
 };
 
 /// Power-of-two-bucketed distribution of unsigned integer samples. Bucket k
@@ -79,7 +60,6 @@ class Histogram {
   std::uint64_t bucket(std::size_t index) const noexcept {
     return buckets_[index].load(std::memory_order_relaxed);
   }
-  void reset() noexcept;
 
   static std::size_t bucket_of(std::uint64_t sample) noexcept {
     std::size_t width = 0;
@@ -103,7 +83,7 @@ class Histogram {
 /// A fourth category, *advisory* counters, sits between the two: integer
 /// event counts that are deterministic for a fixed configuration but vary
 /// legitimately across configurations that must stay report-equivalent
-/// (detector substrate choice, --prescreen mode, jobs value). Like wall
+/// (--prescreen mode, jobs value). Like wall
 /// clocks they are excluded from serialize()/json() so CI can byte-diff the
 /// behavioral snapshot across those configurations; advisory_json() renders
 /// them into the manifest's environment section.
@@ -111,32 +91,30 @@ class WallClock {
  public:
   void add(double seconds) noexcept;
   double seconds() const noexcept;
-  void reset() noexcept { nanos_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> nanos_{0};  ///< integral ns: atomic + exact sum
 };
 
 /// Name → metric registry. Accessors register on first use and return
-/// stable references (entries are never removed by reset()). A name is
-/// bound to one kind for the registry's lifetime; re-requesting it with a
-/// different kind throws std::logic_error (programmer error).
+/// references that stay valid until reset(). Until then a name is bound to
+/// one kind; re-requesting it with a different kind throws
+/// std::logic_error (programmer error).
 class MetricsRegistry {
  public:
   static MetricsRegistry& global();
 
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
   WallClock& wall_clock(std::string_view name);
 
   /// Advisory counter: deterministic per configuration but excluded from
   /// the behavioral snapshot (see the class comment). Distinct namespace
-  /// from counter(): a name is one kind for the registry's lifetime.
+  /// from counter(): a name is one kind until reset().
   Counter& advisory(std::string_view name);
 
-  /// Deterministic behavioral snapshot: one line per counter/gauge/
-  /// histogram, sorted by name; wall-clock metrics excluded.
+  /// Deterministic behavioral snapshot: one line per counter/histogram,
+  /// sorted by name; wall-clock metrics excluded.
   std::string serialize() const;
 
   /// Behavioral snapshot as a JSON object (same exclusions as serialize()).
@@ -148,20 +126,16 @@ class MetricsRegistry {
   /// Advisory counters as a JSON object (manifest environment section).
   std::string advisory_json() const;
 
-  /// Zeroes every value; registrations (names, kinds) are kept so a
-  /// reset-run-serialize sequence is reproducible.
+  /// Drops every registration, so the registry is as a fresh process sees
+  /// it: a reset-run-serialize sequence renders only the names that run
+  /// registered. References returned earlier dangle after this.
   void reset();
 
-  /// Drops every registration. Tests only: references returned earlier
-  /// dangle after this.
-  void clear_for_test();
-
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kWallClock, kAdvisory };
+  enum class Kind { kCounter, kHistogram, kWallClock, kAdvisory };
   struct Entry {
     Kind kind;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
     std::unique_ptr<WallClock> wall;
   };

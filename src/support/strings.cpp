@@ -1,6 +1,7 @@
 #include "support/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <limits>
@@ -66,6 +67,12 @@ std::string str_format(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+std::string exact_double(double value) {
+  char buffer[32];
+  const auto end = std::to_chars(buffer, buffer + sizeof buffer, value).ptr;
+  return std::string(buffer, end);
 }
 
 bool parse_int64(std::string_view text, std::int64_t& out) noexcept {

@@ -26,6 +26,11 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// printf-style formatting into a std::string.
 std::string str_format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// Shortest decimal text that parses back to exactly `value` ("0",
+/// "0.25", "1e-07"): unlike a fixed-precision format it never folds two
+/// distinct values into one spelling.
+std::string exact_double(double value);
+
 /// Parses a signed 64-bit integer (decimal, optional leading '-').
 /// Returns false on malformed input or overflow.
 bool parse_int64(std::string_view text, std::int64_t& out) noexcept;

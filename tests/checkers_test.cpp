@@ -742,7 +742,7 @@ TEST(CheckerPipelineTest, OutputIsByteIdenticalAcrossJobs) {
   std::string baseline_serialized;
   std::string baseline_sarif;
   for (const unsigned jobs : {1u, 4u}) {
-    support::metrics().clear_for_test();
+    support::metrics().reset();
     core::PipelineOptions options;
     options.jobs = jobs;
     options.checkers = all_checkers();
@@ -771,14 +771,14 @@ TEST(CheckerPipelineTest, OutputIsByteIdenticalAcrossJobs) {
       EXPECT_EQ(sarif, baseline_sarif);
     }
   }
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 TEST(CheckerPipelineTest, OffModeLeavesOutputWithoutCheckerSections) {
   // With the suite off (the default), nothing checker-shaped may appear in
   // any rendered form — the byte-identity-to-seed guarantee the CI gate
   // enforces end to end.
-  support::metrics().clear_for_test();
+  support::metrics().reset();
   auto m = load_example("lock_cycle.mir");
   core::PipelineOptions options;
   options.jobs = 1;
@@ -795,11 +795,11 @@ TEST(CheckerPipelineTest, OffModeLeavesOutputWithoutCheckerSections) {
   }
   EXPECT_EQ(support::metrics().serialize().find("checker"),
             std::string::npos);
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 TEST(CheckerPipelineTest, InjectedCheckerFaultDegradesNotDies) {
-  support::metrics().clear_for_test();
+  support::metrics().reset();
   auto m = load_example("lock_cycle.mir");
   support::FaultInjector injector(1);
   support::FaultPlan plan;
@@ -825,7 +825,7 @@ TEST(CheckerPipelineTest, InjectedCheckerFaultDegradesNotDies) {
             support::PipelineStage::kCheckers);
   EXPECT_TRUE(result.store.has_stage(core::Stage::kRawDetection));
   EXPECT_TRUE(result.store.has_stage(core::Stage::kAfterRaceVerifier));
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 //  - TraceCollectorTest: span recording, nesting containment on one
 //    thread, per-thread attribution under a ThreadPool, Chrome trace JSON
 //    shape, and the disabled-collector fast path.
-//  - MetricsRegistryTest: counter/gauge/histogram semantics, the
-//    deterministic serialize() contract (sorted, wall-clock excluded),
-//    and kind-collision detection.
+//  - MetricsRegistryTest: counter/histogram semantics, the deterministic
+//    serialize() contract (sorted, wall-clock excluded), reset() as a
+//    fresh registry, and kind-collision detection.
 //  - RunManifestTest: manifest shape, determinism across identical runs
 //    and across jobs values (the CI differential gate's claim), and the
 //    owl_cli end-to-end path exercised via Pipeline::run_many.
@@ -156,13 +156,13 @@ TEST(TraceCollectorTest, ClearDropsEventsKeepsRecording) {
 
 // --------------------------------------------------------------------------
 // MetricsRegistryTest — on the global registry (the pipeline's sink), so
-// every test starts from clear_for_test() to stay order-independent.
+// every test starts from reset() to stay order-independent.
 // --------------------------------------------------------------------------
 
 class MetricsRegistryTest : public ::testing::Test {
  protected:
-  void SetUp() override { support::metrics().clear_for_test(); }
-  void TearDown() override { support::metrics().clear_for_test(); }
+  void SetUp() override { support::metrics().reset(); }
+  void TearDown() override { support::metrics().reset(); }
 };
 
 TEST_F(MetricsRegistryTest, CounterAccumulates) {
@@ -182,7 +182,7 @@ TEST_F(MetricsRegistryTest, AccessorsReturnStableReferences) {
 TEST_F(MetricsRegistryTest, KindCollisionThrows) {
   support::MetricsRegistry& registry = support::metrics();
   registry.counter("name");
-  EXPECT_THROW(registry.gauge("name"), std::logic_error);
+  EXPECT_THROW(registry.histogram("name"), std::logic_error);
 }
 
 TEST_F(MetricsRegistryTest, HistogramBucketsByBitWidth) {
@@ -205,7 +205,7 @@ TEST_F(MetricsRegistryTest, SerializeIsSortedAndDeterministic) {
   support::MetricsRegistry& registry = support::metrics();
   registry.counter("z.last").inc(2);
   registry.counter("a.first").inc();
-  registry.gauge("m.middle").set(-3);
+  registry.histogram("m.middle").observe(3);
   const std::string first = registry.serialize();
   const std::string second = registry.serialize();
   EXPECT_EQ(first, second);
@@ -227,15 +227,22 @@ TEST_F(MetricsRegistryTest, SerializeExcludesWallClock) {
   EXPECT_EQ(registry.json().find("elapsed"), std::string::npos);
 }
 
-TEST_F(MetricsRegistryTest, ResetZeroesValuesKeepsRegistrations) {
+// reset() is a fresh registry: names a previous run registered do not
+// linger at zero in the next run's snapshot (a daemon's manifests would
+// otherwise depend on the requests it served before), and a name may come
+// back as another kind.
+TEST_F(MetricsRegistryTest, ResetDropsRegistrations) {
   support::MetricsRegistry& registry = support::metrics();
-  registry.counter("kept").inc(9);
-  const std::string populated = registry.serialize();
+  registry.counter("dropped").inc(9);
+  registry.advisory("dropped.advisory").inc();
+  registry.wall_clock("dropped.wall").add(0.5);
   registry.reset();
-  const std::string zeroed = registry.serialize();
-  EXPECT_NE(populated, zeroed);
-  EXPECT_NE(zeroed.find("kept"), std::string::npos);
-  EXPECT_EQ(registry.counter("kept").value(), 0u);
+  EXPECT_EQ(registry.serialize(), "");
+  EXPECT_EQ(registry.json(), "{}");
+  EXPECT_EQ(registry.advisory_json(), "{}");
+  EXPECT_EQ(registry.wall_json(), "{}");
+  EXPECT_NO_THROW(registry.histogram("dropped").observe(1));
+  EXPECT_EQ(registry.serialize(), "histogram dropped count=1 sum=1 b1:1\n");
 }
 
 TEST_F(MetricsRegistryTest, ConcurrentFlushesSumExactly) {
@@ -303,7 +310,7 @@ entry:
 /// Renders the manifest for a fresh run of `jobs` workers over two racy
 /// targets, resetting global state first so runs are comparable.
 std::string manifest_for_run(unsigned jobs) {
-  support::metrics().clear_for_test();
+  support::metrics().reset();
   auto m1 = parse_ok(steady_race("alpha"));
   auto m2 = parse_ok(steady_race("beta"));
   std::vector<core::PipelineTarget> targets{target_for(m1, 11),
@@ -361,7 +368,32 @@ TEST(RunManifestTest, MetricSnapshotIsInvariantAcrossJobsValues) {
   EXPECT_EQ(sequential.find("detector.accesses"), std::string::npos);
   EXPECT_NE(support::metrics().advisory_json().find("detector.accesses"),
             std::string::npos);
-  support::metrics().clear_for_test();
+  support::metrics().reset();
+}
+
+// The options block echoes what a run was asked to do, so a sub-millisecond
+// stage deadline must read back as itself, never as the unlimited "0".
+TEST(RunManifestTest, OptionsRecordStageDeadlineExactly) {
+  core::PipelineOptions options;
+  const auto options_line = [&options] {
+    const std::string manifest = core::render_manifest("test", options, {}, {});
+    const std::size_t begin = manifest.find(" \"options\":");
+    return manifest.substr(begin, manifest.find('\n', begin) - begin);
+  };
+  EXPECT_EQ(options_line(),
+            " \"options\":{\"enable_adhoc_annotation\":\"true\","
+            "\"enable_race_verifier\":\"true\","
+            "\"enable_vuln_verifier\":\"true\","
+            "\"race_verifier_attempts\":\"3\","
+            "\"analyzer_mode\":\"directed\",\"retries\":\"2\","
+            "\"stage_deadline_seconds\":\"0\","
+            "\"fault_injection\":\"false\"},");
+  options.stage_budgets = core::StageBudgets::uniform_wall(0.0004);
+  EXPECT_NE(options_line().find("\"stage_deadline_seconds\":\"4e-04\""),
+            std::string::npos);
+  options.stage_budgets = core::StageBudgets::uniform_wall(1e-7);
+  EXPECT_NE(options_line().find("\"stage_deadline_seconds\":\"1e-07\""),
+            std::string::npos);
 }
 
 TEST(RunManifestTest, WriteManifestReportsIoFailure) {

@@ -416,7 +416,7 @@ core::PipelineTarget target_for(const std::shared_ptr<ir::Module>& m) {
 
 core::PipelineResult run_one(const std::shared_ptr<ir::Module>& m,
                              PredictMode mode, unsigned jobs = 1) {
-  support::metrics().clear_for_test();
+  support::metrics().reset();
   core::PipelineOptions options;
   options.jobs = jobs;
   options.predict = mode;
@@ -481,7 +481,7 @@ TEST(PredictPipelineTest, AuditAgreesWithExhaustiveOnEveryExample) {
       EXPECT_EQ(on.counts.remaining, off.counts.remaining) << path.filename();
     }
   }
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 TEST(PredictPipelineTest, PipelineIsByteIdenticalAcrossJobsInEveryMode) {
@@ -493,7 +493,7 @@ TEST(PredictPipelineTest, PipelineIsByteIdenticalAcrossJobsInEveryMode) {
        {PredictMode::kOff, PredictMode::kOn, PredictMode::kAudit}) {
     std::string baseline;
     for (const unsigned jobs : {1u, 4u}) {
-      support::metrics().clear_for_test();
+      support::metrics().reset();
       core::PipelineOptions options;
       options.jobs = jobs;
       options.predict = mode;
@@ -511,7 +511,7 @@ TEST(PredictPipelineTest, PipelineIsByteIdenticalAcrossJobsInEveryMode) {
       }
     }
   }
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 TEST(PredictPipelineTest, PredictionSlashesVerifierWorkOnGuardedExamples) {
@@ -537,7 +537,7 @@ TEST(PredictPipelineTest, PredictionSlashesVerifierWorkOnGuardedExamples) {
               0u)
         << name;
   }
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 TEST(PredictPipelineTest, PredictedOnlyRaceIsFoundAndReplayConfirmed) {
@@ -554,7 +554,7 @@ TEST(PredictPipelineTest, PredictedOnlyRaceIsFoundAndReplayConfirmed) {
   EXPECT_TRUE(survivors[0].verified);
   EXPECT_EQ(survivors[0].object_name, "stat");
   EXPECT_EQ(on.counts.predict_new_confirmed, 1u);
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 // --predict is not yet sound on the paper workloads (ROADMAP open item 2):
@@ -566,7 +566,7 @@ TEST(PredictPipelineTest, WorkloadAuditViolationsExitThree) {
   const workloads::Workload chrome = workloads::make_chrome();
   core::PipelineOptions options = chrome.pipeline_options();
   options.predict = PredictMode::kAudit;
-  support::metrics().clear_for_test();
+  support::metrics().reset();
   const core::PipelineResult result =
       core::Pipeline(options).run(chrome.target(1));
   EXPECT_EQ(result.audit.predict, 2u);
@@ -580,7 +580,7 @@ TEST(PredictPipelineTest, WorkloadAuditViolationsExitThree) {
   EXPECT_EQ(error,
             "owl_cli: predict audit: 2 verified race(s) the SP-closure "
             "wrongly called infeasible\n");
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 }  // namespace

@@ -390,7 +390,7 @@ TEST(PrescreenTest, PipelineBehaviorIsIdenticalAcrossModesAndJobs) {
     for (const race::PrescreenMode mode :
          {race::PrescreenMode::kOff, race::PrescreenMode::kOn,
           race::PrescreenMode::kAudit}) {
-      support::metrics().clear_for_test();
+      support::metrics().reset();
       core::PipelineOptions options;
       options.jobs = jobs;
       options.prescreen = mode;
@@ -422,7 +422,7 @@ TEST(PrescreenTest, PipelineBehaviorIsIdenticalAcrossModesAndJobs) {
       }
     }
   }
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 }  // namespace

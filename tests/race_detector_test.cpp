@@ -5,7 +5,6 @@
 #include "interp/machine.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
-#include "race/ski_detector.hpp"
 #include "race/tsan_detector.hpp"
 
 namespace owl::race {
@@ -380,22 +379,6 @@ TEST(MergeTest, KeepsDistinctPairs) {
   auto m2 = parse_ok(kPlainRace);
   merge_reports(merged, detect(*m2, nullptr, 1));
   EXPECT_EQ(merged.size(), 2u);
-}
-
-TEST(ExploreTest, SweepsSchedulesAndMerges) {
-  auto m = parse_ok(kPlainRace);
-  const MachineFactory factory = [&m] {
-    auto machine = std::make_unique<interp::Machine>(*m,
-                                                     interp::MachineOptions{});
-    machine->start(m->find_function("main"));
-    return machine;
-  };
-  const ScheduleExplorationResult result =
-      explore_schedules(factory, /*num_schedules=*/6, /*base_seed=*/10);
-  EXPECT_EQ(result.schedules_run, 6u);
-  EXPECT_GE(result.schedules_with_races, 1u);
-  ASSERT_EQ(result.reports.size(), 1u);
-  EXPECT_GT(result.total_steps, 0u);
 }
 
 TEST(ReportTest, KeyIsUnorderedPair) {

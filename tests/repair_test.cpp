@@ -307,7 +307,7 @@ TEST(RepairEngineTest, RepairsTheLostUpdateExample) {
   // The patch parses, verifies, and is already canonical.
   auto fixed = parse_ok(repair.patched_text);
   EXPECT_EQ(ir::print_module(*fixed), repair.patched_text);
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 TEST(RepairEngineTest, GatesRejectADeadlockingCandidate) {
@@ -350,7 +350,7 @@ entry:
   EXPECT_GE(repair.candidates_tried, 1u);
   EXPECT_FALSE(repair.gate_output_equal);
   EXPECT_TRUE(repair.patched_text.empty());
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 TEST(RepairEngineTest, NoRacesShortCircuits) {
@@ -361,7 +361,7 @@ TEST(RepairEngineTest, NoRacesShortCircuits) {
   EXPECT_TRUE(results[0].counts.repair_ran);
   EXPECT_EQ(results[0].repair.status, "no_races");
   EXPECT_EQ(results[0].repair.candidates_tried, 0u);
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 TEST(RepairEngineTest, MissingModuleFactoryDegradesTheStage) {
@@ -378,7 +378,7 @@ TEST(RepairEngineTest, MissingModuleFactoryDegradesTheStage) {
   ASSERT_FALSE(results[0].counts.failures.empty());
   EXPECT_EQ(results[0].counts.failures[0].stage,
             support::PipelineStage::kRepair);
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 // --- byte-identity ---------------------------------------------------------
@@ -403,7 +403,7 @@ TEST(RepairPipelineTest, JobsOneVersusFourIsByteIdentical) {
       rendered[i] += core::render_cli_summary(result);
       rendered[i] += core::render_cli_details(result, true);
     }
-    support::metrics().clear_for_test();
+    support::metrics().reset();
   }
   EXPECT_EQ(rendered[0], rendered[1]);
 }
@@ -426,7 +426,7 @@ TEST(RepairPipelineTest, OffModeNeverMentionsRepair) {
   }
   EXPECT_EQ(support::metrics().serialize().find("repair"),
             std::string::npos);
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 // --- fault injection -------------------------------------------------------
@@ -454,7 +454,7 @@ TEST(RepairFaultTest, InjectedThrowDegradesNotDies) {
             support::FailureCause::kException);
   // The verified races from the earlier stages survive degradation.
   EXPECT_GT(result.counts.remaining, 0u);
-  support::metrics().clear_for_test();
+  support::metrics().reset();
 }
 
 }  // namespace

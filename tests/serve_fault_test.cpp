@@ -145,6 +145,29 @@ TEST(ServeExecutorTest, RerunsAreByteIdentical) {
   EXPECT_EQ(again.exit_code, first.exit_code);
 }
 
+// A degraded request registers pipeline.failures.<stage> counters. The
+// next request's manifest must not carry them at zero: a fresh process
+// never prints those keys, so the daemon's manifest_sha would depend on the
+// requests it served before.
+TEST(ServeExecutorTest, DegradedRequestLeavesNoStaleManifestKeys) {
+  Executor executor;
+  AnalysisOptions options;
+  const ExecResult first = executor.run(kModule, "lost_update", options);
+  ASSERT_TRUE(first.ran_pipeline);
+  EXPECT_EQ(first.manifest.find("pipeline.failures."), std::string::npos);
+
+  AnalysisOptions deadline = options;
+  deadline.stage_deadline = 1e-7;
+  const ExecResult degraded = executor.run(kModule, "lost_update", deadline);
+  ASSERT_TRUE(degraded.degraded);
+  EXPECT_NE(degraded.manifest.find("\"pipeline.failures.detection\":1"),
+            std::string::npos);
+
+  const ExecResult again = executor.run(kModule, "lost_update", options);
+  EXPECT_EQ(again.manifest, first.manifest);
+  EXPECT_EQ(again.output, first.output);
+}
+
 TEST(ServeExecutorTest, JobsDoNotChangeBytes) {
   Executor executor;
   AnalysisOptions options;

@@ -155,7 +155,7 @@ TEST(ProtocolTest, ParsesOptionsAndOps) {
   ASSERT_TRUE(parse_request(
                   R"({"op":"analyze","id":"r9","client":"ci",)"
                   R"("module_text":"module m\n","name":"m",)"
-                  R"("options":{"detector":"ski","detector_impl":"reference",)"
+                  R"("options":{"detector":"ski",)"
                   R"("schedules":7,"seed":42,"jobs":4,"quiet":true,)"
                   R"("inputs":[1,-2,3]}})",
                   request)
@@ -163,7 +163,6 @@ TEST(ProtocolTest, ParsesOptionsAndOps) {
   EXPECT_EQ(request.id, "r9");
   EXPECT_EQ(request.display_name(), "m");
   EXPECT_EQ(request.options.detector, core::DetectorKind::kSki);
-  EXPECT_EQ(request.options.detector_impl, race::DetectorImpl::kReference);
   EXPECT_EQ(request.options.schedules, 7u);
   EXPECT_EQ(request.options.seed, 42u);
   EXPECT_EQ(request.options.jobs, 4u);
@@ -188,6 +187,12 @@ TEST(ProtocolTest, StrictnessRejectsWrongShapes) {
       parse_request(R"({"module_path":"a","options":{"shedules":4}})",
                     request)
           .is_ok());
+  // The detection substrate is no longer an option (one substrate ships).
+  EXPECT_EQ(parse_request(
+                R"({"module_path":"a","options":{"detector_impl":"fast"}})",
+                request)
+                .message(),
+            "unknown option \"detector_impl\"");
   // Exactly one of module_path/module_text.
   EXPECT_FALSE(parse_request(R"({"op":"analyze"})", request).is_ok());
   EXPECT_FALSE(
@@ -283,12 +288,12 @@ TEST(ProtocolTest, CanonicalBlobSeparatesCheckerAndSarifOptions) {
 }
 
 // The cache key hashes these exact bytes: a change to any line silently
-// re-keys every cached entry, so the v6 format is pinned for the default
+// re-keys every cached entry, so the v7 format is pinned for the default
 // request and for a request with every field away from its default.
-TEST(ProtocolTest, CanonicalBlobV6BytesArePinned) {
+TEST(ProtocolTest, CanonicalBlobV7BytesArePinned) {
   EXPECT_EQ(AnalysisOptions().canonical_blob("m"),
-            "owl-options-v6\nname=m\nentry=main\ninputs=\nexploit_inputs=\n"
-            "detector=tsan\ndetector_impl=fast\nprescreen=off\npredict=off\n"
+            "owl-options-v7\nname=m\nentry=main\ninputs=\nexploit_inputs=\n"
+            "detector=tsan\nprescreen=off\npredict=off\n"
             "vuln_flow=off\nschedules=4\nseed=1\nmax_steps=400000\nadhoc=1\n"
             "race_verifier=1\nvuln_verifier=1\nwhole_program=0\n"
             "print_module=0\nprint_reports=0\nquiet=0\nstage_deadline=0\n"
@@ -299,7 +304,6 @@ TEST(ProtocolTest, CanonicalBlobV6BytesArePinned) {
   all.inputs = {3, -1};
   all.exploit_inputs = {7};
   all.detector = core::DetectorKind::kSki;
-  all.detector_impl = race::DetectorImpl::kReference;
   all.prescreen = support::AuditMode::kAudit;
   all.predict = support::AuditMode::kOn;
   all.vuln_flow = support::AuditMode::kAudit;
@@ -321,8 +325,8 @@ TEST(ProtocolTest, CanonicalBlobV6BytesArePinned) {
   all.sarif = true;
   all.repair = true;
   EXPECT_EQ(all.canonical_blob("dir/x.mir"),
-            "owl-options-v6\nname=dir/x.mir\nentry=start\ninputs=3,-1\n"
-            "exploit_inputs=7\ndetector=ski\ndetector_impl=reference\n"
+            "owl-options-v7\nname=dir/x.mir\nentry=start\ninputs=3,-1\n"
+            "exploit_inputs=7\ndetector=ski\n"
             "prescreen=audit\npredict=on\nvuln_flow=audit\nschedules=9\n"
             "seed=42\nmax_steps=1000\nadhoc=0\nrace_verifier=0\n"
             "vuln_verifier=0\nwhole_program=1\nprint_module=1\n"

@@ -4,7 +4,10 @@
 // Table 4: subtle inputs trigger within ~20 repetitions).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ir/verifier.hpp"
+#include "support/metrics.hpp"
 #include "workloads/registry.hpp"
 
 namespace owl::workloads {
@@ -140,6 +143,30 @@ TEST(RegistryTest, NoiseScaleGrowsReportVolume) {
 
 // The Libsafe end-to-end story from the paper's §4.3 walkthrough: the
 // confirmed attack's artifacts are exactly the published ones.
+// The audits that hold must hold on the paper models, not only on the
+// examples: with prescreen and vuln-flow in audit mode, every model at
+// noise scales 1 and 2 counts zero soundness violations. (Predict audit is
+// known to fire on the models; PredictPipelineTest.
+// WorkloadAuditViolationsExitThree pins that.)
+TEST(WorkloadAuditTest, PrescreenAndVulnFlowAuditsHoldOnPaperModels) {
+  std::size_t raw_reports = 0;
+  for (const int scale : {1, 2}) {
+    for (const Workload& w : make_all({static_cast<double>(scale)})) {
+      core::PipelineOptions options = w.pipeline_options();
+      options.prescreen = race::PrescreenMode::kAudit;
+      options.vuln_flow = analysis::ValueFlowMode::kAudit;
+      const core::PipelineResult result =
+          core::Pipeline(options).run(w.target(/*seed=*/1));
+      const std::string where = w.name + " at scale " + std::to_string(scale);
+      EXPECT_EQ(result.audit.prescreen, 0u) << where;
+      EXPECT_EQ(result.audit.vuln_flow, 0u) << where;
+      raw_reports += result.counts.raw_reports;
+    }
+  }
+  EXPECT_GT(raw_reports, 0u);
+  support::metrics().reset();
+}
+
 TEST(LibsafeStory, MatchesPaperWalkthrough) {
   const Workload w = make_libsafe(test_profile());
   const core::PipelineResult result = run_pipeline(w);

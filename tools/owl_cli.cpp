@@ -18,10 +18,6 @@
 //   --exploit-inputs a,b,c inputs for the vulnerability verifier re-runs
 //                          (default: same as --inputs)
 //   --detector tsan|ski|atomicity   front-end detector (default: tsan)
-//   --detector-impl fast|reference  detection-substrate implementation:
-//                          the paged-shadow/epoch fast path (default) or
-//                          the original hash-map substrate; both emit
-//                          byte-identical reports (CI diffs them)
 //   --prescreen MODE       static may-race prescreen: off (default), on
 //                          (skip shadow work for statically race-free
 //                          accesses), or audit (full detection plus
@@ -138,7 +134,6 @@ void usage() {
                "usage: owl_cli <program.mir> [more.mir ...]\n"
                "       [--entry main] [--inputs a,b,c] [--jobs N] [--timings]\n"
                "       [--detector tsan|ski|atomicity] [--schedules N]\n"
-               "       [--detector-impl fast|reference]\n"
                "       [--prescreen off|on|audit] [--predict off|on|audit]\n"
                "       [--vuln-flow off|on|audit]\n"
                "       [--seed S] [--max-steps N] [--no-adhoc]\n"
@@ -212,8 +207,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       ok = v != nullptr && parse_word_list(v, request.exploit_inputs);
     } else if (flag("--detector")) {
       ok = named(request.detector);
-    } else if (flag("--detector-impl")) {
-      ok = named(request.detector_impl);
     } else if (flag("--prescreen", true)) {
       ok = named(request.prescreen);
     } else if (flag("--predict", true)) {
