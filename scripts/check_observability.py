@@ -6,12 +6,15 @@
 Checks (ctest: owl_cli_observability; also usable standalone):
   - the trace is valid Chrome trace_event JSON whose spans cover every
     Fig. 3 stage plus the per-target envelope;
+  - the --timings table in stdout is a view of that trace: one row per
+    span name, each row's count equal to the trace's events of that name;
   - the manifest is valid owl-manifest-v1 JSON and each target's
     StageCounts match the numbers owl_cli printed for that target;
   - the metrics snapshot is non-empty, sorted, and its pipeline.* report
     counters equal the summed stdout numbers.
 """
 
+import collections
 import json
 import re
 import sys
@@ -57,6 +60,23 @@ def parse_stdout(path):
     return targets
 
 
+def parse_timings(path):
+    """--timings span name -> count, from the table owl_cli printed."""
+    rows = {}
+    in_table = False
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("--- per-stage timings"):
+                in_table = True
+                continue
+            row = re.match(r"^  (\S+)\s+count\s+(\d+)\s+total", line)
+            if in_table and row:
+                if row.group(1) in rows:
+                    fail(f"--timings repeats the row {row.group(1)}")
+                rows[row.group(1)] = int(row.group(2))
+    return rows
+
+
 def main():
     if len(sys.argv) != 5:
         fail(__doc__.strip().splitlines()[2].strip())
@@ -74,6 +94,17 @@ def main():
     missing = FIG3_SPANS - {e["name"] for e in events}
     if missing:
         fail(f"trace missing Fig. 3 spans: {sorted(missing)}")
+
+    # --- --timings vs trace ---
+    timings = parse_timings(stdout_path)
+    if not timings:
+        fail("no --timings rows found in stdout")
+    span_counts = dict(collections.Counter(e["name"] for e in events))
+    if timings != span_counts:
+        fail(
+            f"--timings rows {timings} disagree with the trace's span "
+            f"counts {span_counts}"
+        )
 
     # --- manifest vs stdout ---
     with open(manifest_path, "r", encoding="utf-8") as f:
@@ -130,7 +161,10 @@ def main():
             f"but stdout shows {len(printed)} targets"
         )
 
-    print("check_observability.py: trace/manifest/metrics agree with stdout")
+    print(
+        "check_observability.py: trace/timings/manifest/metrics agree with "
+        "stdout"
+    )
     return 0
 
 

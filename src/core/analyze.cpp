@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "core/manifest.hpp"
 #include "core/render.hpp"
@@ -134,6 +135,20 @@ bool parse_field(std::string_view text, support::AuditMode& out) noexcept {
   return support::parse_audit_mode(text, out);
 }
 
+bool set_integer_field(AnalysisRequest& request, std::string_view name,
+                       std::int64_t value) {
+  bool ok = false;
+  AnalysisRequest::for_each_field(
+      request, [&](std::string_view field, auto& member, IntRange range = {}) {
+        using Member = std::remove_reference_t<decltype(member)>;
+        if constexpr (std::is_integral_v<Member> &&
+                      !std::is_same_v<Member, bool>) {
+          if (field == name) ok = range.assign(member, value);
+        }
+      });
+  return ok;
+}
+
 bool read_module_file(const std::string& path, std::string& text,
                       std::string& error) {
   std::ifstream file(path);
@@ -149,8 +164,7 @@ bool read_module_file(const std::string& path, std::string& text,
 
 AnalysisOutcome analyze(const std::vector<ModuleSource>& sources,
                         const AnalysisRequest& request,
-                        support::FaultInjector* faults,
-                        StageTimings* timings) {
+                        support::FaultInjector* faults) {
   AnalysisOutcome outcome;
   const auto load_failure = [&outcome](int exit_code, std::string error) {
     outcome.exit_code = exit_code;
@@ -217,7 +231,6 @@ AnalysisOutcome analyze(const std::vector<ModuleSource>& sources,
   }
 
   PipelineOptions options = pipeline_options(request);
-  options.stage_timings = timings;
   if (faults != nullptr && !faults->empty()) options.fault_injector = faults;
   // Several targets fan out across the workers; one target buys wall-clock
   // through the race verifier's schedule-exploration sharding instead.

@@ -24,11 +24,19 @@
 
 namespace owl::core {
 
-/// Accepted range of an integer request field (the serve protocol rejects
-/// values outside it).
+/// Accepted range of an integer request field: owl_cli's flags and the
+/// serve protocol's options both reject values outside it.
 struct IntRange {
   std::int64_t min = 0;
   std::int64_t max = std::numeric_limits<std::int64_t>::max();
+
+  /// Stores `value` in `out` if the range admits it; false otherwise.
+  template <typename Int>
+  bool assign(Int& out, std::int64_t value) const {
+    if (value < min || value > max) return false;
+    out = static_cast<Int>(value);
+    return true;
+  }
 };
 
 /// The analysis-behavioral owl_cli flags, which are also the owl_served
@@ -115,6 +123,11 @@ struct AnalysisRequest {
 bool parse_field(std::string_view text, DetectorKind& out) noexcept;
 bool parse_field(std::string_view text, support::AuditMode& out) noexcept;
 
+/// Sets the integer field with wire name `name` to `value` through its
+/// IntRange (owl_cli's integer flags); false when out of range.
+bool set_integer_field(AnalysisRequest& request, std::string_view name,
+                       std::int64_t value);
+
 /// One program to analyze.
 struct ModuleSource {
   std::string name;                 ///< display name (owl_cli prints the path)
@@ -143,11 +156,10 @@ bool read_module_file(const std::string& path, std::string& text,
 /// Loads every source in order (the first failure ends the run with its
 /// exit code), audits them as one sweep and renders the results. Never
 /// throws for a bad module. `faults` (optional, not owned) injects pipeline
-/// faults; `timings` (optional, not owned) collects --timings.
+/// faults.
 AnalysisOutcome analyze(const std::vector<ModuleSource>& sources,
                         const AnalysisRequest& request,
-                        support::FaultInjector* faults = nullptr,
-                        StageTimings* timings = nullptr);
+                        support::FaultInjector* faults = nullptr);
 
 /// The exit-3 decision: appends one owl_cli stderr line to `error` per
 /// audit kind with violations summed over `results`; 3 if any, else 0.

@@ -19,9 +19,9 @@ std::string kv_json(const ManifestKv& kv) {
   return out;
 }
 
-/// StageCounts as JSON, wall-clock excluded: avg_analysis_seconds and each
-/// FailureRecord's wall_seconds vary run to run even when behavior is
-/// identical, so they are not part of the diffable body.
+/// StageCounts as JSON, wall-clock excluded: avg_analysis_seconds varies
+/// run to run even when behavior is identical, so it is not part of the
+/// diffable body.
 std::string counts_json(const StageCounts& counts) {
   std::string out = str_format(
       "{\"raw_reports\":%zu,\"adhoc_syncs\":%zu,\"after_annotation\":%zu,"
@@ -111,7 +111,6 @@ std::string render_manifest(const std::string& tool, const ManifestKv& options,
   }
   out += " \"environment\":{";
   out += "\"total_seconds\":" + str_format("%.6f", total_seconds);
-  out += ",\"wall_metrics\":" + registry.wall_json();
   out += ",\"advisory_metrics\":" + registry.advisory_json();
   for (const auto& [key, value] : environment) {
     out += "," + json_quote(key) + ":" + json_quote(value);

@@ -73,14 +73,12 @@ static_assert(analysis::kSafeConstantLimit ==
 
 void record_failure(StageCounts& counts, PipelineStage stage,
                     FailureCause cause, std::string detail,
-                    std::uint64_t steps_spent = 0, double wall_seconds = 0.0,
-                    unsigned retries = 0) {
+                    std::uint64_t steps_spent = 0, unsigned retries = 0) {
   support::FailureRecord record;
   record.stage = stage;
   record.cause = cause;
   record.detail = std::move(detail);
   record.steps_spent = steps_spent;
-  record.wall_seconds = wall_seconds;
   record.retries = retries;
   OWL_LOG(kWarn) << "pipeline stage degraded: " << record.to_string();
   support::metrics()
@@ -115,43 +113,12 @@ bool out_of_budget(const support::Budget& budget, StageCounts& counts,
   if (!cause) return false;
   record_failure(counts, stage, *cause,
                  str_format("%zu of %zu %s", total - done, total, what),
-                 budget.steps_spent(), budget.elapsed_seconds());
+                 budget.steps_spent());
   return true;
 }
 
-/// What one verification item may spend: the stage's remaining steps.
-support::BudgetSpec remaining_steps(const support::Budget& budget) {
-  support::BudgetSpec spec;
-  spec.steps = budget.remaining_steps() == UINT64_MAX
-                   ? 0
-                   : budget.remaining_steps();
-  return spec;
-}
-
-/// Records one stage's wall-clock into the shared (thread-safe) timing
-/// aggregation on scope exit; no-op when timings are not requested.
-class StageTimer {
- public:
-  StageTimer(StageTimings* timings, std::string_view stage)
-      : timings_(timings), stage_(stage),
-        start_(std::chrono::steady_clock::now()) {}
-  ~StageTimer() {
-    if (timings_ == nullptr) return;
-    timings_->record(stage_, std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - start_)
-                                 .count());
-  }
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
- private:
-  StageTimings* timings_;
-  std::string_view stage_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// The envelope every stage of Pipeline::run executes in: its trace span
-/// and --timings timer, the fault injector's stage context, and the
+/// (which --timings reads too), the fault injector's stage context, and the
 /// maybe_throw probe whose exception degrades the stage into a
 /// FailureRecord instead of sinking the target.
 class StageRunner {
@@ -160,11 +127,10 @@ class StageRunner {
               StageCounts& counts)
       : options_(options), target_(target), counts_(counts) {}
 
-  /// Runs `body` inside the span and timer named `name`; returns its value.
+  /// Runs `body` inside the span named `name`; returns its value.
   template <typename Body>
   decltype(auto) timed(std::string_view name, Body&& body) const {
     TRACE_SPAN(name, target_);
-    const StageTimer timer(options_.stage_timings, name);
     return body();
   }
 
@@ -226,7 +192,7 @@ class StageRunner {
     const unsigned attempts = options_.retry.max_attempts();
     const std::optional<std::string> error = attempt_item(attempts, body);
     if (error.has_value() && !failure_recorded) {
-      record_failure(counts_, stage, FailureCause::kException, *error, 0, 0.0,
+      record_failure(counts_, stage, FailureCause::kException, *error, 0,
                      attempts - 1);
       failure_recorded = true;
     }
@@ -344,8 +310,7 @@ std::optional<std::vector<race::RaceReport>> Pipeline::detect(
       if (attempt + 1 >= retry.max_attempts()) {
         record_failure(counts, PipelineStage::kDetection,
                        FailureCause::kException, error.what(),
-                       budget.steps_spent(), budget.elapsed_seconds(),
-                       attempt);
+                       budget.steps_spent(), attempt);
         counts.retries_used += attempt;
         return std::nullopt;
       }
@@ -540,7 +505,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
           }
           break;
         }
-        const support::BudgetSpec per_report = remaining_steps(budget);
         verify::RaceVerifyResult vr;
         const bool ran = stages.retry_item(
             PipelineStage::kRaceVerification, failure_recorded,
@@ -551,10 +515,9 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
                   retry.seed_for(target.seed * 7919 + 13, attempt);
               vopts.fault_injector = injector;
               // Schedule-exploration sharding: the verifier itself falls
-              // back to the sequential loop whenever a budget or the
-              // injector makes attempts order-dependent.
+              // back to the sequential loop whenever the injector makes
+              // attempts order-dependent.
               vopts.pool = options_.verifier_pool;
-              vopts.budget = retry.budget_for(per_report, attempt);
               vr = verify::RaceVerifier(vopts).verify(report, target.factory);
             });
         if (ran) {
@@ -564,7 +527,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
             continue;
           }
           // Cleanly eliminated: the R.V.E. path.
-          if (!vr.livelocked && !vr.budget_exhausted) continue;
+          if (!vr.livelocked) continue;
           ++livelocked;
         }
         if (!report.predicted) {
@@ -578,7 +541,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
             str_format("%zu report(s) livelocked or ran out of budget; %zu "
                        "passed through unverified",
                        livelocked, passed_through),
-            budget.steps_spent(), budget.elapsed_seconds());
+            budget.steps_spent());
       }
     });
     // Elimination is counted against the *detector's* reduced set, so the
@@ -703,7 +666,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
                           pending.size(), "exploit candidates unverified")) {
           break;
         }
-        const support::BudgetSpec per_exploit = remaining_steps(budget);
         verify::VulnVerifyResult vr;
         const bool ran = stages.retry_item(
             PipelineStage::kVulnVerification, failure_recorded,
@@ -714,7 +676,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
                   retry.seed_for(target.seed * 104729 + 7, attempt);
               vopts.thread_order = target.thread_order;
               vopts.fault_injector = injector;
-              vopts.budget = retry.budget_for(per_exploit, attempt);
               vr = verify::VulnVerifier(vopts).verify(
                   candidate.exploit, factory,
                   &final_reports[candidate.report_index]);
@@ -735,7 +696,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
                        FailureCause::kLivelock,
                        str_format("%zu exploit session(s) livelocked",
                                   livelocked),
-                       budget.steps_spent(), budget.elapsed_seconds());
+                       budget.steps_spent());
       }
       OWL_LOG(kInfo) << target.name << ": " << result.attacks.size()
                      << " attack candidates reached their site, "
@@ -772,9 +733,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   result.total_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (options_.stage_timings != nullptr) {
-    options_.stage_timings->record("target-total", result.total_seconds);
-  }
 
   // Behavioral rollup into the global registry — the Table 2/3 column
   // cross-check the manifest snapshot carries. All counters: sums are
@@ -821,7 +779,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   }
   registry.histogram("pipeline.raw_reports_per_target")
       .observe(counts.raw_reports);
-  registry.wall_clock("pipeline.wall_seconds").add(result.total_seconds);
   registry.counter("callgraph.indirect_resolved")
       .inc(module_static.indirect_resolved_edges);
   registry.counter("prescreen.prunable_instructions")

@@ -31,7 +31,6 @@
 #include "support/deadline.hpp"
 #include "support/fault_injector.hpp"
 #include "support/retry.hpp"
-#include "support/stats.hpp"
 #include "support/thread_pool.hpp"
 #include "verify/race_verifier.hpp"
 #include "verify/vuln_verifier.hpp"
@@ -160,9 +159,6 @@ struct PipelineOptions {
   /// does not forward it to its workers (target-level parallelism already
   /// saturates the pool, and two nested fan-outs oversubscribe).
   support::ThreadPool* verifier_pool = nullptr;
-  /// Concurrent-safe per-stage wall-clock aggregation (not owned; may be
-  /// null). Workers from every target record into the same instance.
-  StageTimings* stage_timings = nullptr;
 };
 
 /// Soundness violations the audit modes counted on one target (each zero
@@ -256,8 +252,8 @@ class Pipeline {
 /// jobs=1-vs-jobs=4 gate). Includes everything behavioral — counts,
 /// failure records, every stage's reports, exploit hints, attacks —
 /// and excludes the wall-clock fields (total_seconds,
-/// avg_analysis_seconds, FailureRecord::wall_seconds), which vary run
-/// to run even when behavior is identical.
+/// avg_analysis_seconds), which vary run to run even when behavior is
+/// identical.
 std::string serialize_result(const PipelineResult& result);
 
 }  // namespace owl::core

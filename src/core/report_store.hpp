@@ -64,9 +64,9 @@ struct StageCounts {
   }
 
   /// Canonical text form for differential comparison: every behavioral
-  /// counter and failure record, but no wall-clock fields
-  /// (avg_analysis_seconds, FailureRecord::wall_seconds) — those vary
-  /// run to run even when behavior is identical.
+  /// counter and failure record, but no wall-clock field
+  /// (avg_analysis_seconds) — it varies run to run even when behavior is
+  /// identical.
   std::string serialize() const;
 
   /// Fraction of raw reports pruned before vulnerability analysis.

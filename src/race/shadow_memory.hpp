@@ -7,11 +7,8 @@
 // hash, probe, and node chase. Addresses are byte-keyed exactly like the
 // reference map — two distinct raw addresses never share a slot, so even
 // corrupted unaligned pointers shadow independently and the emitted reports
-// stay identical.
-//
-// Iteration order is explicit (direct pages ascending, then overflow pages
-// ascending, slots ascending within a page) so anything that ever walks the
-// shadow is deterministic by construction.
+// stay identical. Nothing walks the shadow: the detector only looks up the
+// slot of the address being accessed.
 #pragma once
 
 #include <array>
@@ -92,14 +89,6 @@ struct ShadowSlot {
     has_read0 = false;
     more_reads.clear();  // keeps capacity for slot reuse
   }
-
-  void reset() noexcept {
-    write = ShadowCell{};
-    read0 = ShadowCell{};
-    more_reads.clear();
-    has_write = false;
-    has_read0 = false;
-  }
 };
 
 class PagedShadow {
@@ -124,47 +113,6 @@ class PagedShadow {
       ++pages_allocated_;
     }
     return p->slots[addr & kSlotMask];
-  }
-
-  /// Read-only lookup without allocation; nullptr if the page was never
-  /// touched (callers still must check the slot's has_* flags).
-  const ShadowSlot* find_slot(interp::Address addr) const noexcept {
-    const std::uint64_t page = addr >> kPageBits;
-    const Page* p = nullptr;
-    if (page < kDirectPages) {
-      if (page < direct_.size()) p = direct_[page].get();
-    } else if (const auto it = overflow_.find(page); it != overflow_.end()) {
-      p = it->second.get();
-    }
-    return p != nullptr ? &p->slots[addr & kSlotMask] : nullptr;
-  }
-
-  /// Allocated (touched) pages.
-  std::size_t page_count() const noexcept {
-    std::size_t count = overflow_.size();
-    for (const auto& p : direct_) {
-      if (p != nullptr) ++count;
-    }
-    return count;
-  }
-
-  /// Calls `f(addr, slot)` for every active slot (one with a write or a
-  /// read) in the explicit deterministic order: direct pages ascending,
-  /// then overflow pages ascending, slot index ascending within a page.
-  template <typename F>
-  void for_each_active_slot(F&& f) const {
-    const auto visit_page = [&f](std::uint64_t page, const Page& p) {
-      for (std::uint64_t i = 0; i < kPageSlots; ++i) {
-        const ShadowSlot& slot = p.slots[i];
-        if (slot.has_write || slot.has_read0) {
-          f((page << kPageBits) | i, slot);
-        }
-      }
-    };
-    for (std::uint64_t page = 0; page < direct_.size(); ++page) {
-      if (direct_[page] != nullptr) visit_page(page, *direct_[page]);
-    }
-    for (const auto& [page, p] : overflow_) visit_page(page, *p);
   }
 
   /// First-touch page allocations over this shadow's lifetime, kept as a

@@ -41,12 +41,7 @@ bool read_option(const JsonValue& value, double& out, core::IntRange) {
 template <typename Int>
   requires std::is_integral_v<Int>
 bool read_option(const JsonValue& value, Int& out, core::IntRange range) {
-  if (!value.is_int() || value.as_int() < range.min ||
-      value.as_int() > range.max) {
-    return false;
-  }
-  out = static_cast<Int>(value.as_int());
-  return true;
+  return value.is_int() && range.assign(out, value.as_int());
 }
 
 template <typename Enum>

@@ -33,16 +33,6 @@ Budget::Budget(BudgetSpec spec, ClockFn clock)
 
 double Budget::elapsed_seconds() const { return clock_() - start_seconds_; }
 
-std::uint64_t Budget::remaining_steps() const noexcept {
-  if (spec_.steps == 0) return UINT64_MAX;
-  return steps_spent_ >= spec_.steps ? 0 : spec_.steps - steps_spent_;
-}
-
-std::uint64_t Budget::per_run_steps(std::uint64_t cap) const noexcept {
-  const std::uint64_t remaining = remaining_steps();
-  return remaining < cap ? remaining : cap;
-}
-
 std::optional<FailureCause> Budget::exhausted_by() const {
   if (spec_.wall_seconds > 0 && elapsed_seconds() >= spec_.wall_seconds) {
     return FailureCause::kWallClockExhausted;

@@ -46,13 +46,6 @@ class Budget {
   std::uint64_t steps_spent() const noexcept { return steps_spent_; }
   double elapsed_seconds() const;
 
-  /// Steps left before the step axis exhausts; UINT64_MAX when unlimited.
-  std::uint64_t remaining_steps() const noexcept;
-
-  /// Step allowance for one machine run: min(cap, remaining), so a single
-  /// run can never blow the whole stage budget. `cap` must be non-zero.
-  std::uint64_t per_run_steps(std::uint64_t cap) const noexcept;
-
   bool exhausted() const { return exhausted_by().has_value(); }
 
   /// Which axis ran out first, if any. Wall clock is checked before steps

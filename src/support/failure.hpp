@@ -58,7 +58,6 @@ struct FailureRecord {
   FailureCause cause = FailureCause::kException;
   std::string detail;              ///< free-form: what/where, exception text
   std::uint64_t steps_spent = 0;   ///< interpreter steps charged to the stage
-  double wall_seconds = 0.0;       ///< wall clock spent in the stage
   unsigned retries = 0;            ///< retries consumed before giving up
 
   /// "stage/cause (detail)" for logs and the bench resilience column.

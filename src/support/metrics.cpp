@@ -6,16 +6,6 @@
 
 namespace owl::support {
 
-void WallClock::add(double seconds) noexcept {
-  if (seconds <= 0) return;
-  nanos_.fetch_add(static_cast<std::uint64_t>(seconds * 1e9),
-                   std::memory_order_relaxed);
-}
-
-double WallClock::seconds() const noexcept {
-  return static_cast<double>(nanos_.load(std::memory_order_relaxed)) / 1e9;
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;
@@ -28,15 +18,10 @@ MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
   if (it == entries_.end()) {
     Entry fresh;
     fresh.kind = kind;
-    switch (kind) {
-      case Kind::kCounter: fresh.counter = std::make_unique<Counter>(); break;
-      case Kind::kHistogram:
-        fresh.histogram = std::make_unique<Histogram>();
-        break;
-      case Kind::kWallClock: fresh.wall = std::make_unique<WallClock>(); break;
-      case Kind::kAdvisory:
-        fresh.counter = std::make_unique<Counter>();
-        break;
+    if (kind == Kind::kHistogram) {
+      fresh.histogram = std::make_unique<Histogram>();
+    } else {
+      fresh.counter = std::make_unique<Counter>();
     }
     it = entries_.emplace(std::string(name), std::move(fresh)).first;
   } else if (it->second.kind != kind) {
@@ -52,10 +37,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
   return *entry(name, Kind::kHistogram).histogram;
-}
-
-WallClock& MetricsRegistry::wall_clock(std::string_view name) {
-  return *entry(name, Kind::kWallClock).wall;
 }
 
 Counter& MetricsRegistry::advisory(std::string_view name) {
@@ -111,7 +92,6 @@ std::string MetricsRegistry::serialize() const {
         out += str_format("histogram %s %s\n", name.c_str(),
                           render_histogram(*entry.histogram).c_str());
         break;
-      case Kind::kWallClock:
       case Kind::kAdvisory:
         break;  // excluded from the behavioral snapshot
     }
@@ -133,28 +113,12 @@ std::string MetricsRegistry::json() const {
       case Kind::kHistogram:
         value = histogram_json(*entry.histogram);
         break;
-      case Kind::kWallClock:
       case Kind::kAdvisory:
         continue;  // excluded
     }
     if (!first) out += ',';
     first = false;
     out += json_quote(name) + ":" + value;
-  }
-  out += "}";
-  return out;
-}
-
-std::string MetricsRegistry::wall_json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, entry] : entries_) {
-    if (entry.kind != Kind::kWallClock) continue;
-    if (!first) out += ',';
-    first = false;
-    out += json_quote(name) + ":" +
-           str_format("%.6f", entry.wall->seconds());
   }
   out += "}";
   return out;

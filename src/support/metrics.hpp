@@ -2,11 +2,12 @@
 //
 // Named counters and histograms record *behavioral* facts —
 // detector fast-path hits vs. vector-clock fallbacks, shadow-page
-// allocations, retries, livelock releases, reports pruned per stage — and a
-// separate wall-clock kind records durations. serialize() renders only the
-// behavioral kinds, sorted by name, so two runs with identical behavior
-// produce byte-identical snapshots no matter how long they took or how many
-// workers they ran on; CI diffs the snapshots directly.
+// allocations, retries, livelock releases, reports pruned per stage.
+// serialize() renders only those, sorted by name, so two runs with
+// identical behavior produce byte-identical snapshots no matter how long
+// they took or how many workers they ran on; CI diffs the snapshots
+// directly. Durations are not metrics: the trace spans (support/trace.hpp)
+// are the one clock, and --timings reads them.
 //
 // Values are atomics: hot paths keep local (non-atomic) tallies and flush
 // once per run, so concurrent flushes from parallel pipeline workers sum to
@@ -76,37 +77,23 @@ class Histogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
-/// Accumulated wall-clock seconds. Excluded from serialize()/behavioral
-/// JSON by construction — wall clock varies run to run even when behavior
-/// is identical — and surfaced separately (manifest "environment").
-///
-/// A fourth category, *advisory* counters, sits between the two: integer
-/// event counts that are deterministic for a fixed configuration but vary
-/// legitimately across configurations that must stay report-equivalent
-/// (--prescreen mode, jobs value). Like wall
-/// clocks they are excluded from serialize()/json() so CI can byte-diff the
-/// behavioral snapshot across those configurations; advisory_json() renders
-/// them into the manifest's environment section.
-class WallClock {
- public:
-  void add(double seconds) noexcept;
-  double seconds() const noexcept;
-
- private:
-  std::atomic<std::uint64_t> nanos_{0};  ///< integral ns: atomic + exact sum
-};
-
 /// Name → metric registry. Accessors register on first use and return
 /// references that stay valid until reset(). Until then a name is bound to
 /// one kind; re-requesting it with a different kind throws
 /// std::logic_error (programmer error).
+///
+/// The third kind, *advisory* counters, are integer event counts that are
+/// deterministic for a fixed configuration but vary legitimately across
+/// configurations that must stay report-equivalent (--prescreen mode, jobs
+/// value). They are excluded from serialize()/json() so CI can byte-diff the
+/// behavioral snapshot across those configurations; advisory_json() renders
+/// them into the manifest's environment section.
 class MetricsRegistry {
  public:
   static MetricsRegistry& global();
 
   Counter& counter(std::string_view name);
   Histogram& histogram(std::string_view name);
-  WallClock& wall_clock(std::string_view name);
 
   /// Advisory counter: deterministic per configuration but excluded from
   /// the behavioral snapshot (see the class comment). Distinct namespace
@@ -114,14 +101,11 @@ class MetricsRegistry {
   Counter& advisory(std::string_view name);
 
   /// Deterministic behavioral snapshot: one line per counter/histogram,
-  /// sorted by name; wall-clock metrics excluded.
+  /// sorted by name; advisory counters excluded.
   std::string serialize() const;
 
   /// Behavioral snapshot as a JSON object (same exclusions as serialize()).
   std::string json() const;
-
-  /// Wall-clock metrics as a JSON object (the non-diffable complement).
-  std::string wall_json() const;
 
   /// Advisory counters as a JSON object (manifest environment section).
   std::string advisory_json() const;
@@ -132,12 +116,11 @@ class MetricsRegistry {
   void reset();
 
  private:
-  enum class Kind { kCounter, kHistogram, kWallClock, kAdvisory };
+  enum class Kind { kCounter, kHistogram, kAdvisory };
   struct Entry {
     Kind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<WallClock> wall;
   };
 
   Entry& entry(std::string_view name, Kind kind);

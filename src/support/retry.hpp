@@ -18,23 +18,23 @@ struct RetryPolicy {
   unsigned max_retries = 2;
   /// Seed rotation per retry. A large odd stride lands each retry in an
   /// unrelated region of the schedule space.
-  std::uint64_t seed_stride = 0x9e3779b9ULL;
+  static constexpr std::uint64_t kSeedStride = 0x9e3779b9ULL;
   /// Budget multiplier per retry (exponential growth).
-  double budget_growth = 2.0;
+  static constexpr double kBudgetGrowth = 2.0;
 
   unsigned max_attempts() const noexcept { return max_retries + 1; }
 
   /// Seed for the given 0-based attempt.
   std::uint64_t seed_for(std::uint64_t base_seed,
                          unsigned attempt) const noexcept {
-    return base_seed + seed_stride * attempt;
+    return base_seed + kSeedStride * attempt;
   }
 
-  /// Budget for the given 0-based attempt: base grown `budget_growth`^attempt.
+  /// Budget for the given 0-based attempt: base grown kBudgetGrowth^attempt.
   BudgetSpec budget_for(const BudgetSpec& base,
                         unsigned attempt) const noexcept {
     BudgetSpec out = base;
-    for (unsigned i = 0; i < attempt; ++i) out = out.grown(budget_growth);
+    for (unsigned i = 0; i < attempt; ++i) out = out.grown(kBudgetGrowth);
     return out;
   }
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 namespace owl {
 
@@ -44,80 +43,6 @@ double SampleStats::stddev() const noexcept {
   const double var =
       (sum_sq_ - static_cast<double>(n) * m * m) / static_cast<double>(n - 1);
   return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void ConcurrentStats::add(double sample) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (count_ == 0 || sample < min_) min_ = sample;
-  if (count_ == 0 || sample > max_) max_ = sample;
-  ++count_;
-  sum_ += sample;
-  sum_sq_ += sample * sample;
-}
-
-ConcurrentStats::Snapshot ConcurrentStats::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Snapshot snap;
-  snap.count = count_;
-  snap.sum = sum_;
-  snap.min = min_;
-  snap.max = max_;
-  if (count_ > 0) {
-    snap.mean = sum_ / static_cast<double>(count_);
-  }
-  if (count_ > 1) {
-    const double var =
-        (sum_sq_ - static_cast<double>(count_) * snap.mean * snap.mean) /
-        static_cast<double>(count_ - 1);
-    snap.stddev = var > 0.0 ? std::sqrt(var) : 0.0;
-  }
-  return snap;
-}
-
-void StageTimings::record(std::string_view stage, double seconds) {
-  Entry* entry = nullptr;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (Entry& candidate : entries_) {
-      if (candidate.name == stage) {
-        entry = &candidate;
-        break;
-      }
-    }
-    if (entry == nullptr) entry = &entries_.emplace_back(std::string(stage));
-  }
-  // add() outside the registry lock: ConcurrentStats has its own, and
-  // deque growth never moves existing entries.
-  entry->stats.add(seconds);
-}
-
-ConcurrentStats::Snapshot StageTimings::stage_snapshot(
-    std::string_view stage) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& entry : entries_) {
-    if (entry.name == stage) return entry.stats.snapshot();
-  }
-  return {};
-}
-
-bool StageTimings::empty() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.empty();
-}
-
-std::string StageTimings::summary() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::string out;
-  for (const Entry& entry : entries_) {
-    const ConcurrentStats::Snapshot snap = entry.stats.snapshot();
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "  %-18s count %4zu  total %8.3fs  mean %8.4fs  max %8.4fs\n",
-                  entry.name.c_str(), snap.count, snap.sum, snap.mean,
-                  snap.max);
-    out += line;
-  }
-  return out;
 }
 
 double SampleStats::percentile(double p) const {

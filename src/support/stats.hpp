@@ -1,16 +1,10 @@
-// Streaming summary statistics for bench measurements (trigger-effort
-// sweeps, analysis-time accounting for Table 3's A.C. column) and
-// concurrent-safe accumulators for measurements produced by parallel
-// pipeline workers (per-stage wall-clock aggregation behind --timings).
+// Summary statistics for bench measurements (trigger-effort sweeps,
+// repetitions to a known attack).
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <mutex>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace owl {
@@ -26,7 +20,9 @@ class SampleStats {
   double mean() const noexcept;
   double stddev() const noexcept;
 
-  /// p in [0,100]; nearest-rank percentile over the collected samples.
+  /// p in [0,100]; linearly interpolated between the two closest ranks of
+  /// the sorted samples (p=50 of an even count is the mean of the middle
+  /// pair).
   double percentile(double p) const;
 
   /// Median, i.e. percentile(50).
@@ -41,58 +37,6 @@ class SampleStats {
   double sum_sq_ = 0.0;
 
   void ensure_sorted() const;
-};
-
-/// Thread-safe streaming accumulator: many workers add() concurrently, any
-/// thread reads a consistent snapshot(). Keeps moments only (no per-sample
-/// storage), so it is safe to share for the lifetime of a parallel run.
-class ConcurrentStats {
- public:
-  struct Snapshot {
-    std::size_t count = 0;
-    double sum = 0.0;
-    double mean = 0.0;
-    double min = 0.0;  ///< 0 when count == 0
-    double max = 0.0;  ///< 0 when count == 0
-    double stddev = 0.0;
-  };
-
-  void add(double sample);
-  Snapshot snapshot() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::size_t count_ = 0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Named per-stage wall-clock aggregation for the pipeline. One instance is
-/// shared by every worker of a parallel run (each record() is one stage
-/// execution on one target); summary() renders stages in first-recorded
-/// order so output is stable for a fixed workload order.
-class StageTimings {
- public:
-  void record(std::string_view stage, double seconds);
-  ConcurrentStats::Snapshot stage_snapshot(std::string_view stage) const;
-
-  /// One line per stage: "  <stage>  count N  total S  mean S  max S".
-  std::string summary() const;
-  bool empty() const;
-
- private:
-  struct Entry {
-    std::string name;
-    ConcurrentStats stats;
-    explicit Entry(std::string n) : name(std::move(n)) {}
-  };
-
-  // deque: Entry holds a mutex (immovable), and registration must not
-  // invalidate entries other workers are concurrently add()ing into.
-  mutable std::mutex mutex_;
-  std::deque<Entry> entries_;
 };
 
 }  // namespace owl

@@ -102,6 +102,28 @@ bool TraceCollector::write_chrome_trace(const std::string& path) const {
   return ok;
 }
 
+std::vector<SpanTiming> span_timings(std::vector<TraceEvent> events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.start_ns < b.start_ns;
+                   });
+  std::vector<SpanTiming> rows;
+  for (const TraceEvent& event : events) {
+    auto row = std::find_if(rows.begin(), rows.end(),
+                            [&](const SpanTiming& r) {
+                              return r.name == event.name;
+                            });
+    if (row == rows.end()) {
+      row = rows.insert(rows.end(), SpanTiming{event.name});
+    }
+    const double seconds = static_cast<double>(event.duration_ns) / 1e9;
+    ++row->count;
+    row->total_seconds += seconds;
+    row->max_seconds = std::max(row->max_seconds, seconds);
+  }
+  return rows;
+}
+
 TraceSpan::TraceSpan(std::string_view name, std::string_view detail,
                      TraceCollector& collector) {
   if (!collector.enabled()) return;

@@ -14,7 +14,9 @@
 // Tracing is off by default: a disabled collector reduces a span to one
 // relaxed atomic load, so instrumentation can stay on in release builds.
 // The drained trace serializes to Chrome trace_event JSON ("X" complete
-// events), loadable in about:tracing or https://ui.perfetto.dev.
+// events), loadable in about:tracing or https://ui.perfetto.dev, and folds
+// into owl_cli's --timings table (span_timings()): spans are the one clock
+// behind both, so the two cannot disagree.
 #pragma once
 
 #include <atomic>
@@ -101,6 +103,18 @@ class TraceCollector {
   /// (thread-local caches key on it; see local_buffer()).
   std::uint64_t serial_ = 0;
 };
+
+/// Every closed span of one name, aggregated: one --timings row.
+struct SpanTiming {
+  std::string name;
+  std::size_t count = 0;
+  double total_seconds = 0.0;
+  double max_seconds = 0.0;
+};
+
+/// Aggregates `events` (a snapshot()) per span name, one row per name in
+/// order of the name's first start — the --timings view of the trace.
+std::vector<SpanTiming> span_timings(std::vector<TraceEvent> events);
 
 /// RAII span against a collector (the global one by default). A span on a
 /// disabled collector records nothing and costs one atomic load.

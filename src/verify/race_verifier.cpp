@@ -32,19 +32,17 @@ std::size_t address_operand(const ir::Instruction* instr) noexcept {
 
 RaceVerifyResult RaceVerifier::explore(
     race::RaceReport& report,
-    const std::function<AttemptOutcome(unsigned, support::Budget&)>& attempt)
-    const {
+    const std::function<AttemptOutcome(unsigned)>& attempt) const {
   TRACE_SPAN("race-verify-report", "explore");
   RaceVerifyResult result;
   bool any_livelock = false;
   // Folds one attempt's outcome into the result; returns true when the
-  // exploration must stop (verified, or the shared budget ran out).
+  // exploration must stop (the attempt verified the race).
   const auto fold = [&](const AttemptOutcome& out) {
     ++result.attempts;
     result.steps_spent += out.steps;
     result.livelock_releases += out.livelock_releases;
     if (out.livelocked) any_livelock = true;
-    if (out.budget_exhausted) result.budget_exhausted = true;
     if (out.verified) {
       result.verified = true;
       result.value_about_to_read = out.value_about_to_read;
@@ -54,9 +52,8 @@ RaceVerifyResult RaceVerifier::explore(
       result.security_hint = out.security_hint;
       report.verified = true;
       report.security_hint = out.security_hint;
-      return true;
     }
-    return result.budget_exhausted;
+    return out.verified;
   };
 
   if (can_shard()) {
@@ -68,20 +65,14 @@ RaceVerifyResult RaceVerifier::explore(
     std::vector<AttemptOutcome> outcomes(options_.max_attempts);
     options_.pool->parallel_for(
         options_.max_attempts, [&](std::size_t index) {
-          support::Budget unlimited;
-          outcomes[index] = attempt(static_cast<unsigned>(index), unlimited);
+          outcomes[index] = attempt(static_cast<unsigned>(index));
         });
     for (const AttemptOutcome& out : outcomes) {
       if (fold(out)) break;
     }
   } else {
-    support::Budget budget(options_.budget);
     for (unsigned index = 0; index < options_.max_attempts; ++index) {
-      if (budget.exhausted()) {
-        result.budget_exhausted = true;
-        break;
-      }
-      if (fold(attempt(index, budget))) break;
+      if (fold(attempt(index))) break;
     }
   }
   result.livelocked = any_livelock && !result.verified;
@@ -95,9 +86,6 @@ RaceVerifyResult RaceVerifier::explore(
       .inc(result.livelock_releases);
   if (result.verified) registry.counter("race_verifier.verified").inc();
   if (result.livelocked) registry.counter("race_verifier.livelocked").inc();
-  if (result.budget_exhausted) {
-    registry.counter("race_verifier.budget_exhausted").inc();
-  }
   return result;
 }
 
@@ -110,15 +98,14 @@ RaceVerifyResult RaceVerifier::verify(race::RaceReport& report,
   if (report.kind == race::ReportKind::kAtomicityViolation) {
     return verify_atomicity(report, factory);
   }
-  return explore(report,
-                 [&](unsigned attempt, support::Budget& budget) {
-                   return run_attempt(report, factory, attempt, budget);
-                 });
+  return explore(report, [&](unsigned attempt) {
+    return run_attempt(report, factory, attempt);
+  });
 }
 
 RaceVerifier::AttemptOutcome RaceVerifier::run_attempt(
     const race::RaceReport& report, const race::MachineFactory& factory,
-    unsigned attempt, support::Budget& budget) const {
+    unsigned attempt) const {
   AttemptOutcome out;
   const race::AccessRecord& a = report.first;
   const race::AccessRecord& b = report.second;
@@ -149,12 +136,7 @@ RaceVerifier::AttemptOutcome RaceVerifier::run_attempt(
     }
     const interp::RunResult run = machine->run(scheduler);
     out.steps += run.steps - last_steps;
-    budget.charge_steps(run.steps - last_steps);
     last_steps = run.steps;
-    if (budget.exhausted()) {
-      out.budget_exhausted = true;
-      break;
-    }
     switch (run.reason) {
       case interp::StopReason::kBreakpoint: {
         if (run.break_id == bp_a) suspended_a = true;
@@ -249,14 +231,14 @@ RaceVerifyResult RaceVerifier::verify_atomicity(
   // one side would deadlock rather than expose a racing moment. Verify the
   // CTrigger way instead: re-run under fresh schedules and confirm the
   // same unserializable triple re-manifests.
-  return explore(report, [&](unsigned attempt, support::Budget& budget) {
-    return run_atomicity_attempt(report, factory, attempt, budget);
+  return explore(report, [&](unsigned attempt) {
+    return run_atomicity_attempt(report, factory, attempt);
   });
 }
 
 RaceVerifier::AttemptOutcome RaceVerifier::run_atomicity_attempt(
     const race::RaceReport& report, const race::MachineFactory& factory,
-    unsigned attempt, support::Budget& budget) const {
+    unsigned attempt) const {
   AttemptOutcome out;
   const auto want = report.key();
   std::unique_ptr<interp::Machine> machine = factory();
@@ -266,7 +248,6 @@ RaceVerifier::AttemptOutcome RaceVerifier::run_atomicity_attempt(
   interp::RandomScheduler scheduler(options_.base_seed + 31 * attempt + 5);
   const interp::RunResult run = machine->run(scheduler);
   out.steps = run.steps;
-  budget.charge_steps(run.steps);
   for (const race::AtomicityReport& found : detector.reports()) {
     if (found.race_key() != want) continue;
     out.verified = true;

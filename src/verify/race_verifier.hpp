@@ -19,7 +19,6 @@
 
 #include "race/report.hpp"
 #include "race/ski_detector.hpp"  // MachineFactory
-#include "support/deadline.hpp"
 #include "support/fault_injector.hpp"
 #include "support/thread_pool.hpp"
 
@@ -42,8 +41,6 @@ struct RaceVerifyResult {
   /// The session livelocked (release allowance or watchdog exhausted on an
   /// attempt) and the report was never verified.
   bool livelocked = false;
-  /// The per-report Budget ran out before the attempts did.
-  bool budget_exhausted = false;
   /// Interpreter steps spent verifying this report.
   std::uint64_t steps_spent = 0;
 };
@@ -60,9 +57,6 @@ class RaceVerifier {
     /// session is declared livelocked (breaks zero-progress break/release
     /// cycles that never reach the release rule).
     std::uint64_t watchdog_iterations = 4096;
-    /// Per-report verification budget (wall clock + interpreter steps);
-    /// default unlimited.
-    support::BudgetSpec budget;
     /// Resilience-layer fault-injection harness (may be null; not owned).
     support::FaultInjector* fault_injector = nullptr;
     /// Shards the seeded schedule-exploration attempts across this pool
@@ -70,9 +64,9 @@ class RaceVerifier {
     /// an independent (machine, scheduler-seed) session, so they run
     /// concurrently and their outcomes are folded in attempt order —
     /// results are byte-identical to the sequential loop. Sharding only
-    /// engages when the budget is unlimited and no fault injector is
-    /// attached: both thread one mutable state through the attempt
-    /// sequence, which would make outcomes order-dependent.
+    /// engages when no fault injector is attached: it threads one mutable
+    /// state through the attempt sequence, which would make outcomes
+    /// order-dependent.
     support::ThreadPool* pool = nullptr;
   };
 
@@ -90,7 +84,6 @@ class RaceVerifier {
   struct AttemptOutcome {
     bool verified = false;
     bool livelocked = false;
-    bool budget_exhausted = false;
     std::uint64_t steps = 0;
     unsigned livelock_releases = 0;
     // Racing-moment captures, filled only when verified:
@@ -102,23 +95,19 @@ class RaceVerifier {
   };
 
   /// One breakpoint-choreography session under seed base_seed + attempt.
-  /// Charges interpreter steps to `budget` as it goes and stops early if
-  /// it exhausts (the sequential path shares one budget across attempts;
-  /// the sharded path hands each attempt its own unlimited one).
   AttemptOutcome run_attempt(const race::RaceReport& report,
                              const race::MachineFactory& factory,
-                             unsigned attempt, support::Budget& budget) const;
+                             unsigned attempt) const;
 
   /// One CTrigger-style re-manifestation run for an atomicity report.
   AttemptOutcome run_atomicity_attempt(const race::RaceReport& report,
                                        const race::MachineFactory& factory,
-                                       unsigned attempt,
-                                       support::Budget& budget) const;
+                                       unsigned attempt) const;
 
   /// True when the attempt loop may be sharded across options_.pool.
   bool can_shard() const noexcept {
     return options_.pool != nullptr && options_.max_attempts > 1 &&
-           options_.budget.unlimited() && options_.fault_injector == nullptr;
+           options_.fault_injector == nullptr;
   }
 
   /// Runs `attempts(i)` for every attempt index (concurrently when
@@ -127,8 +116,7 @@ class RaceVerifier {
   /// sequential early-exit semantics.
   RaceVerifyResult explore(
       race::RaceReport& report,
-      const std::function<AttemptOutcome(unsigned, support::Budget&)>& attempt)
-      const;
+      const std::function<AttemptOutcome(unsigned)>& attempt) const;
 
   /// Reproduction-based verification for atomicity-violation reports
   /// (their accesses may be lock-protected, so the breakpoint choreography

@@ -72,13 +72,8 @@ VulnVerifyResult VulnVerifier::verify(const vuln::ExploitReport& exploit,
                          racy_write->instr != nullptr &&
                          racy_read->tid != racy_write->tid;
 
-  support::Budget budget(options_.budget);
   bool any_livelock = false;
   for (unsigned attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (budget.exhausted()) {
-      result.budget_exhausted = true;
-      break;
-    }
     ++result.attempts;
     Steering steering = Steering::kFree;
     if (can_steer) {
@@ -140,12 +135,7 @@ VulnVerifyResult VulnVerifier::verify(const vuln::ExploitReport& exploit,
       }
       const interp::RunResult run = machine->run(*scheduler);
       result.steps_spent += run.steps - last_steps;
-      budget.charge_steps(run.steps - last_steps);
       last_steps = run.steps;
-      if (budget.exhausted()) {
-        result.budget_exhausted = true;
-        break;
-      }
       switch (run.reason) {
         case interp::StopReason::kBreakpoint: {
           if (run.break_id == site_bp) {
@@ -222,7 +212,6 @@ VulnVerifyResult VulnVerifier::verify(const vuln::ExploitReport& exploit,
       }
       // Site reached but no consequence yet: keep exploring schedules.
     }
-    if (result.budget_exhausted) break;
   }
 
   result.livelocked = any_livelock && !result.site_reached;
@@ -244,9 +233,6 @@ VulnVerifyResult VulnVerifier::verify(const vuln::ExploitReport& exploit,
     registry.counter("vuln_verifier.attack_realized").inc();
   }
   if (result.livelocked) registry.counter("vuln_verifier.livelocked").inc();
-  if (result.budget_exhausted) {
-    registry.counter("vuln_verifier.budget_exhausted").inc();
-  }
   return result;
 }
 

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "race/ski_detector.hpp"  // MachineFactory
-#include "support/deadline.hpp"
 #include "support/fault_injector.hpp"
 #include "vuln/analyzer.hpp"
 
@@ -43,8 +42,6 @@ struct VulnVerifyResult {
   /// A verification session livelocked (watchdog fired) without reaching
   /// the site.
   bool livelocked = false;
-  /// The per-exploit Budget ran out before the attempts did.
-  bool budget_exhausted = false;
   /// Interpreter steps spent verifying this exploit.
   std::uint64_t steps_spent = 0;
 };
@@ -60,8 +57,6 @@ class VulnVerifier {
     /// Watchdog: machine-run resumptions per attempt before the session is
     /// declared livelocked (zero-progress break/release cycles).
     std::uint64_t watchdog_iterations = 4096;
-    /// Per-exploit verification budget; default unlimited.
-    support::BudgetSpec budget;
     /// Resilience-layer fault-injection harness (may be null; not owned).
     support::FaultInjector* fault_injector = nullptr;
   };

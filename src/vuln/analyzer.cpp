@@ -605,10 +605,8 @@ VulnAnalysis VulnerabilityAnalyzer::analyze_from(
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time)
           .count();
-  support::MetricsRegistry& registry = support::metrics();
-  registry.counter("vuln_analyzer.exploits").inc(analysis.exploits.size());
-  registry.wall_clock("vuln_analyzer.analysis_seconds")
-      .add(analysis.stats.seconds);
+  support::metrics().counter("vuln_analyzer.exploits")
+      .inc(analysis.exploits.size());
   return analysis;
 }
 

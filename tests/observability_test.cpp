@@ -3,10 +3,11 @@
 //
 //  - TraceCollectorTest: span recording, nesting containment on one
 //    thread, per-thread attribution under a ThreadPool, Chrome trace JSON
-//    shape, and the disabled-collector fast path.
+//    shape, the disabled-collector fast path, and the --timings rows
+//    (span_timings).
 //  - MetricsRegistryTest: counter/histogram semantics, the deterministic
-//    serialize() contract (sorted, wall-clock excluded), reset() as a
-//    fresh registry, and kind-collision detection.
+//    serialize() contract (sorted, advisory counters excluded), reset() as
+//    a fresh registry, and kind-collision detection.
 //  - RunManifestTest: manifest shape, determinism across identical runs
 //    and across jobs values (the CI differential gate's claim), and the
 //    owl_cli end-to-end path exercised via Pipeline::run_many.
@@ -154,6 +155,39 @@ TEST(TraceCollectorTest, ClearDropsEventsKeepsRecording) {
   EXPECT_EQ(events[0].name, "two");
 }
 
+TEST(TraceCollectorTest, SpanTimingsFoldOneRowPerNameInFirstStartOrder) {
+  // The --timings rows: per-name count, total and max, ordered by each
+  // name's earliest start on any thread, not by snapshot()'s (tid, start).
+  const auto event = [](const char* name, std::uint32_t tid,
+                        std::uint64_t start_ns, double seconds) {
+    support::TraceEvent e;
+    e.name = name;
+    e.tid = tid;
+    e.start_ns = start_ns;
+    e.duration_ns = static_cast<std::uint64_t>(seconds * 1e9);
+    return e;
+  };
+  const std::vector<support::SpanTiming> rows = support::span_timings({
+      event("target", 0, 10, 3.0),
+      event("detection", 0, 20, 1.0),
+      event("target", 1, 5, 1.0),
+      event("detection", 1, 30, 2.0),
+      event("annotation", 1, 40, 0.5),
+  });
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].name, "target");
+  EXPECT_EQ(rows[0].count, 2u);
+  EXPECT_DOUBLE_EQ(rows[0].total_seconds, 4.0);
+  EXPECT_DOUBLE_EQ(rows[0].max_seconds, 3.0);
+  EXPECT_EQ(rows[1].name, "detection");
+  EXPECT_EQ(rows[1].count, 2u);
+  EXPECT_DOUBLE_EQ(rows[1].total_seconds, 3.0);
+  EXPECT_DOUBLE_EQ(rows[1].max_seconds, 2.0);
+  EXPECT_EQ(rows[2].name, "annotation");
+  EXPECT_EQ(rows[2].count, 1u);
+  EXPECT_TRUE(support::span_timings({}).empty());
+}
+
 // --------------------------------------------------------------------------
 // MetricsRegistryTest — on the global registry (the pipeline's sink), so
 // every test starts from reset() to stay order-independent.
@@ -213,18 +247,15 @@ TEST_F(MetricsRegistryTest, SerializeIsSortedAndDeterministic) {
   EXPECT_LT(first.find("m.middle"), first.find("z.last"));
 }
 
-TEST_F(MetricsRegistryTest, SerializeExcludesWallClock) {
+TEST_F(MetricsRegistryTest, SerializeExcludesAdvisoryCounters) {
   support::MetricsRegistry& registry = support::metrics();
   registry.counter("behavioral").inc();
   const std::string before = registry.serialize();
-  registry.wall_clock("elapsed").add(1.5);
-  registry.wall_clock("elapsed").add(0.25);
-  // Wall clock changed; the behavioral snapshot must not.
+  registry.advisory("jobs.dependent").inc(3);
+  // An advisory count changed; the behavioral snapshot must not.
   EXPECT_EQ(registry.serialize(), before);
-  EXPECT_EQ(before.find("elapsed"), std::string::npos);
-  EXPECT_NEAR(registry.wall_clock("elapsed").seconds(), 1.75, 1e-9);
-  EXPECT_NE(registry.wall_json().find("elapsed"), std::string::npos);
-  EXPECT_EQ(registry.json().find("elapsed"), std::string::npos);
+  EXPECT_EQ(registry.json().find("jobs.dependent"), std::string::npos);
+  EXPECT_EQ(registry.advisory_json(), "{\"jobs.dependent\":3}");
 }
 
 // reset() is a fresh registry: names a previous run registered do not
@@ -235,12 +266,10 @@ TEST_F(MetricsRegistryTest, ResetDropsRegistrations) {
   support::MetricsRegistry& registry = support::metrics();
   registry.counter("dropped").inc(9);
   registry.advisory("dropped.advisory").inc();
-  registry.wall_clock("dropped.wall").add(0.5);
   registry.reset();
   EXPECT_EQ(registry.serialize(), "");
   EXPECT_EQ(registry.json(), "{}");
   EXPECT_EQ(registry.advisory_json(), "{}");
-  EXPECT_EQ(registry.wall_json(), "{}");
   EXPECT_NO_THROW(registry.histogram("dropped").observe(1));
   EXPECT_EQ(registry.serialize(), "histogram dropped count=1 sum=1 b1:1\n");
 }

@@ -9,6 +9,7 @@
 // per-target FaultInjector forks).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
 #include "support/thread_pool.hpp"
+#include "support/trace.hpp"
 
 namespace owl::core {
 namespace {
@@ -279,19 +281,33 @@ TEST(ParallelEquivalenceTest, VerifierShardingMatchesSequentialAttempts) {
   EXPECT_EQ(serialize_result(sequential), serialize_result(sharded));
 }
 
-TEST(ParallelEquivalenceTest, StageTimingsAggregateAcrossWorkers) {
-  // --timings plumbing: every worker records into the shared StageTimings;
-  // each of the 6 targets contributes exactly one target-total sample and
-  // one detection sample, whatever the jobs value.
+TEST(ParallelEquivalenceTest, SpanTimingsAggregateAcrossWorkers) {
+  // --timings is a view of the trace: every worker's spans land in the one
+  // collector, so each of the 6 targets contributes exactly one `target`
+  // and one `detection` span to the rows, whatever the jobs value.
   const Workload w = make_workload();
-  StageTimings timings;
+  support::TraceCollector& trace = support::TraceCollector::instance();
+  trace.clear();
+  trace.set_enabled(true);
   PipelineOptions options;
   options.jobs = 4;
-  options.stage_timings = &timings;
   Pipeline(options).run_many(w.targets);
-  EXPECT_EQ(timings.stage_snapshot("target-total").count, w.targets.size());
-  EXPECT_EQ(timings.stage_snapshot("detection").count, w.targets.size());
-  EXPECT_FALSE(timings.empty());
+  trace.set_enabled(false);
+  const std::vector<support::SpanTiming> rows =
+      support::span_timings(trace.snapshot());
+  trace.clear();
+  const auto count_of = [&rows](std::string_view name) {
+    const auto row = std::find_if(
+        rows.begin(), rows.end(),
+        [name](const support::SpanTiming& r) { return r.name == name; });
+    return row == rows.end() ? 0 : row->count;
+  };
+  EXPECT_EQ(count_of("target"), w.targets.size());
+  EXPECT_EQ(count_of("detection"), w.targets.size());
+  // Rows follow each name's first start, and every span opens inside its
+  // target's span.
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.front().name, "target");
 }
 
 TEST(ParallelEquivalenceTest, SerializationExcludesWallClock) {

@@ -1,6 +1,6 @@
-// Unit tests for the fast substrate's paged shadow memory: page-boundary
+// Unit tests for the detector's paged shadow memory: page-boundary
 // addressing, first-touch allocation, overflow pages for wild addresses,
-// deterministic iteration order, and slot reuse after reset.
+// and the per-slot read set.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -23,7 +23,7 @@ TEST(PagedShadowTest, FirstAndLastSlotOfAPageAreDistinct) {
   const interp::Address last = PagedShadow::kPageSlots - 1;
   shadow.slot(first).set_write(cell(1, 10));
   shadow.slot(last).set_write(cell(2, 20));
-  EXPECT_EQ(shadow.page_count(), 1u);
+  EXPECT_EQ(shadow.pages_allocated(), 1u);
   EXPECT_EQ(shadow.slot(first).write.tid, 1u);
   EXPECT_EQ(shadow.slot(last).write.tid, 2u);
   EXPECT_EQ(shadow.slot(first).write.epoch, 10u);
@@ -35,9 +35,9 @@ TEST(PagedShadowTest, AdjacentAddressesAcrossAPageBoundary) {
   const interp::Address last_of_page0 = PagedShadow::kPageSlots - 1;
   const interp::Address first_of_page1 = PagedShadow::kPageSlots;
   shadow.slot(last_of_page0).set_write(cell(1, 1));
-  EXPECT_EQ(shadow.page_count(), 1u);
+  EXPECT_EQ(shadow.pages_allocated(), 1u);
   shadow.slot(first_of_page1).set_write(cell(2, 2));
-  EXPECT_EQ(shadow.page_count(), 2u);
+  EXPECT_EQ(shadow.pages_allocated(), 2u);
   // Neighbours one byte apart live on different pages and never alias.
   EXPECT_EQ(shadow.slot(last_of_page0).write.tid, 1u);
   EXPECT_EQ(shadow.slot(first_of_page1).write.tid, 2u);
@@ -47,13 +47,12 @@ TEST(PagedShadowTest, AdjacentAddressesAcrossAPageBoundary) {
 
 TEST(PagedShadowTest, PagesAllocateOnFirstTouchOnly) {
   PagedShadow shadow;
-  EXPECT_EQ(shadow.page_count(), 0u);
-  EXPECT_EQ(shadow.find_slot(4096), nullptr);
+  EXPECT_EQ(shadow.pages_allocated(), 0u);
   shadow.slot(4096);  // touch allocates, even without writing
-  EXPECT_EQ(shadow.page_count(), 1u);
-  EXPECT_NE(shadow.find_slot(4096), nullptr);
+  EXPECT_EQ(shadow.pages_allocated(), 1u);
+  EXPECT_FALSE(shadow.slot(4096).has_write);
   shadow.slot(4097);
-  EXPECT_EQ(shadow.page_count(), 1u);  // same page
+  EXPECT_EQ(shadow.pages_allocated(), 1u);  // same page
 }
 
 TEST(PagedShadowTest, WildAddressesUseOverflowPages) {
@@ -62,32 +61,11 @@ TEST(PagedShadowTest, WildAddressesUseOverflowPages) {
   const interp::Address wild =
       (PagedShadow::kDirectPages + 12345) * PagedShadow::kPageSlots + 7;
   shadow.slot(wild).set_write(cell(3, 33));
-  EXPECT_EQ(shadow.page_count(), 1u);
-  ASSERT_NE(shadow.find_slot(wild), nullptr);
-  EXPECT_EQ(shadow.find_slot(wild)->write.tid, 3u);
+  EXPECT_EQ(shadow.pages_allocated(), 1u);
+  EXPECT_EQ(shadow.slot(wild).write.tid, 3u);
   // The neighbouring byte is a distinct slot on the same overflow page.
   EXPECT_FALSE(shadow.slot(wild + 1).has_write);
-  EXPECT_EQ(shadow.page_count(), 1u);
-}
-
-TEST(PagedShadowTest, IterationOrderIsAddressAscending) {
-  PagedShadow shadow;
-  const interp::Address wild = (PagedShadow::kDirectPages + 5)
-                               << PagedShadow::kPageBits;
-  const std::vector<interp::Address> touched = {
-      wild, 5000, 4096, PagedShadow::kPageSlots * 3 + 17};
-  for (const interp::Address addr : touched) {
-    shadow.slot(addr).set_write(cell(1, addr));
-  }
-  std::vector<interp::Address> seen;
-  shadow.for_each_active_slot(
-      [&seen](interp::Address addr, const ShadowSlot&) {
-        seen.push_back(addr);
-      });
-  // Direct pages ascending first, then overflow pages: fully sorted here.
-  const std::vector<interp::Address> expected = {
-      4096, 5000, PagedShadow::kPageSlots * 3 + 17, wild};
-  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(shadow.pages_allocated(), 1u);
 }
 
 TEST(ShadowSlotTest, ReadsKeepInsertionOrderAndReplaceInPlace) {
@@ -107,31 +85,6 @@ TEST(ShadowSlotTest, ReadsKeepInsertionOrderAndReplaceInPlace) {
   EXPECT_EQ(order, (std::vector<ThreadId>{1, 2, 3}));
   EXPECT_EQ(epochs, (std::vector<std::uint64_t>{10, 25, 30}));
   EXPECT_EQ(slot.find_read(4), nullptr);
-}
-
-TEST(ShadowSlotTest, SlotReusableAfterReset) {
-  PagedShadow shadow;
-  ShadowSlot& slot = shadow.slot(8192);
-  slot.set_write(cell(1, 1));
-  slot.add_read(cell(2, 2));
-  slot.add_read(cell(3, 3));
-  const std::size_t pages_before = shadow.page_count();
-
-  slot.reset();
-  EXPECT_FALSE(slot.has_write);
-  EXPECT_FALSE(slot.has_reads());
-  EXPECT_EQ(slot.find_read(2), nullptr);
-  // Reset keeps the page allocated — reuse must not re-allocate.
-  EXPECT_EQ(shadow.page_count(), pages_before);
-
-  ShadowSlot& again = shadow.slot(8192);
-  EXPECT_EQ(&again, &slot);
-  again.set_write(cell(4, 44));
-  again.add_read(cell(5, 55));
-  EXPECT_TRUE(again.has_write);
-  EXPECT_EQ(again.write.tid, 4u);
-  ASSERT_NE(again.find_read(5), nullptr);
-  EXPECT_EQ(again.find_read(5)->epoch, 55u);
 }
 
 TEST(ShadowSlotTest, ClearReadsKeepsWriteAndAllowsRepopulation) {

@@ -1,8 +1,8 @@
 // Unit tests for the parallel execution substrate: ThreadPool lifecycle,
 // exception surfacing, oversubscription, graceful shutdown with queued
-// work, nested parallel_for, the thread-safe log sink, and the concurrent
-// stats accumulators. This binary is the core of the sanitizer gates —
-// scripts/ci.sh runs it under ASan/UBSan and again under TSan.
+// work, nested parallel_for, and the thread-safe log sink. This binary is
+// the core of the sanitizer gates — scripts/ci.sh runs it under ASan/UBSan
+// and again under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "support/log.hpp"
-#include "support/stats.hpp"
 #include "support/thread_pool.hpp"
 
 namespace owl::support {
@@ -208,63 +207,6 @@ TEST(LogSinkTest, EmptySinkRestoresStderr) {
   LogSink previous = set_log_sink([](LogLevel, const std::string&) {});
   set_log_sink(std::move(previous));  // back to the default stderr path
   OWL_LOG(kDebug) << "below threshold, must not crash";
-}
-
-TEST(ConcurrentStatsTest, SequentialMomentsMatch) {
-  ConcurrentStats stats;
-  for (double sample : {4.0, 2.0, 6.0, 8.0}) stats.add(sample);
-  const ConcurrentStats::Snapshot snap = stats.snapshot();
-  EXPECT_EQ(snap.count, 4u);
-  EXPECT_DOUBLE_EQ(snap.sum, 20.0);
-  EXPECT_DOUBLE_EQ(snap.mean, 5.0);
-  EXPECT_DOUBLE_EQ(snap.min, 2.0);
-  EXPECT_DOUBLE_EQ(snap.max, 8.0);
-  EXPECT_NEAR(snap.stddev, 2.582, 1e-3);  // sample stddev, n-1 divisor
-}
-
-TEST(ConcurrentStatsTest, ConcurrentAddsLoseNothing) {
-  ConcurrentStats stats;
-  constexpr int kThreads = 8;
-  constexpr int kAdds = 1'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kAdds; ++i) stats.add(1.0);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  const ConcurrentStats::Snapshot snap = stats.snapshot();
-  EXPECT_EQ(snap.count, static_cast<std::size_t>(kThreads) * kAdds);
-  EXPECT_DOUBLE_EQ(snap.sum, kThreads * kAdds * 1.0);
-}
-
-TEST(StageTimingsTest, ConcurrentRecordAcrossStages) {
-  // Workers recording into overlapping stage names must neither lose
-  // samples nor invalidate each other's entries while new stages register.
-  StageTimings timings;
-  constexpr int kThreads = 6;
-  constexpr int kRecords = 200;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const std::string own = "stage-" + std::to_string(t);
-      for (int i = 0; i < kRecords; ++i) {
-        timings.record("shared", 0.001);
-        timings.record(own, 0.002);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(timings.stage_snapshot("shared").count,
-            static_cast<std::size_t>(kThreads) * kRecords);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(
-        timings.stage_snapshot("stage-" + std::to_string(t)).count,
-        static_cast<std::size_t>(kRecords));
-  }
-  EXPECT_FALSE(timings.empty());
-  const std::string summary = timings.summary();
-  EXPECT_NE(summary.find("shared"), std::string::npos);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 # Smoke-test owl_cli's observability flags (driven by ctest; see
 # tools/CMakeLists.txt). Runs one audit with --trace-out/--manifest/
-# --metrics-out and hands the artifacts plus the captured stdout to
-# scripts/check_observability.py for validation.
+# --metrics-out/--timings and hands the artifacts plus the captured stdout
+# to scripts/check_observability.py for validation.
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 execute_process(
   COMMAND "${OWL_CLI}"
           "${EXAMPLES_DIR}/toctou.mir" "${EXAMPLES_DIR}/lost_update.mir"
-          --jobs 1 --print-reports
+          --jobs 1 --print-reports --timings
           --trace-out "${WORK_DIR}/trace.json"
           --manifest "${WORK_DIR}/manifest.json"
           --metrics-out "${WORK_DIR}/metrics.txt"

@@ -13,7 +13,8 @@
 //                          with one program, N>1 instead shards the race
 //                          verifier's schedule exploration (default: one
 //                          worker per hardware thread; 1 = sequential)
-//   --timings              print the per-stage wall-clock summary
+//   --timings              print one row per trace span name (count, total,
+//                          mean, max seconds): the --trace-out spans, summed
 //   --inputs a,b,c         workload input vector (default: empty)
 //   --exploit-inputs a,b,c inputs for the vulnerability verifier re-runs
 //                          (default: same as --inputs)
@@ -100,7 +101,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <type_traits>
 
 #include "core/analyze.hpp"
 #include "core/manifest.hpp"
@@ -183,11 +183,11 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       v = argv[i] + name.size() + 1;
       return true;
     };
-    const auto integer = [&v](auto& out, std::int64_t min) {
+    // Integer flags take the range owl_served enforces for the same field.
+    const auto integer = [&](std::string_view field) {
       std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n) || n < min) return false;
-      out = static_cast<std::remove_reference_t<decltype(out)>>(n);
-      return true;
+      return v != nullptr && parse_int64(v, n) &&
+             core::set_integer_field(request, field, n);
     };
     const auto named = [&v](auto& out) {
       return v != nullptr && core::parse_field(v, out);
@@ -214,20 +214,20 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
     } else if (flag("--vuln-flow", true)) {
       ok = named(request.vuln_flow);
     } else if (flag("--schedules")) {
-      ok = integer(request.schedules, 1);
+      ok = integer("schedules");
     } else if (flag("--seed")) {
-      ok = integer(request.seed, INT64_MIN);
+      ok = integer("seed");
     } else if (flag("--max-steps")) {
-      ok = integer(request.max_steps, 1);
+      ok = integer("max_steps");
     } else if (flag("--stage-deadline")) {
       char* end = nullptr;
       ok = v != nullptr;
       if (ok) request.stage_deadline = std::strtod(v, &end);
       ok = ok && end != v && *end == '\0' && request.stage_deadline > 0;
     } else if (flag("--retries")) {
-      ok = integer(request.retries, 0);
+      ok = integer("retries");
     } else if (flag("--jobs")) {
-      ok = integer(request.jobs, 0);
+      ok = integer("jobs");
       if (request.jobs == 0) request.jobs = support::ThreadPool::default_jobs();
     } else if (flag("--checkers", true)) {
       std::string error;
@@ -329,16 +329,13 @@ int main(int argc, char** argv) {
   for (const support::FaultPlan& plan : options.fault_plans) {
     injector.add_plan(plan);
   }
-  StageTimings stage_timings;
-  if (!options.trace_out.empty()) {
-    support::TraceCollector::instance().set_enabled(true);
-  }
+  support::TraceCollector& trace = support::TraceCollector::instance();
+  trace.set_enabled(!options.trace_out.empty() || options.timings);
   std::vector<core::ModuleSource> sources;
   for (const std::string& path : options.paths) sources.push_back({path, {}});
 
   const core::AnalysisOutcome outcome =
-      core::analyze(sources, request, &injector,
-                    options.timings ? &stage_timings : nullptr);
+      core::analyze(sources, request, &injector);
   std::fputs(outcome.output.c_str(), stdout);
   if (!outcome.ran_pipeline) {
     std::fputs(outcome.error.c_str(), stderr);
@@ -363,11 +360,16 @@ int main(int argc, char** argv) {
   }
   if (options.timings) {
     std::printf("\n--- per-stage timings (jobs=%u) ---\n", request.jobs);
-    std::fputs(stage_timings.summary().c_str(), stdout);
+    for (const support::SpanTiming& row :
+         support::span_timings(trace.snapshot())) {
+      std::printf(
+          "  %-20s count %4zu  total %8.3fs  mean %8.4fs  max %8.4fs\n",
+          row.name.c_str(), row.count, row.total_seconds,
+          row.total_seconds / static_cast<double>(row.count), row.max_seconds);
+    }
   }
   if (!options.trace_out.empty() &&
-      !support::TraceCollector::instance().write_chrome_trace(
-          options.trace_out)) {
+      !trace.write_chrome_trace(options.trace_out)) {
     std::fprintf(stderr, "owl_cli: cannot write trace to %s\n",
                  options.trace_out.c_str());
     status = 1;
