@@ -116,8 +116,8 @@ BENCHMARK(BM_TsanDetectionOverhead);
 // run with --benchmark_filter='Detector|ShadowLookup|VectorClockJoin'.
 // The `impl` argument selects the substrate: 0 = the test-only
 // race::ReferenceDetector (tests/reference_detector.hpp: hash-map shadow,
-// eager capture), 1 = the product race::TsanDetector (paged shadow, epoch
-// fast paths, lazy capture). Both emit identical reports (the co-observer
+// eager capture), 1 = the product race::TsanDetector (paged shadow, dense
+// clocks, lazy capture). Both emit identical reports (the co-observer
 // differential test proves it); these measure only the hot-path cost.
 
 /// Calls `body(detector)` with the substrate the `impl` argument selects.
@@ -167,8 +167,8 @@ struct DetectorBenchSetup {
 };
 
 /// Two threads re-reading a shared working set — no races, the detector's
-/// common case. The fast impl should hit the same-reader epoch shortcut on
-/// every access after the first sweep.
+/// common case: every access after the first sweep replaces its thread's
+/// read cell in place.
 void BM_DetectorRead(benchmark::State& state) {
   const DetectorBenchSetup setup;
   with_detector(state, {}, [&](auto& detector) {
@@ -189,9 +189,8 @@ void BM_DetectorRead(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectorRead)->ArgName("impl")->Arg(0)->Arg(1);
 
-/// Two threads rewriting disjoint halves of a working set — no races. The
-/// fast impl should hit the same-owner store shortcut on every access
-/// after the first sweep.
+/// Two threads rewriting disjoint halves of a working set — no races: every
+/// access after the first sweep finds its own thread's write and no reads.
 void BM_DetectorWrite(benchmark::State& state) {
   const DetectorBenchSetup setup;
   with_detector(state, {}, [&](auto& detector) {

@@ -82,15 +82,13 @@ PipelineOptions pipeline_options(const AnalysisRequest& request) {
   options.analyzer_mode =
       request.whole_program ? vuln::VulnerabilityAnalyzer::Mode::kWholeProgram
                             : vuln::VulnerabilityAnalyzer::Mode::kDirected;
-  if (request.stage_deadline > 0) {
-    options.stage_budgets = StageBudgets::uniform_wall(request.stage_deadline);
-  }
+  options.stage_deadline = request.stage_deadline;
   options.retry.max_retries = request.retries;
   options.prescreen = request.prescreen;
   options.predict = request.predict;
   options.vuln_flow = request.vuln_flow;
   options.checkers = request.checkers;
-  options.repair.enabled = request.repair;
+  options.repair = request.repair;
   return options;
 }
 

@@ -139,14 +139,14 @@ std::string render_manifest(const std::string& tool,
                       : "whole-program");
   kv.emplace_back("retries", str_format("%u", options.retry.max_retries));
   kv.emplace_back("stage_deadline_seconds",
-                  exact_double(options.stage_budgets.detection.wall_seconds));
+                  exact_double(options.stage_deadline));
   kv.emplace_back("fault_injection", flag(options.fault_injector != nullptr));
   if (options.checkers.any()) {
     // Echoed only when enabled — checkers-off manifests keep the
     // pre-suite options block byte for byte.
     kv.emplace_back("checkers", options.checkers.canonical());
   }
-  if (options.repair.enabled) {
+  if (options.repair) {
     // Same off-mode discipline as the checkers echo above.
     kv.emplace_back("repair", "on");
   }

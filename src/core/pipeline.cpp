@@ -109,9 +109,8 @@ void attribute_injected(FaultInjector* injector, StageCounts& counts,
 bool out_of_budget(const support::Budget& budget, StageCounts& counts,
                    PipelineStage stage, std::size_t done, std::size_t total,
                    const char* what) {
-  const auto cause = budget.exhausted_by();
-  if (!cause) return false;
-  record_failure(counts, stage, *cause,
+  if (!budget.exhausted()) return false;
+  record_failure(counts, stage, FailureCause::kWallClockExhausted,
                  str_format("%zu of %zu %s", total - done, total, what),
                  budget.steps_spent());
   return true;
@@ -296,7 +295,7 @@ std::optional<std::vector<race::RaceReport>> Pipeline::detect(
       injector->begin_stage(PipelineStage::kDetection);
     }
     support::Budget budget(
-        retry.budget_for(options_.stage_budgets.detection, attempt));
+        retry.deadline_for(options_.stage_deadline, attempt));
     try {
       if (injector != nullptr) injector->maybe_throw();
       std::vector<race::RaceReport> merged = detect_once(
@@ -486,7 +485,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   std::vector<race::RaceReport> survivors;
   if (options_.enable_race_verifier) {
     stages.enter(PipelineStage::kRaceVerification, [&] {
-      support::Budget budget(options_.stage_budgets.race_verification);
+      support::Budget budget(options_.stage_deadline);
       std::size_t livelocked = 0;
       std::size_t passed_through = 0;
       bool failure_recorded = false;
@@ -613,7 +612,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
     aopts.resolved_indirect = &module_static.resolved_calls;
     if (value_flow.has_value()) aopts.value_flow = &*value_flow;
     const vuln::VulnerabilityAnalyzer analyzer(*target.module, aopts);
-    support::Budget budget(options_.stage_budgets.vuln_analysis);
+    support::Budget budget(options_.stage_deadline);
     double analysis_seconds = 0.0;
     std::size_t failures = 0;
     std::string last_error;
@@ -657,7 +656,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
     stages.enter(PipelineStage::kVulnVerification, [&] {
       const race::MachineFactory& factory =
           target.exploit_factory ? target.exploit_factory : target.factory;
-      support::Budget budget(options_.stage_budgets.vuln_verification);
+      support::Budget budget(options_.stage_deadline);
       std::size_t livelocked = 0;
       bool failure_recorded = false;
       for (std::size_t c = 0; c < pending.size(); ++c) {
@@ -711,7 +710,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   // equivalence), report the first winner. Nested verification pipelines
   // run with repair disabled — the stage never recurses. Degrades, never
   // dies, like every other stage.
-  if (options_.repair.enabled) {
+  if (options_.repair) {
     counts.repair_ran = true;
     if (!stages.run(PipelineStage::kRepair, [&] {
           std::vector<race::RaceReport> confirmed;

@@ -71,27 +71,6 @@ struct PipelineTarget {
   std::uint64_t seed = 1;
 };
 
-/// Per-stage allowances for the Fig. 3 stages (unlimited by default).
-/// Replaces the single Machine::max_steps cliff with stage-scoped budgets:
-/// a stage that exhausts its allowance degrades (FailureRecord on the
-/// target's StageCounts) instead of running unbounded.
-struct StageBudgets {
-  support::BudgetSpec detection;          ///< steps (1)+(2): detector runs
-  support::BudgetSpec race_verification;  ///< step (3)
-  support::BudgetSpec vuln_analysis;      ///< step (4)
-  support::BudgetSpec vuln_verification;  ///< step (5)
-
-  /// Applies one wall-clock deadline to every stage (CLI --stage-deadline).
-  static StageBudgets uniform_wall(double seconds) {
-    StageBudgets budgets;
-    budgets.detection.wall_seconds = seconds;
-    budgets.race_verification.wall_seconds = seconds;
-    budgets.vuln_analysis.wall_seconds = seconds;
-    budgets.vuln_verification.wall_seconds = seconds;
-    return budgets;
-  }
-};
-
 struct PipelineOptions {
   bool enable_adhoc_annotation = true;  ///< ablation knob (step 2)
   /// When set, step (2) applies these annotations instead of running OWL's
@@ -133,14 +112,20 @@ struct PipelineOptions {
   /// Automated race repair (DESIGN.md §13). Off by default — with repair
   /// off every output is byte-identical to a build without the stage. The
   /// stage never enables itself recursively: verification pipelines the
-  /// repair engine spawns run with this reset to the default.
-  repair::RepairOptions repair;
+  /// repair engine spawns run with this reset to the default. The stage
+  /// never touches the filesystem: owl_cli --repair DIR writes
+  /// `<stem>_fixed.mir` + `<stem>_repair.json` from the report.
+  bool repair = false;
 
   // --- resilience layer ---
-  StageBudgets stage_budgets;          ///< per-stage deadlines/step budgets
+  /// Wall-clock deadline of every Fig. 3 stage, in seconds (0 = none). A
+  /// stage past its deadline degrades (FailureRecord on the target's
+  /// StageCounts) instead of running unbounded; detection retries double
+  /// it per attempt.
+  double stage_deadline = 0.0;
   /// Retry policy for the schedule-dependent stages (detection re-runs,
-  /// racing-moment capture, vulnerability verification): seed rotation +
-  /// exponential budget growth per retry.
+  /// racing-moment capture, vulnerability verification): seed rotation per
+  /// retry.
   support::RetryPolicy retry;
   /// Deterministic fault-injection harness; null disables injection. Not
   /// owned; must outlive the pipeline run.
@@ -215,8 +200,8 @@ class Pipeline {
   /// module, own machines), each worker runs against a per-target fork of
   /// the fault injector (forks are absorbed back in input order), and
   /// results land in pre-assigned slots. Note the fork semantics: a
-  /// FaultPlan's `count`/dilution state is scoped per target here, even
-  /// with jobs=1 — target-scoped plans (the common case) are unaffected.
+  /// FaultPlan's `count` state is scoped per target here, even with
+  /// jobs=1 — target-scoped plans (the common case) are unaffected.
   std::vector<PipelineResult> run_many(
       const std::vector<PipelineTarget>& targets) const;
 

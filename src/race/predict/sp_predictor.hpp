@@ -51,15 +51,6 @@ enum class Feasibility {
   kUnknown,     ///< no occurrence seen, or the pair cap truncated the search
 };
 
-using ReportKey = std::pair<std::uint64_t, std::uint64_t>;
-
-struct ReportKeyHash {
-  std::size_t operator()(const ReportKey& key) const noexcept {
-    return std::hash<std::uint64_t>{}(key.first * 0x9e3779b97f4a7c15ULL ^
-                                      key.second);
-  }
-};
-
 struct PredictOutcome {
   /// Verdict for every reduced report handed to analyze().
   std::unordered_map<ReportKey, Feasibility, ReportKeyHash> verdicts;

@@ -16,7 +16,7 @@ const AccessRecord* RaceReport::write_side() const noexcept {
   return &second;
 }
 
-std::pair<std::uint64_t, std::uint64_t> RaceReport::key() const noexcept {
+ReportKey RaceReport::key() const noexcept {
   const std::uint64_t a = first.instr != nullptr ? first.instr->id() : 0;
   const std::uint64_t b = second.instr != nullptr ? second.instr->id() : 0;
   return {std::min(a, b), std::max(a, b)};

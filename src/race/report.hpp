@@ -6,8 +6,11 @@
 // Tables 1 and 3.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "race/event.hpp"
@@ -19,6 +22,19 @@ namespace owl::race {
 /// reproduction (the accesses may be individually lock-protected, so they
 /// can never be caught simultaneously "in the racing moment").
 enum class ReportKind { kDataRace, kAtomicityViolation };
+
+/// Static dedup key: (min instruction id, max instruction id).
+using ReportKey = std::pair<std::uint64_t, std::uint64_t>;
+
+/// Hash for ReportKey. Report indexes are flat hashes that are only looked
+/// up, never iterated, so output order never depends on it.
+struct ReportKeyHash {
+  std::size_t operator()(const ReportKey& key) const noexcept {
+    std::uint64_t h = key.first * 0x9E3779B97F4A7C15ull;
+    h ^= key.second + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+    return static_cast<std::size_t>(h);
+  }
+};
 
 struct RaceReport {
   ReportKind kind = ReportKind::kDataRace;
@@ -51,7 +67,7 @@ struct RaceReport {
   const AccessRecord* write_side() const noexcept;
 
   /// Static dedup key: unordered pair of instruction ids.
-  std::pair<std::uint64_t, std::uint64_t> key() const noexcept;
+  ReportKey key() const noexcept;
 
   /// Multi-line human-readable rendering with both call stacks.
   std::string to_string() const;

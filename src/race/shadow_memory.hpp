@@ -35,11 +35,6 @@ struct ShadowCell {
   std::uint64_t epoch = 0;
   const ir::Instruction* instr = nullptr;
   interp::Word value = 0;
-  /// Reads only: the write-check at capture time found no race. Clocks only
-  /// grow and every write clears the read set, so while this cell survives,
-  /// a repeat read by the same thread cannot race either — the licence for
-  /// the detector's same-reader fast path.
-  bool no_race = false;
 };
 
 /// Shadow state for one byte address: the last write plus the reads since.

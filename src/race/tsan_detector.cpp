@@ -103,19 +103,6 @@ void TsanDetector::on_access(const Access& access,
   const std::uint64_t own_epoch = ct.get(access.tid);
 
   if (access.is_write) {
-    // Same-owner store fast path (FastTrack's "same epoch" case): the last
-    // write was ours and no reads intervened, so there is nothing to order
-    // against — refresh the cell and leave. Requires an idle watch list:
-    // the slow path below would erase this address from it.
-    if (slot.has_write && slot.write.tid == access.tid && !slot.has_reads() &&
-        (!ski_watch_mode_ || watched_.empty())) {
-      ++counters_.epoch_write_hits;
-      slot.write = ShadowCell{access.tid, access.context, own_epoch,
-                              access.instr, access.value};
-      return;
-    }
-    ++counters_.clock_fallbacks;
-
     std::optional<AccessRecord> current;  // materialized at most once
     if (slot.has_write && slot.write.tid != access.tid &&
         !VectorClock::epoch_leq(slot.write.tid, slot.write.epoch, ct)) {
@@ -141,25 +128,8 @@ void TsanDetector::on_access(const Access& access,
     // A write sanitizes the watch list for this address (§6.3).
     if (ski_watch_mode_) watched_.erase(access.addr);
   } else {
-    // Same-reader fast path: this thread already has a read cell here that
-    // was checked race-free against the current shadow write. Every write
-    // clears the read set (so the write cannot have changed while the cell
-    // survives) and clocks only grow, so the check cannot newly fail —
-    // refresh the cell and leave. Requires an idle watch list: the slow
-    // path below would feed this read to watchers.
-    ShadowCell* own = slot.find_read(access.tid);
-    if (own != nullptr && own->no_race && watched_.empty()) {
-      ++counters_.epoch_read_hits;
-      *own = ShadowCell{access.tid, access.context, own_epoch, access.instr,
-                        access.value, /*no_race=*/true};
-      return;
-    }
-    ++counters_.clock_fallbacks;
-
-    bool raced = false;
     if (slot.has_write && slot.write.tid != access.tid &&
         !VectorClock::epoch_leq(slot.write.tid, slot.write.epoch, ct)) {
-      raced = true;
       record_race(record_from_cell(slot.write, access.addr,
                                    /*is_write=*/true, machine),
                   record_from_access(access, machine), machine);
@@ -167,8 +137,8 @@ void TsanDetector::on_access(const Access& access,
     // Keep at most one read epoch per thread (replace in place to keep the
     // insertion-order iteration).
     const ShadowCell cell{access.tid, access.context, own_epoch, access.instr,
-                          access.value, /*no_race=*/!raced};
-    if (own != nullptr) {
+                          access.value};
+    if (ShadowCell* own = slot.find_read(access.tid); own != nullptr) {
       *own = cell;
     } else {
       slot.add_read(cell);
@@ -302,10 +272,6 @@ void TsanDetector::flush_metrics() {
   support::MetricsRegistry& registry = support::metrics();
   registry.advisory("detector.accesses").inc(counters_.accesses);
   registry.advisory("detector.sync_events").inc(counters_.sync_events);
-  registry.advisory("detector.epoch_write_hits")
-      .inc(counters_.epoch_write_hits);
-  registry.advisory("detector.epoch_read_hits").inc(counters_.epoch_read_hits);
-  registry.advisory("detector.clock_fallbacks").inc(counters_.clock_fallbacks);
   registry.advisory("detector.lazy_materializations")
       .inc(counters_.lazy_materializations);
   registry.counter("detector.reports_emitted").inc(reports_.size());
@@ -329,9 +295,7 @@ std::vector<RaceReport> TsanDetector::take_reports() {
 
 void merge_reports(std::vector<RaceReport>& into,
                    std::vector<RaceReport>&& from) {
-  std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, std::size_t,
-                     ReportKeyHash>
-      index;
+  std::unordered_map<ReportKey, std::size_t, ReportKeyHash> index;
   index.reserve(into.size() + from.size());
   for (std::size_t i = 0; i < into.size(); ++i) {
     index.emplace(into[i].key(), i);

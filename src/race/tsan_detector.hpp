@@ -13,17 +13,16 @@
 //  - in SKI mode (ski_detector.hpp) every subsequent read's call stack is
 //    logged until a write sanitizes the address.
 //
-// The hot path runs on paged shadow memory, FastTrack-style epoch fast
-// paths, dense ThreadId-indexed clock tables, and lazy race-candidate
-// capture (call stacks rebuilt from interned context ids only when an
-// access actually races) — see DESIGN.md §2.1. The original hash-map
-// implementation is the test oracle (tests/reference_detector.hpp): a
-// subclass that reuses the protected report plumbing below, diffed against
-// this class on the examples and the paper workloads.
+// The hot path runs on paged shadow memory, dense ThreadId-indexed clock
+// tables, and lazy race-candidate capture (call stacks rebuilt from
+// interned context ids only when an access actually races) — see
+// DESIGN.md §2.1. The original hash-map implementation is the test oracle
+// (tests/reference_detector.hpp): a subclass that reuses the protected
+// report plumbing below, diffed against this class on the examples and
+// the paper workloads.
 #pragma once
 
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "interp/machine.hpp"
@@ -34,18 +33,6 @@
 #include "race/vector_clock.hpp"
 
 namespace owl::race {
-
-/// Hash for the (min instruction id, max instruction id) report key — the
-/// report index is a flat hash instead of an ordered map; take_reports'
-/// final sort provides the stable order.
-struct ReportKeyHash {
-  std::size_t operator()(
-      const std::pair<std::uint64_t, std::uint64_t>& key) const noexcept {
-    std::uint64_t h = key.first * 0x9E3779B97F4A7C15ull;
-    h ^= key.second + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
-};
 
 class TsanDetector : public interp::Observer {
  public:
@@ -84,9 +71,6 @@ class TsanDetector : public interp::Observer {
   struct SubstrateCounters {
     std::uint64_t accesses = 0;         ///< on_access events seen
     std::uint64_t sync_events = 0;      ///< on_sync events seen
-    std::uint64_t epoch_write_hits = 0; ///< same-owner store fast path taken
-    std::uint64_t epoch_read_hits = 0;  ///< no_race repeated-read fast path
-    std::uint64_t clock_fallbacks = 0;  ///< full vector-clock slow paths
     std::uint64_t lazy_materializations = 0;  ///< AccessRecords rebuilt
     std::uint64_t prescreen_pruned = 0;  ///< accesses the prescreen covers
     /// Audit mode only: a pruned-eligible access participated in a race or
@@ -144,9 +128,7 @@ class TsanDetector : public interp::Observer {
   std::unordered_map<interp::Address, VectorClock> lock_clocks_;
   std::unordered_map<interp::Address, VectorClock> sync_clocks_;
 
-  std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, std::size_t,
-                     ReportKeyHash>
-      index_;
+  std::unordered_map<ReportKey, std::size_t, ReportKeyHash> index_;
   std::vector<RaceReport> reports_;
   std::uint64_t dynamic_races_ = 0;
 };

@@ -2,10 +2,9 @@
 //
 // The TSan substrate (DESIGN.md §2) uses full vector clocks rather than
 // FastTrack epochs: simulated executions are small enough that precision is
-// worth more than the constant-factor speedup. The fast detection substrate
-// layers FastTrack-style same-epoch shortcuts *in front of* these clocks
-// (tsan_detector.cpp) but always falls back to the full-vector comparison,
-// so precision — and the emitted reports — are unchanged.
+// worth more than the constant-factor speedup. Shadow cells record only the
+// accessing thread's own clock entry, which `epoch_leq` compares against a
+// full clock.
 #pragma once
 
 #include <cstdint>

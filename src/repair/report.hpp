@@ -1,10 +1,10 @@
 // Structured outcome of the automated race-repair stage (DESIGN.md §13).
 //
 // Deliberately free of core/ includes: core/pipeline.hpp embeds these types
-// in PipelineOptions / PipelineResult, while the repair engine itself
-// depends on the full pipeline — keeping this header leaf-level breaks the
-// cycle. Everything here is plain data; rendering lives in core/render
-// (human text, shared with owl_served) and repair/engine (JSON file form).
+// in PipelineResult, while the repair engine itself depends on the full
+// pipeline — keeping this header leaf-level breaks the cycle. Everything
+// here is plain data; rendering lives in core/render (human text, shared
+// with owl_served) and repair/engine (JSON file form).
 #pragma once
 
 #include <string>
@@ -20,14 +20,6 @@ enum class Strategy {
 };
 
 std::string_view strategy_name(Strategy strategy) noexcept;
-
-struct RepairOptions {
-  /// Master switch. Off (the default) leaves every output byte-identical
-  /// to a build without the repair stage.
-  /// The stage never touches the filesystem: owl_cli --repair DIR writes
-  /// `<stem>_fixed.mir` + `<stem>_repair.json` from the report.
-  bool enabled = false;
-};
 
 /// One repaired race, identified portably across modules (instruction ids
 /// differ between the original and the patched clone; source locations and

@@ -27,7 +27,6 @@ std::string_view failure_cause_name(FailureCause cause) noexcept {
     case FailureCause::kException: return "exception";
     case FailureCause::kLivelock: return "livelock";
     case FailureCause::kWallClockExhausted: return "wall-clock-exhausted";
-    case FailureCause::kStepBudgetExhausted: return "step-budget-exhausted";
     case FailureCause::kSchedulerStall: return "scheduler-stall";
     case FailureCause::kTruncatedEvents: return "truncated-events";
   }

@@ -45,7 +45,6 @@ enum class FailureCause {
   kException,           ///< the stage threw (detector bug, injected fault)
   kLivelock,            ///< verifier session made no progress (watchdog)
   kWallClockExhausted,  ///< stage wall-clock deadline hit
-  kStepBudgetExhausted, ///< stage interpreter-step budget hit
   kSchedulerStall,      ///< schedule made no progress (stall watchdog)
   kTruncatedEvents,     ///< detector saw a truncated event stream
 };

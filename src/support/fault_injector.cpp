@@ -82,7 +82,7 @@ bool parse_fault_plan(std::string_view text, FaultPlan& plan) {
 }
 
 FaultInjector FaultInjector::fork() const {
-  FaultInjector out(seed_);
+  FaultInjector out;
   for (const PlanState& state : plans_) out.add_plan(state.plan);
   return out;
 }
@@ -125,10 +125,6 @@ bool FaultInjector::probe(FaultKind kind) {
     const std::uint64_t probe_index = state.probes++;
     if (probe_index < plan.after) continue;
     if (plan.count != 0 && state.fired >= plan.count) continue;
-    if (plan.probability_percent < 100 &&
-        !rng_.chance(plan.probability_percent, 100)) {
-      continue;
-    }
     if (!state.logged_in_context) {
       // First firing in this context: log it (bounded — high-frequency
       // probes like stalls fire millions of times but log once).

@@ -1,4 +1,4 @@
-// Deterministic, seed-controlled fault injection for the pipeline.
+// Deterministic fault injection for the pipeline.
 //
 // The resilience layer's claims ("a stalled schedule, a livelocked verifier
 // session, or a detector crash degrades one target, not the run") are only
@@ -6,14 +6,15 @@
 // proof harness: the pipeline driver pushes (target, stage) context, and
 // instrumented code deep in the interpreter, the debugger layer, and the
 // detectors probes it at well-defined points. Plans fire deterministically
-// (after N matching probes, at most M times) with an optional seed-driven
-// dilution, so every injected failure is replayable from its seed.
+// (after N matching probes, at most M times), so every injected failure is
+// replayable.
 //
 // Fault classes (mapped to the real-world failure modes of §5.2 and the
 // surveyed detectors):
 //  - kSchedulerStall:     the machine's run loop burns steps without
 //                         executing instructions — a pathological schedule
-//                         that exhausts the stage's step budget;
+//                         that burns the run's max_steps or trips the
+//                         stage deadline;
 //  - kBreakpointLivelock: released breakpoints re-trigger without progress
 //                         — a livelocked verifier session the §5.2 release
 //                         rule alone cannot break (watchdog territory);
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "support/failure.hpp"
-#include "support/rng.hpp"
 
 namespace owl::support {
 
@@ -63,9 +63,6 @@ struct FaultPlan {
   std::string target;       ///< exact workload name; empty matches any
   std::uint64_t after = 0;  ///< skip the first N matching probes
   std::uint64_t count = 0;  ///< fire at most N times (0 = unlimited)
-  /// Seed-controlled dilution: each eligible probe fires with this
-  /// percentage (100 = always). Deterministic per injector seed.
-  unsigned probability_percent = 100;
 };
 
 /// Parses the CLI fault spec shared by owl_cli and owl_served:
@@ -88,21 +85,17 @@ struct InjectionEvent {
 
 class FaultInjector {
  public:
-  explicit FaultInjector(std::uint64_t seed = 0x0417)
-      : rng_(seed), seed_(seed) {}
-
   void add_plan(FaultPlan plan) {
     plans_.push_back({std::move(plan), 0, 0, false});
   }
   bool empty() const noexcept { return plans_.empty(); }
 
-  /// Independent copy for one parallel worker: same plans and dilution
-  /// seed, fresh counters and context. Pipeline::run_many hands each
-  /// target a fork, so a plan's probe/firing sequence depends only on
-  /// that target's own execution — identical for jobs=1 and jobs=N. (A
-  /// fork scopes lifetime state — `count` budgets, dilution draws — to
-  /// its target; plans matching several targets fire per target rather
-  /// than across the whole run.)
+  /// Independent copy for one parallel worker: same plans, fresh counters
+  /// and context. Pipeline::run_many hands each target a fork, so a plan's
+  /// probe/firing sequence depends only on that target's own execution —
+  /// identical for jobs=1 and jobs=N. (A fork scopes lifetime state —
+  /// `count` budgets — to its target; plans matching several targets fire
+  /// per target rather than across the whole run.)
   FaultInjector fork() const;
 
   /// Merges a drained fork's accounting (events, firing total) back, in
@@ -113,8 +106,6 @@ class FaultInjector {
   // --- context, pushed by the pipeline driver ---
   void begin_target(std::string_view name);
   void begin_stage(PipelineStage stage);
-  const std::string& current_target() const noexcept { return target_; }
-  PipelineStage current_stage() const noexcept { return stage_; }
 
   // --- probes, called from instrumented code ---
   /// Machine run loop: burn this step instead of executing?
@@ -173,8 +164,6 @@ class FaultInjector {
   bool probe(FaultKind kind);
 
   std::vector<PlanState> plans_;
-  Rng rng_;
-  std::uint64_t seed_;
   std::string target_;
   PipelineStage stage_ = PipelineStage::kDriver;
   std::vector<InjectionEvent> events_;

@@ -1,8 +1,7 @@
 // Process-wide metrics registry for the pipeline (DESIGN.md §8).
 //
-// Named counters and histograms record *behavioral* facts —
-// detector fast-path hits vs. vector-clock fallbacks, shadow-page
-// allocations, retries, livelock releases, reports pruned per stage.
+// Named counters and histograms record *behavioral* facts — retries,
+// livelock releases, reports emitted and pruned per stage.
 // serialize() renders only those, sorted by name, so two runs with
 // identical behavior produce byte-identical snapshots no matter how long
 // they took or how many workers they ran on; CI diffs the snapshots

@@ -1,15 +1,15 @@
-// Bounded retries with seed rotation and exponential budget growth.
+// Bounded retries with seed rotation and a doubling deadline.
 //
 // The schedule-dependent stages — detection re-runs, racing-moment capture,
 // vulnerability verification — can fail on a flaky schedule without the
 // target being unanalyzable. A RetryPolicy makes such a failure cost one
-// retry under a fresh seed (a different region of the schedule space) and
-// a grown budget, rather than a lost attack.
+// retry under a fresh seed (a different region of the schedule space) and,
+// for detection, twice the previous attempt's deadline, rather than a lost
+// attack.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
-
-#include "support/deadline.hpp"
 
 namespace owl::support {
 
@@ -19,8 +19,6 @@ struct RetryPolicy {
   /// Seed rotation per retry. A large odd stride lands each retry in an
   /// unrelated region of the schedule space.
   static constexpr std::uint64_t kSeedStride = 0x9e3779b9ULL;
-  /// Budget multiplier per retry (exponential growth).
-  static constexpr double kBudgetGrowth = 2.0;
 
   unsigned max_attempts() const noexcept { return max_retries + 1; }
 
@@ -30,12 +28,10 @@ struct RetryPolicy {
     return base_seed + kSeedStride * attempt;
   }
 
-  /// Budget for the given 0-based attempt: base grown kBudgetGrowth^attempt.
-  BudgetSpec budget_for(const BudgetSpec& base,
-                        unsigned attempt) const noexcept {
-    BudgetSpec out = base;
-    for (unsigned i = 0; i < attempt; ++i) out = out.grown(kBudgetGrowth);
-    return out;
+  /// Deadline for the given 0-based attempt: `base` doubled per retry
+  /// (0, no deadline, stays 0).
+  static double deadline_for(double base, unsigned attempt) noexcept {
+    return std::ldexp(base, static_cast<int>(attempt));
   }
 };
 

@@ -1,6 +1,7 @@
 #include "support/thread_pool.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace owl::support {
 
@@ -118,8 +119,11 @@ void ThreadPool::parallel_for(std::size_t n,
     std::unique_lock<std::mutex> lock(state->mutex);
     state->all_done.wait(lock, [&] { return state->done == state->n; });
   }
+  // Move the exception out before rethrowing: a straggler driver may drop
+  // the last ForState reference on a worker, and it must not free the
+  // exception the caller is handling.
   for (std::exception_ptr& error : state->errors) {
-    if (error) std::rethrow_exception(error);
+    if (error) std::rethrow_exception(std::exchange(error, nullptr));
   }
 }
 

@@ -12,6 +12,14 @@
 namespace owl::verify {
 namespace {
 
+/// §5.2 release rule allowance: breakpoint releases per attempt before the
+/// attempt is declared livelocked and a fresh seed is tried.
+constexpr std::uint64_t kLivelockReleases = 1;
+/// Watchdog: machine-run resumptions per attempt before the verifier
+/// session is declared livelocked (breaks zero-progress break/release
+/// cycles that never reach the release rule).
+constexpr std::uint64_t kWatchdogIterations = 4096;
+
 /// Operand index holding the memory address a racing instruction is about
 /// to touch; SIZE_MAX for instructions without one.
 std::size_t address_operand(const ir::Instruction* instr) noexcept {
@@ -128,7 +136,7 @@ RaceVerifier::AttemptOutcome RaceVerifier::run_attempt(
   std::uint64_t last_steps = 0;
 
   while (!done) {
-    if (++iterations > options_.watchdog_iterations) {
+    if (++iterations > kWatchdogIterations) {
       // Watchdog: the session is cycling between break and release with
       // no hope of progress (e.g. an injected breakpoint livelock).
       out.livelocked = true;
@@ -194,9 +202,9 @@ RaceVerifier::AttemptOutcome RaceVerifier::run_attempt(
       case interp::StopReason::kAllSuspended:
         // Livelock: the threads everyone waits on are the suspended ones.
         // Temporarily release one triggered breakpoint (§5.2) — but only
-        // `livelock_release_after` times per attempt; past that the
-        // attempt is declared livelocked and a fresh seed is tried.
-        if (releases >= options_.livelock_release_after) {
+        // kLivelockReleases times per attempt; past that the attempt is
+        // declared livelocked and a fresh seed is tried.
+        if (releases >= kLivelockReleases) {
           out.livelocked = true;
           done = true;
           break;

@@ -50,13 +50,6 @@ class RaceVerifier {
   struct Options {
     unsigned max_attempts = 8;
     std::uint64_t base_seed = 0x5eed;
-    /// §5.2 release rule allowance: breakpoint releases per attempt before
-    /// the attempt is declared livelocked and a fresh seed is tried.
-    std::uint64_t livelock_release_after = 1;
-    /// Watchdog: machine-run resumptions per attempt before the verifier
-    /// session is declared livelocked (breaks zero-progress break/release
-    /// cycles that never reach the release rule).
-    std::uint64_t watchdog_iterations = 4096;
     /// Resilience-layer fault-injection harness (may be null; not owned).
     support::FaultInjector* fault_injector = nullptr;
     /// Shards the seeded schedule-exploration attempts across this pool

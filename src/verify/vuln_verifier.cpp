@@ -11,6 +11,10 @@
 namespace owl::verify {
 namespace {
 
+/// Watchdog: machine-run resumptions per attempt before the session is
+/// declared livelocked (zero-progress break/release cycles).
+constexpr std::uint64_t kWatchdogIterations = 4096;
+
 /// Targets of `branch` from which `site` is still reachable inside the same
 /// function (a branch hit only "counts" when it goes this way). Branches in
 /// other functions always count — cross-function reachability is what the
@@ -127,7 +131,7 @@ VulnVerifyResult VulnVerifier::verify(const vuln::ExploitReport& exploit,
     std::uint64_t iterations = 0;
     std::uint64_t last_steps = 0;
     while (!done) {
-      if (++iterations > options_.watchdog_iterations) {
+      if (++iterations > kWatchdogIterations) {
         // Watchdog: a zero-progress break/release cycle (e.g. an injected
         // breakpoint livelock) — abandon the attempt.
         any_livelock = true;

@@ -54,9 +54,6 @@ class VulnVerifier {
     /// Prefer running these threads first (exploit-driver ordering hint);
     /// used on attempts without race-order steering.
     std::vector<interp::ThreadId> thread_order;
-    /// Watchdog: machine-run resumptions per attempt before the session is
-    /// declared livelocked (zero-progress break/release cycles).
-    std::uint64_t watchdog_iterations = 4096;
     /// Resilience-layer fault-injection harness (may be null; not owned).
     support::FaultInjector* fault_injector = nullptr;
   };

@@ -801,7 +801,7 @@ TEST(CheckerPipelineTest, OffModeLeavesOutputWithoutCheckerSections) {
 TEST(CheckerPipelineTest, InjectedCheckerFaultDegradesNotDies) {
   support::metrics().reset();
   auto m = load_example("lock_cycle.mir");
-  support::FaultInjector injector(1);
+  support::FaultInjector injector;
   support::FaultPlan plan;
   ASSERT_TRUE(support::parse_fault_plan("check:throw", plan));
   injector.add_plan(plan);

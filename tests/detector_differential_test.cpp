@@ -1,13 +1,12 @@
 // Differential tests for the fast detection substrate (DESIGN.md §2.1):
-// race::TsanDetector (paged shadow, epoch fast paths, dense clocks, lazy
-// candidate capture) must emit field-identical reports to the test-only
-// ReferenceDetector (the original hash-map substrate,
-// tests/reference_detector.hpp).
+// race::TsanDetector (paged shadow, dense clocks, lazy candidate capture)
+// must emit field-identical reports to the test-only ReferenceDetector
+// (the original hash-map substrate, tests/reference_detector.hpp).
 //
 // Both substrates co-observe: one machine run feeds BOTH detectors, so the
 // event streams are literally identical and any divergence is the
 // detector's. Two corpora:
-//  - hand-written modules aimed at each fast path (below);
+//  - hand-written modules aimed at the substrate's corner cases (below);
 //  - the pipeline's own detection schedules on every examples/ir module and
 //    the nine paper workload models (PipelineSchedulesOnExamplesAndModels).
 //    Every stage after detection is a function of the reports, so equal
@@ -198,8 +197,8 @@ entry:
   expect_identical(*m, 8);
 }
 
-// Loops hammer the same-epoch fast paths (repeat reads and writes by the
-// same thread at the same address) while the other thread races.
+// Loops hammer one shadow slot with repeat reads and writes by the same
+// thread while the other thread races.
 TEST(DetectorDifferentialTest, LoopedAccessesHitFastPaths) {
   auto m = parse_ok(R"(module loop
 global @ctr
@@ -265,7 +264,7 @@ entry:
 }
 
 // Ad-hoc annotations flip accesses into release/acquire synchronization;
-// the annotated branch of the fast path must behave identically.
+// the annotated branch of the hot path must behave identically.
 TEST(DetectorDifferentialTest, AnnotatedAccesses) {
   auto m = parse_ok(R"(module adhoc
 global @flag
@@ -328,8 +327,8 @@ entry:
 }
 
 // SKI watch-list mode logs every read after a race until a write
-// sanitizes the address — the fast paths must disengage while the watch
-// list is armed.
+// sanitizes the address — repeat reads must keep feeding the armed watch
+// list.
 TEST(DetectorDifferentialTest, SkiWatchListMode) {
   auto m = parse_ok(R"(module ski
 global @x
@@ -361,8 +360,8 @@ entry:
 
   // A read race arms the watch list; an atomic store then clears the read
   // set without sanitizing, so the next plain store by the same thread
-  // meets the same-owner store fast path's shape. That store must still
-  // sanitize the address: the later read may not reach the first report.
+  // finds its own write and no reads. That store must still sanitize the
+  // address: the later read may not reach the first report.
   auto rewrite = parse_ok(R"(module ski_rewrite
 global @x
 func @writer() {

@@ -151,17 +151,11 @@ TEST(FaultInjectionTest, MultiTargetRunDegradesOnlyFaultedTargets) {
       {FaultKind::kTruncatedEvents, PipelineStage::kDetection, "E"});
 
   PipelineOptions faulted_options;
-  // A finite detection step budget so the injected stall on A exhausts it
-  // deterministically instead of burning max_steps on every schedule.
-  faulted_options.stage_budgets.detection.steps = 5000;
   faulted_options.fault_injector = &injector;
   const std::vector<PipelineResult> faulted =
       Pipeline(faulted_options).run_many(targets);
 
-  PipelineOptions clean_options;
-  clean_options.stage_budgets.detection.steps = 5000;
-  const std::vector<PipelineResult> clean =
-      Pipeline(clean_options).run_many(targets);
+  const std::vector<PipelineResult> clean = Pipeline().run_many(targets);
 
   ASSERT_EQ(faulted.size(), 5u);
   ASSERT_EQ(clean.size(), 5u);
@@ -169,11 +163,9 @@ TEST(FaultInjectionTest, MultiTargetRunDegradesOnlyFaultedTargets) {
     EXPECT_EQ(faulted[i].target_name, targets[i].name);
   }
 
-  // A: the stall burned the detection schedules into the step budget.
+  // A: the stall burned every detection schedule's max_steps.
   const PipelineResult& a = faulted[0];
   EXPECT_TRUE(a.degraded());
-  EXPECT_TRUE(has_failure(a.counts, PipelineStage::kDetection,
-                          FailureCause::kStepBudgetExhausted));
   EXPECT_TRUE(has_failure(a.counts, PipelineStage::kDetection,
                           FailureCause::kSchedulerStall));
   EXPECT_EQ(a.counts.raw_reports, 0u);  // stalled runs execute nothing
@@ -212,8 +204,8 @@ TEST(FaultInjectionTest, MultiTargetRunDegradesOnlyFaultedTargets) {
 
 TEST(FaultInjectionTest, DetectionExceptionRetriesThenSucceeds) {
   // One injected exception with count=1: the first detection attempt
-  // throws, the retry (fresh seed, grown budget) completes, and the target
-  // is NOT degraded — a flaky schedule costs a retry, not the target.
+  // throws, the retry (fresh seed) completes, and the target is NOT
+  // degraded — a flaky schedule costs a retry, not the target.
   auto m = parse_ok(steady_race("flaky"));
   FaultInjector injector;
   FaultPlan plan{FaultKind::kStageException, PipelineStage::kDetection,
@@ -284,7 +276,7 @@ TEST(FaultInjectionTest, WallClockDeadlineDegradesStalledStage) {
 
   PipelineOptions options;
   options.fault_injector = &injector;
-  options.stage_budgets = StageBudgets::uniform_wall(0.05);
+  options.stage_deadline = 0.05;
   const PipelineResult result = Pipeline(options).run(target_for(m, 9));
   EXPECT_TRUE(result.degraded());
   EXPECT_TRUE(has_failure(result.counts, PipelineStage::kDetection,

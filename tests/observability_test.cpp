@@ -417,10 +417,10 @@ TEST(RunManifestTest, OptionsRecordStageDeadlineExactly) {
             "\"analyzer_mode\":\"directed\",\"retries\":\"2\","
             "\"stage_deadline_seconds\":\"0\","
             "\"fault_injection\":\"false\"},");
-  options.stage_budgets = core::StageBudgets::uniform_wall(0.0004);
+  options.stage_deadline = 0.0004;
   EXPECT_NE(options_line().find("\"stage_deadline_seconds\":\"4e-04\""),
             std::string::npos);
-  options.stage_budgets = core::StageBudgets::uniform_wall(1e-7);
+  options.stage_deadline = 1e-7;
   EXPECT_NE(options_line().find("\"stage_deadline_seconds\":\"1e-07\""),
             std::string::npos);
 }

@@ -183,7 +183,7 @@ void add_fault(FaultInjector& injector) {
 }
 
 std::vector<PipelineResult> run_with_jobs(const Workload& w, unsigned jobs) {
-  FaultInjector injector(0x0417);
+  FaultInjector injector;
   add_fault(injector);
   PipelineOptions options;
   options.jobs = jobs;

@@ -59,7 +59,6 @@ void ReferenceDetector::on_access(const Access& access,
   }
 
   const AccessRecord rec = make_record(access, machine);
-  ++counters_.clock_fallbacks;  // the reference substrate has no fast paths
 
   if (access.is_write) {
     if (shadow.write.has_value() && shadow.write->tid != access.tid &&

@@ -4,10 +4,10 @@
 // It shares everything downstream of the hot path with TsanDetector — the
 // report index, dedup, watch lists, prescreen accounting, counters and the
 // metrics flush — and replaces only on_access/on_sync: hash-map shadow and
-// clock tables, eager call-stack capture on every access, no epoch fast
-// paths. tests/detector_differential_test.cpp feeds both substrates the
-// same machines and requires field-identical reports; bench/micro_perf
-// measures the gap (BM_Detector*/impl:0). Do not optimize this path.
+// clock tables, eager call-stack capture on every access.
+// tests/detector_differential_test.cpp feeds both substrates the same
+// machines and requires field-identical reports; bench/micro_perf measures
+// the gap (BM_Detector*/impl:0). Do not optimize this path.
 #pragma once
 
 #include <optional>

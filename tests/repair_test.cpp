@@ -285,7 +285,7 @@ TEST(RepairPlannerTest, RelocatePlannedForMovableSpawnWindowStore) {
 core::PipelineOptions repair_options() {
   core::PipelineOptions options;
   options.jobs = 1;
-  options.repair.enabled = true;
+  options.repair = true;
   return options;
 }
 
@@ -411,7 +411,7 @@ TEST(RepairPipelineTest, JobsOneVersusFourIsByteIdentical) {
 TEST(RepairPipelineTest, OffModeNeverMentionsRepair) {
   auto m = load_example("lost_update.mir");
   core::PipelineOptions options;
-  options.jobs = 1;  // repair.enabled stays default-off
+  options.jobs = 1;  // repair stays default-off
   const auto results = core::Pipeline(options)
                            .run_many({target_for(m, "lost_update.mir")});
   ASSERT_EQ(results.size(), 1u);
@@ -433,7 +433,7 @@ TEST(RepairPipelineTest, OffModeNeverMentionsRepair) {
 
 TEST(RepairFaultTest, InjectedThrowDegradesNotDies) {
   auto m = load_example("lost_update.mir");
-  support::FaultInjector injector(1);
+  support::FaultInjector injector;
   support::FaultPlan plan;
   ASSERT_TRUE(support::parse_fault_plan("repair:throw", plan));
   EXPECT_EQ(plan.stage, support::PipelineStage::kRepair);

@@ -214,7 +214,7 @@ class ServeFaultTest : public ::testing::Test {
   /// cache/journal rooted in a scratch dir.
   void build(const std::vector<support::FaultPlan>& plans,
              bool with_journal = false) {
-    faults_ = std::make_unique<support::FaultInjector>(0x0417);
+    faults_ = std::make_unique<support::FaultInjector>();
     for (const support::FaultPlan& plan : plans) faults_->add_plan(plan);
     ServiceCore::Config config;
     config.cache_dir = dir_.path() + "/cache";
@@ -362,7 +362,7 @@ TEST_F(ServeFaultTest, PipelineFaultDegradesNotDies) {
   // A pipeline-stage fault (detect:throw) rides into the analysis and is
   // absorbed by the resilience layer: the response reports a degraded run,
   // the daemon stays up.
-  auto pipeline_faults = std::make_unique<support::FaultInjector>(1);
+  auto pipeline_faults = std::make_unique<support::FaultInjector>();
   pipeline_faults->add_plan(plan_for("detect:throw"));
   ServiceCore::Config config;
   config.cache_dir = dir_.path() + "/cache";

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -110,6 +111,39 @@ TEST(ThreadPoolTest, ParallelForRethrowsLowestIndexException) {
       EXPECT_STREQ(error.what(), "three");
     }
   }
+}
+
+TEST(ThreadPoolTest, ParallelForHandsTheRethrownExceptionToTheCaller) {
+  // The caller must end up holding the last reference to the exception it
+  // catches: a straggling driver that drops the loop's shared state on a
+  // worker may not free that exception while the caller still reads it.
+  struct Recorded : std::runtime_error {
+    explicit Recorded(std::vector<std::thread::id>* sink)
+        : std::runtime_error("slot 0"), sink(sink) {}
+    ~Recorded() override { sink->push_back(std::this_thread::get_id()); }
+    std::vector<std::thread::id>* sink;
+  };
+  std::vector<std::thread::id> destroyed_on;
+  std::promise<void> gate;
+  bool caught = false;
+  {
+    ThreadPool pool(1);
+    // Park the only worker, so the driver parallel_for queues behind it
+    // straggles past the call.
+    pool.submit([opened = gate.get_future().share()] { opened.wait(); });
+    try {
+      pool.parallel_for(1, [&](std::size_t) {
+        throw Recorded(&destroyed_on);
+      });
+    } catch (const Recorded& error) {
+      caught = true;
+      EXPECT_STREQ(error.what(), "slot 0");
+    }
+    gate.set_value();
+  }  // joins the worker once it has run the straggling driver
+  ASSERT_TRUE(caught) << "parallel_for swallowed the exception";
+  ASSERT_EQ(destroyed_on.size(), 1u);
+  EXPECT_EQ(destroyed_on[0], std::this_thread::get_id());
 }
 
 TEST(ThreadPoolTest, ParallelForRunsRemainingSlotsAfterThrow) {

@@ -325,7 +325,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const core::AnalysisRequest& request = options.request;
-  support::FaultInjector injector(request.seed);
+  support::FaultInjector injector;
   for (const support::FaultPlan& plan : options.fault_plans) {
     injector.add_plan(plan);
   }

@@ -32,7 +32,6 @@
 //                          (admit|enqueue|cache-read|cache-write|respond)
 //                          fault the request lifecycle, pipeline stages
 //                          (detect|annotate|...) fault every analysis
-//   --fault-seed S         seed for the fault injectors (default: 1047)
 //
 // Lifecycle: on start the journal is recovered (stranded requests are
 // re-executed into the cache), then the daemon prints
@@ -61,7 +60,6 @@ struct ServedOptions {
   std::size_t queue_depth = 32;
   std::size_t max_inflight = 8;
   unsigned retry_after_ms = 100;
-  std::uint64_t fault_seed = 0x0417;
   std::vector<support::FaultPlan> fault_plans;
 };
 
@@ -71,7 +69,7 @@ void usage() {
                "       [--queue-depth N] [--max-inflight N]\n"
                "       [--cache-dir DIR] [--cache-max-entries N]\n"
                "       [--journal FILE]\n"
-               "       [--retry-after-ms N] [--fault-seed S]\n"
+               "       [--retry-after-ms N]\n"
                "       [--inject-fault stage:kind[:after]]\n");
 }
 
@@ -113,11 +111,6 @@ bool parse_args(int argc, char** argv, ServedOptions& options) {
       std::int64_t n = 0;
       if (v == nullptr || !parse_int64(v, n) || n < 0) return false;
       options.retry_after_ms = static_cast<unsigned>(n);
-    } else if (arg == "--fault-seed") {
-      const char* v = next();
-      std::int64_t n = 0;
-      if (v == nullptr || !parse_int64(v, n)) return false;
-      options.fault_seed = static_cast<std::uint64_t>(n);
     } else if (arg == "--inject-fault") {
       const char* v = next();
       support::FaultPlan plan;
@@ -165,8 +158,8 @@ int main(int argc, char** argv) {
 
   // Split the fault plans between the two injectors: service phases probe
   // the request lifecycle, pipeline stages ride into every Executor::run.
-  support::FaultInjector service_faults(options.fault_seed);
-  support::FaultInjector pipeline_faults(options.fault_seed);
+  support::FaultInjector service_faults;
+  support::FaultInjector pipeline_faults;
   for (const support::FaultPlan& plan : options.fault_plans) {
     if (support::is_service_phase(plan.stage)) {
       service_faults.add_plan(plan);
