@@ -49,10 +49,11 @@ int main() {
   core::PipelineTarget target = bank.target();
   const core::PipelineResult result =
       core::Pipeline(bank.pipeline_options()).run(target);
+  ir::NameTable names;
   std::printf("\n--- OWL's hint on the double spend ---\n");
   for (const vuln::ExploitReport& exploit : result.exploits) {
     if (exploit.site->opcode() == ir::Opcode::kEval) {
-      std::fputs(vuln::render_hint(exploit).c_str(), stdout);
+      std::fputs(vuln::render_hint(exploit, names).c_str(), stdout);
       break;
     }
   }

@@ -14,12 +14,13 @@ int main() {
   const workloads::Workload w =
       workloads::make_libsafe(bench::bench_profile());
   const core::PipelineResult result = bench::run_pipeline(w);
+  ir::NameTable names;
 
   std::printf("--- race reports after reduction (%zu of %zu raw) ---\n",
               result.counts.remaining, result.counts.raw_reports);
   for (const race::RaceReport& report :
        result.store.stage(core::Stage::kAfterRaceVerifier)) {
-    std::fputs(report.to_string().c_str(), stdout);
+    std::fputs(report.to_string(names).c_str(), stdout);
     std::printf("\n");
   }
 
@@ -35,12 +36,12 @@ int main() {
 
   std::printf("\n--- Fig. 5: OWL's vulnerable input hint ---\n");
   for (const vuln::ExploitReport& exploit : result.exploits) {
-    std::fputs(vuln::render_hint(exploit).c_str(), stdout);
+    std::fputs(vuln::render_hint(exploit, names).c_str(), stdout);
   }
 
   std::printf("\n--- dynamic verification & exploitation ---\n");
   for (const core::ConcurrencyAttack& attack : result.attacks) {
-    std::fputs(attack.to_string().c_str(), stdout);
+    std::fputs(attack.to_string(names).c_str(), stdout);
   }
 
   // Run the exploit script: repeated oversized requests with the second

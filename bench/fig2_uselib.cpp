@@ -14,6 +14,7 @@ int main() {
 
   const workloads::Workload w = workloads::make_linux(bench::bench_profile());
   const core::PipelineResult result = bench::run_pipeline(w);
+  ir::NameTable names;
 
   std::printf("SKI-mode detection: %zu raw reports, %zu after annotating %zu "
               "adhoc syncs\n\n",
@@ -26,7 +27,7 @@ int main() {
         exploit.site->opcode() != ir::Opcode::kSetUid) {
       continue;
     }
-    std::fputs(vuln::render_hint(exploit).c_str(), stdout);
+    std::fputs(vuln::render_hint(exploit, names).c_str(), stdout);
   }
 
   // The timing-window sweep: trigger rate of the NULL-func-ptr deref as a

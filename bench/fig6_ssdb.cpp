@@ -12,6 +12,7 @@ int main() {
 
   const workloads::Workload w = workloads::make_ssdb(bench::bench_profile());
   const core::PipelineResult result = bench::run_pipeline(w);
+  ir::NameTable names;
 
   std::printf("pipeline: %zu raw -> %zu after annotation -> %zu verified "
               "(paper: 12 -> 12 -> 2)\n\n",
@@ -21,19 +22,19 @@ int main() {
   std::printf("--- verified races ---\n");
   for (const race::RaceReport& report :
        result.store.stage(core::Stage::kAfterRaceVerifier)) {
-    std::fputs(report.to_string().c_str(), stdout);
+    std::fputs(report.to_string(names).c_str(), stdout);
     std::printf("\n");
   }
 
   std::printf("--- OWL's vulnerability reports ---\n");
   for (const vuln::ExploitReport& exploit : result.exploits) {
-    std::fputs(vuln::render_hint(exploit).c_str(), stdout);
+    std::fputs(vuln::render_hint(exploit, names).c_str(), stdout);
   }
 
   std::printf("\n--- dynamic verification ---\n");
   bool uaf = false;
   for (const core::ConcurrencyAttack& attack : result.attacks) {
-    std::fputs(attack.to_string().c_str(), stdout);
+    std::fputs(attack.to_string(names).c_str(), stdout);
     for (const interp::SecurityEvent& event : attack.verification.events) {
       uaf |= event.kind == interp::SecurityEventKind::kUseAfterFree;
     }

@@ -17,11 +17,12 @@ int main() {
   const workloads::Workload w =
       workloads::make_apache_log(bench::bench_profile());
   const core::PipelineResult result = bench::run_pipeline(w);
+  ir::NameTable names;
 
   std::printf("--- OWL's hints on the log-buffer race ---\n");
   for (const vuln::ExploitReport& exploit : result.exploits) {
     if (exploit.site->loc().file == "http_log.c") {
-      std::fputs(vuln::render_hint(exploit).c_str(), stdout);
+      std::fputs(vuln::render_hint(exploit, names).c_str(), stdout);
     }
   }
 

@@ -17,11 +17,12 @@ int main() {
 
   core::Pipeline pipeline(apache.pipeline_options());
   const core::PipelineResult result = pipeline.run(apache.target());
+  ir::NameTable names;
 
   std::printf("--- OWL's hint on the busyness race ---\n");
   for (const vuln::ExploitReport& exploit : result.exploits) {
     if (exploit.site->loc().line == 1195) {
-      std::fputs(vuln::render_hint(exploit).c_str(), stdout);
+      std::fputs(vuln::render_hint(exploit, names).c_str(), stdout);
     }
   }
   std::printf("pipeline verdict: %s\n\n",

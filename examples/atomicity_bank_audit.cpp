@@ -32,13 +32,14 @@ int main() {
   // ---- 2. The atomicity-fed OWL pipeline finds the attack ----
   core::Pipeline pipeline(bank.pipeline_options());
   const core::PipelineResult result = pipeline.run(bank.target());
+  ir::NameTable names;
   std::printf("atomicity-mode pipeline: %zu report(s), %zu verified, "
               "%zu hint(s), attack detected: %s\n\n",
               result.counts.raw_reports, result.counts.remaining,
               result.counts.vulnerability_reports,
               bank.attack_detected(result) ? "yes" : "no");
   for (const vuln::ExploitReport& exploit : result.exploits) {
-    std::fputs(vuln::render_hint(exploit).c_str(), stdout);
+    std::fputs(vuln::render_hint(exploit, names).c_str(), stdout);
   }
 
   // ---- 3. Manifest the double spend and capture its schedule ----

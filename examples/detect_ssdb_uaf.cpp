@@ -22,6 +22,7 @@ int main() {
   // ---- the OWL pipeline ----
   core::Pipeline pipeline(ssdb.pipeline_options());
   const core::PipelineResult result = pipeline.run(ssdb.target());
+  ir::NameTable names;
 
   std::printf("detector: %zu raw reports; %zu survive reduction "
               "(paper: 12 -> 2)\n\n",
@@ -30,7 +31,7 @@ int main() {
   std::printf("--- what OWL tells the developer ---\n");
   for (const core::ConcurrencyAttack& attack : result.attacks) {
     if (attack.exploit.site->loc().line != 347) continue;
-    std::fputs(attack.to_string().c_str(), stdout);
+    std::fputs(attack.to_string(names).c_str(), stdout);
     break;
   }
 

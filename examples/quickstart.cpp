@@ -96,6 +96,7 @@ int main() {
   // ---- 3. Run the OWL pipeline (Fig. 3 of the paper) ----
   core::Pipeline pipeline;
   const core::PipelineResult result = pipeline.run(target);
+  ir::NameTable names;
 
   std::printf("--- pipeline summary ---\n");
   std::printf("raw race reports:        %zu\n", result.counts.raw_reports);
@@ -107,12 +108,12 @@ int main() {
 
   std::printf("--- vulnerable input hints ---\n");
   for (const vuln::ExploitReport& exploit : result.exploits) {
-    std::fputs(vuln::render_hint(exploit).c_str(), stdout);
+    std::fputs(vuln::render_hint(exploit, names).c_str(), stdout);
   }
 
   std::printf("\n--- attacks ---\n");
   for (const core::ConcurrencyAttack& attack : result.attacks) {
-    std::fputs(attack.to_string().c_str(), stdout);
+    std::fputs(attack.to_string(names).c_str(), stdout);
   }
   return result.confirmed_attacks() > 0 ? 0 : 1;
 }

@@ -80,16 +80,17 @@ int main() {
   target.detection_schedules = 6;
 
   const core::PipelineResult result = core::Pipeline().run(target);
+  ir::NameTable names;
 
   std::printf("raw reports: %zu, verified: %zu, hints: %zu\n\n",
               result.counts.raw_reports, result.counts.remaining,
               result.counts.vulnerability_reports);
   for (const vuln::ExploitReport& exploit : result.exploits) {
-    std::fputs(vuln::render_hint(exploit).c_str(), stdout);
+    std::fputs(vuln::render_hint(exploit, names).c_str(), stdout);
   }
   std::printf("\n--- dynamic verification ---\n");
   for (const core::ConcurrencyAttack& attack : result.attacks) {
-    std::fputs(attack.to_string().c_str(), stdout);
+    std::fputs(attack.to_string(names).c_str(), stdout);
   }
 
   // What to look for: the file operations at serve.c:34/36/37 are

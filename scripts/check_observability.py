@@ -5,7 +5,7 @@
 
 Checks (ctest: owl_cli_observability; also usable standalone):
   - the trace is valid Chrome trace_event JSON whose spans cover every
-    Fig. 3 stage plus the per-target envelope;
+    Fig. 3 stage plus the per-target envelope and the output rendering;
   - the --timings table in stdout is a view of that trace: one row per
     span name, each row's count equal to the trace's events of that name;
   - the manifest is valid owl-manifest-v1 JSON and each target's
@@ -19,13 +19,14 @@ import json
 import re
 import sys
 
-FIG3_SPANS = {
+REQUIRED_SPANS = {
     "target",
     "detection",
     "annotation",
     "race-verification",
     "vuln-analysis",
     "vuln-verification",
+    "render",
 }
 
 STDOUT_FIELDS = {
@@ -91,9 +92,9 @@ def main():
     for event in events:
         if event.get("ph") != "X" or "ts" not in event or "dur" not in event:
             fail(f"malformed trace event: {event}")
-    missing = FIG3_SPANS - {e["name"] for e in events}
+    missing = REQUIRED_SPANS - {e["name"] for e in events}
     if missing:
-        fail(f"trace missing Fig. 3 spans: {sorted(missing)}")
+        fail(f"trace missing spans: {sorted(missing)}")
 
     # --- --timings vs trace ---
     timings = parse_timings(stdout_path)

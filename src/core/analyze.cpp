@@ -12,6 +12,7 @@
 #include "ir/verifier.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
+#include "support/trace.hpp"
 
 namespace owl::core {
 namespace {
@@ -248,15 +249,18 @@ AnalysisOutcome analyze(const std::vector<ModuleSource>& sources,
   outcome.manifest =
       render_manifest("owl_cli", options, targets, outcome.results);
 
-  for (const PipelineResult& result : outcome.results) {
-    outcome.output += render_cli_summary(result);
-    outcome.degraded = outcome.degraded || result.degraded();
+  {
+    TRACE_SPAN("render", "");
+    for (const PipelineResult& result : outcome.results) {
+      outcome.output += render_cli_summary(result);
+      outcome.degraded = outcome.degraded || result.degraded();
+    }
+    for (const PipelineResult& result : outcome.results) {
+      if (request.quiet) break;
+      outcome.output += render_cli_details(result, request.print_reports);
+    }
+    if (request.sarif) outcome.output += render_sarif(outcome.results);
   }
-  for (const PipelineResult& result : outcome.results) {
-    if (request.quiet) break;
-    outcome.output += render_cli_details(result, request.print_reports);
-  }
-  if (request.sarif) outcome.output += render_sarif(outcome.results);
   outcome.exit_code = audit_exit_code(outcome.results, outcome.error);
   return outcome;
 }

@@ -4,12 +4,12 @@
 
 namespace owl::core {
 
-std::string ConcurrencyAttack::to_string() const {
+std::string ConcurrencyAttack::to_string(ir::NameTable& names) const {
   std::string out = "=== concurrency attack";
   if (!program.empty()) out += " in " + program;
   out += " ===\n";
-  out += race.to_string();
-  out += vuln::render_hint(exploit);
+  out += race.to_string(names);
+  out += vuln::render_hint(exploit, names);
   out += "dynamic verification: ";
   if (confirmed()) {
     out += "site reached, attack realized\n";

@@ -21,7 +21,9 @@ struct ConcurrencyAttack {
     return verification.site_reached && verification.attack_realized;
   }
 
-  std::string to_string() const;
+  /// The race, its hint and the verification outcome; instructions are
+  /// quoted through `names`.
+  std::string to_string(ir::NameTable& names) const;
 };
 
 }  // namespace owl::core

@@ -837,9 +837,11 @@ std::vector<PipelineResult> Pipeline::run_many(
 }
 
 std::string serialize_result(const PipelineResult& result) {
+  TRACE_SPAN("serialize", result.target_name);
+  ir::NameTable names;
   std::string out = "=== target " + result.target_name + " ===\n";
   out += result.counts.serialize();
-  out += result.store.canonical_dump();
+  out += result.store.canonical_dump(names);
   if (result.counts.checkers_ran) {
     out += str_format("[checker findings %zu]\n",
                       result.checker_findings.size());
@@ -871,12 +873,12 @@ std::string serialize_result(const PipelineResult& result) {
   }
   out += str_format("[exploits %zu]\n", result.exploits.size());
   for (const vuln::ExploitReport& exploit : result.exploits) {
-    out += vuln::render_hint(exploit);
+    out += vuln::render_hint(exploit, names);
   }
   out += str_format("[attacks %zu, confirmed %zu]\n", result.attacks.size(),
                     result.confirmed_attacks());
   for (const ConcurrencyAttack& attack : result.attacks) {
-    out += attack.to_string();
+    out += attack.to_string(names);
   }
   return out;
 }

@@ -51,13 +51,14 @@ std::string render_cli_summary(const PipelineResult& result) {
 
 std::string render_cli_details(const PipelineResult& result,
                                bool print_reports) {
+  ir::NameTable names;
   std::string out;
   if (print_reports) {
     out += str_format("\n--- verified races (%s) ---\n",
                       result.target_name.c_str());
     for (const race::RaceReport& report :
          result.store.stage(Stage::kAfterRaceVerifier)) {
-      out += report.to_string();
+      out += report.to_string(names);
       out += "\n";
     }
   }
@@ -65,13 +66,13 @@ std::string render_cli_details(const PipelineResult& result,
     out += str_format("\n--- vulnerable input hints (%s) ---\n",
                       result.target_name.c_str());
     for (const vuln::ExploitReport& exploit : result.exploits) {
-      out += vuln::render_hint(exploit);
+      out += vuln::render_hint(exploit, names);
     }
   }
   if (!result.attacks.empty()) {
     out += str_format("\n--- attacks (%s) ---\n", result.target_name.c_str());
     for (const ConcurrencyAttack& attack : result.attacks) {
-      out += attack.to_string();
+      out += attack.to_string(names);
     }
   }
   if (result.counts.checkers_ran) {

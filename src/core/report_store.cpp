@@ -50,24 +50,25 @@ bool ReportStore::has_stage(Stage stage) const noexcept {
   return present_[index_of(stage)];
 }
 
-std::string ReportStore::render_stage(Stage stage) const {
+std::string ReportStore::render_stage(Stage stage,
+                                      ir::NameTable& names) const {
   if (!has_stage(stage)) return "<stage not recorded>\n";
   std::string out;
   for (const race::RaceReport& report : this->stage(stage)) {
-    out += report.to_string();
+    out += report.to_string(names);
     out += "\n";
   }
   return out;
 }
 
-std::string ReportStore::canonical_dump() const {
+std::string ReportStore::canonical_dump(ir::NameTable& names) const {
   static constexpr const char* kStageNames[3] = {
       "raw-detection", "after-annotation", "after-race-verifier"};
   std::string out;
   for (std::size_t i = 0; i < 3; ++i) {
     const auto stage = static_cast<Stage>(i);
     out += std::string("[stage ") + kStageNames[i] + "]\n";
-    out += render_stage(stage);
+    out += render_stage(stage, names);
   }
   return out;
 }

@@ -88,12 +88,12 @@ class ReportStore {
   bool has_stage(Stage stage) const noexcept;
 
   /// Renders one stage for logs/benches.
-  std::string render_stage(Stage stage) const;
+  std::string render_stage(Stage stage, ir::NameTable& names) const;
 
   /// Deterministic dump of every recorded stage, for differential
   /// comparison of pipeline runs (report rendering is id/name-based —
   /// no pointers, no timestamps).
-  std::string canonical_dump() const;
+  std::string canonical_dump(ir::NameTable& names) const;
 
  private:
   static constexpr std::size_t index_of(Stage stage) noexcept {

@@ -8,65 +8,61 @@
 namespace owl::ir {
 namespace {
 
+/// Printable name of every argument and non-void instruction of one
+/// function.
+using Names = std::unordered_map<const Value*, std::string>;
+
 /// Assigns printable names: explicit names win, otherwise deterministic
 /// per-function temporaries in program order.
-class Namer {
- public:
-  void assign(const Function& f) {
-    for (const auto& arg : f.arguments()) remember(arg.get());
-    for (const auto& bb : f.blocks()) {
-      for (const auto& instr : bb->instructions()) {
-        if (!instr->type().is_void()) remember(instr.get());
-      }
+Names name_function(const Function& f) {
+  Names names;
+  int next = 0;
+  const auto remember = [&names, &next](const Value* v) {
+    names.emplace(v, v->name().empty() ? "t" + std::to_string(next++)
+                                       : v->name());
+  };
+  for (const auto& arg : f.arguments()) remember(arg.get());
+  for (const auto& bb : f.blocks()) {
+    for (const auto& instr : bb->instructions()) {
+      if (!instr->type().is_void()) remember(instr.get());
     }
   }
+  return names;
+}
 
-  std::string ref(const Value* v) const {
-    assert(v != nullptr);
-    switch (v->kind()) {
-      case ValueKind::kConstant: {
-        const auto* c = static_cast<const Constant*>(v);
-        if (c->is_null_pointer()) return "null";
-        return std::to_string(c->value());
-      }
-      case ValueKind::kGlobalVariable:
-      case ValueKind::kFunction:
-        return "@" + v->name();
-      case ValueKind::kArgument:
-      case ValueKind::kInstruction: {
-        auto it = names_.find(v);
-        if (it != names_.end()) return "%" + it->second;
-        // Value from another function (or unnamed void): fall back to id.
-        if (!v->name().empty()) return "%" + v->name();
-        return "%v" + std::to_string(v->id());
-      }
+std::string ref(const Names& names, const Value* v) {
+  assert(v != nullptr);
+  switch (v->kind()) {
+    case ValueKind::kConstant: {
+      const auto* c = static_cast<const Constant*>(v);
+      if (c->is_null_pointer()) return "null";
+      return std::to_string(c->value());
     }
-    return "%?";
-  }
-
- private:
-  void remember(const Value* v) {
-    if (!v->name().empty()) {
-      names_.emplace(v, v->name());
-    } else {
-      names_.emplace(v, "t" + std::to_string(next_++));
+    case ValueKind::kGlobalVariable:
+    case ValueKind::kFunction:
+      return "@" + v->name();
+    case ValueKind::kArgument:
+    case ValueKind::kInstruction: {
+      auto it = names.find(v);
+      if (it != names.end()) return "%" + it->second;
+      // Value from another function (or unnamed void): fall back to id.
+      if (!v->name().empty()) return "%" + v->name();
+      return "%v" + std::to_string(v->id());
     }
   }
+  return "%?";
+}
 
-  std::unordered_map<const Value*, std::string> names_;
-  int next_ = 0;
-};
-
-std::string render_operands(const Instruction& instr, const Namer& namer) {
+std::string render_operands(const Instruction& instr, const Names& names) {
   std::vector<std::string> parts;
-  for (const Value* op : instr.operands()) parts.push_back(namer.ref(op));
+  for (const Value* op : instr.operands()) parts.push_back(ref(names, op));
   return join(parts, ", ");
 }
 
-std::string render_instr(const Instruction& instr, const Namer& namer) {
+std::string render_instr(const Instruction& instr, const Names& names) {
   std::string out = "  ";
   if (!instr.type().is_void()) {
-    out += namer.ref(&instr);
+    out += ref(names, &instr);
     out += " = ";
   }
   out += opcode_name(instr.opcode());
@@ -76,13 +72,13 @@ std::string render_instr(const Instruction& instr, const Namer& namer) {
       out += " ";
       out += predicate_name(instr.predicate());
       out += " ";
-      out += render_operands(instr, namer);
+      out += render_operands(instr, names);
       break;
     case Opcode::kAlloca:
       out += " " + std::to_string(instr.imm());
       break;
     case Opcode::kBr:
-      out += " " + namer.ref(instr.operand(0));
+      out += " " + ref(names, instr.operand(0));
       out += ", " + instr.targets().at(0)->label();
       out += ", " + instr.targets().at(1)->label();
       break;
@@ -92,7 +88,7 @@ std::string render_instr(const Instruction& instr, const Namer& namer) {
     case Opcode::kPhi: {
       std::vector<std::string> parts;
       for (std::size_t i = 0; i < instr.phi_values().size(); ++i) {
-        parts.push_back("[" + namer.ref(instr.phi_values()[i]) + ", " +
+        parts.push_back("[" + ref(names, instr.phi_values()[i]) + ", " +
                         instr.phi_blocks()[i]->label() + "]");
       }
       out += " " + join(parts, ", ");
@@ -100,23 +96,23 @@ std::string render_instr(const Instruction& instr, const Namer& namer) {
     }
     case Opcode::kCall:
       out += " @" + instr.callee()->name() + "(" +
-             render_operands(instr, namer) + ")";
+             render_operands(instr, names) + ")";
       break;
     case Opcode::kCallPtr: {
       std::vector<std::string> args;
       for (std::size_t i = 1; i < instr.operand_count(); ++i) {
-        args.push_back(namer.ref(instr.operand(i)));
+        args.push_back(ref(names, instr.operand(i)));
       }
-      out += " " + namer.ref(instr.operand(0)) + "(" + join(args, ", ") + ")";
+      out += " " + ref(names, instr.operand(0)) + "(" + join(args, ", ") + ")";
       break;
     }
     case Opcode::kThreadCreate:
       out += " @" + instr.callee()->name() + ", " +
-             namer.ref(instr.operand(0));
+             ref(names, instr.operand(0));
       break;
     default:
       if (instr.operand_count() > 0) {
-        out += " " + render_operands(instr, namer);
+        out += " " + render_operands(instr, names);
       }
       break;
   }
@@ -128,13 +124,13 @@ std::string render_instr(const Instruction& instr, const Namer& namer) {
 }
 
 std::string render_function(const Function& f) {
-  Namer namer;
-  namer.assign(f);
+  const Names names = name_function(f);
 
   std::string out = "func @" + f.name() + "(";
   std::vector<std::string> params;
   for (const auto& arg : f.arguments()) {
-    params.push_back(std::string(arg->type().name()) + " " + namer.ref(arg.get()));
+    params.push_back(std::string(arg->type().name()) + " " +
+                     ref(names, arg.get()));
   }
   out += join(params, ", ");
   out += ") -> ";
@@ -148,7 +144,7 @@ std::string render_function(const Function& f) {
   for (const auto& bb : f.blocks()) {
     out += bb->label() + ":\n";
     for (const auto& instr : bb->instructions()) {
-      out += render_instr(*instr, namer);
+      out += render_instr(*instr, names);
       out += "\n";
     }
   }
@@ -181,13 +177,15 @@ std::string print_function(const Function& function) {
 }
 
 std::string print_instruction(const Instruction& instr) {
-  Namer namer;
-  if (const Function* f = instr.function(); f != nullptr) {
-    namer.assign(*f);
-  }
-  std::string text = render_instr(instr, namer);
+  return NameTable().instruction(instr);
+}
+
+std::string NameTable::instruction(const Instruction& instr) {
+  const Function* f = instr.function();
+  const auto [it, inserted] = functions_.try_emplace(f);
+  if (inserted && f != nullptr) it->second = name_function(*f);
   // Strip the block indentation for standalone quoting in reports.
-  return std::string(trim(text));
+  return std::string(trim(render_instr(instr, it->second)));
 }
 
 }  // namespace owl::ir

@@ -58,7 +58,7 @@ struct AtomicityReport {
   /// pattern (no stale local read) this is the remote read.
   const AccessRecord* corrupted_read() const noexcept;
 
-  std::string to_string() const;
+  std::string to_string(ir::NameTable& names) const;
 
   /// Converts into the pipeline's report currency: first = remote access,
   /// second = second local access, supplemental read = corrupted read.

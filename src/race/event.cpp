@@ -1,15 +1,13 @@
 #include "race/event.hpp"
 
-#include "ir/printer.hpp"
-
 namespace owl::race {
 
-std::string AccessRecord::to_string() const {
+std::string AccessRecord::to_string(ir::NameTable& names) const {
   std::string out = is_write ? "write of " : "read of ";
   out += std::to_string(value);
   out += " by thread " + std::to_string(tid);
   if (instr != nullptr) {
-    out += " at '" + ir::print_instruction(*instr) + "' (" +
+    out += " at '" + names.instruction(*instr) + "' (" +
            instr->loc().to_string() + ")";
   }
   return out;

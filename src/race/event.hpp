@@ -5,6 +5,7 @@
 
 #include "interp/thread.hpp"
 #include "ir/instruction.hpp"
+#include "ir/printer.hpp"
 
 namespace owl::race {
 
@@ -21,8 +22,9 @@ struct AccessRecord {
 
   bool is_read() const noexcept { return !is_write; }
 
-  /// "write of 1 by thread 2 at 'store 1, @dying' (libsafe.c:1640)".
-  std::string to_string() const;
+  /// "write of 1 by thread 2 at 'store 1, @dying' (libsafe.c:1640)", the
+  /// instruction quoted through `names`.
+  std::string to_string(ir::NameTable& names) const;
 };
 
 }  // namespace owl::race

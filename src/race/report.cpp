@@ -22,16 +22,17 @@ ReportKey RaceReport::key() const noexcept {
   return {std::min(a, b), std::max(a, b)};
 }
 
-std::string RaceReport::to_string() const {
+std::string RaceReport::to_string(ir::NameTable& names) const {
   std::string out = "data race";
   if (!object_name.empty()) out += " on '" + object_name + "'";
   out += " (" + std::to_string(occurrences) + " occurrence(s))\n";
-  out += "  " + first.to_string() + "\n";
+  out += "  " + first.to_string(names) + "\n";
   out += interp::call_stack_to_string(first.stack);
-  out += "  " + second.to_string() + "\n";
+  out += "  " + second.to_string(names) + "\n";
   out += interp::call_stack_to_string(second.stack);
   if (supplemental_read.has_value()) {
-    out += "  first subsequent read: " + supplemental_read->to_string() + "\n";
+    out += "  first subsequent read: " + supplemental_read->to_string(names) +
+           "\n";
   }
   if (adhoc_sync) out += "  [classified: adhoc synchronization]\n";
   if (verified) out += "  [verified in the racing moment]\n";

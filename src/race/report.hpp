@@ -70,7 +70,7 @@ struct RaceReport {
   ReportKey key() const noexcept;
 
   /// Multi-line human-readable rendering with both call stacks.
-  std::string to_string() const;
+  std::string to_string(ir::NameTable& names) const;
 };
 
 /// Canonical ordering for stable output: by key.

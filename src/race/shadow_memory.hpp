@@ -48,8 +48,6 @@ struct ShadowSlot {
   bool has_write = false;
   bool has_read0 = false;
 
-  bool has_reads() const noexcept { return has_read0; }
-
   ShadowCell* find_read(ThreadId tid) noexcept {
     if (!has_read0) return nullptr;
     if (read0.tid == tid) return &read0;

@@ -1,11 +1,10 @@
 #include "vuln/hint.hpp"
 
-#include "ir/printer.hpp"
 #include "support/strings.hpp"
 
 namespace owl::vuln {
 
-std::string render_hint(const ExploitReport& exploit) {
+std::string render_hint(const ExploitReport& exploit, ir::NameTable& names) {
   std::string out;
   out += exploit.dep == DepKind::kControl
              ? "---- Ctrl Dependent Vulnerability ----\n"
@@ -17,13 +16,13 @@ std::string render_hint(const ExploitReport& exploit) {
   }
   out += "\n";
   for (const ir::Instruction* br : exploit.branches) {
-    out += "  branch: " + ir::print_instruction(*br) + "  (" +
+    out += "  branch: " + names.instruction(*br) + "  (" +
            br->loc().to_string() + ")\n";
   }
   if (!exploit.propagation.empty()) {
     out += "  propagation chain:\n";
     for (const ir::Instruction* step : exploit.propagation) {
-      out += "    " + ir::print_instruction(*step) + "  (" +
+      out += "    " + names.instruction(*step) + "  (" +
              step->loc().to_string() + ")\n";
     }
   }
@@ -37,14 +36,15 @@ std::string render_hint(const ExploitReport& exploit) {
   return out;
 }
 
-std::string render_analysis(const VulnAnalysis& analysis) {
+std::string render_analysis(const VulnAnalysis& analysis,
+                            ir::NameTable& names) {
   std::string out;
   if (analysis.start != nullptr) {
-    out += "corrupted read: " + ir::print_instruction(*analysis.start) +
+    out += "corrupted read: " + names.instruction(*analysis.start) +
            "  (" + analysis.start->loc().to_string() + ")\n";
   }
   for (const ExploitReport& exploit : analysis.exploits) {
-    out += render_hint(exploit);
+    out += render_hint(exploit, names);
   }
   out += str_format(
       "analysis: %llu function visit(s), %llu instruction visit(s), %.3fs\n",

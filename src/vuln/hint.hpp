@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "ir/printer.hpp"
 #include "vuln/analyzer.hpp"
 
 namespace owl::vuln {
@@ -16,9 +17,11 @@ namespace owl::vuln {
 ///   ---- Ctrl Dependent Vulnerability ----
 ///   br %t5, overflow, do_copy  (intercept.c:164)
 ///   Vulnerable Site Location: strcpy (intercept.c:165)
-std::string render_hint(const ExploitReport& exploit);
+/// Branches and chain steps are quoted through `names`.
+std::string render_hint(const ExploitReport& exploit, ir::NameTable& names);
 
 /// All hints of an analysis plus its cost line.
-std::string render_analysis(const VulnAnalysis& analysis);
+std::string render_analysis(const VulnAnalysis& analysis,
+                            ir::NameTable& names);
 
 }  // namespace owl::vuln

@@ -79,7 +79,8 @@ TEST(AtomicityTest, DetectsRwwTriple) {
     // The corrupted read is the stale local load.
     ASSERT_NE(r.corrupted_read(), nullptr);
     EXPECT_EQ(r.corrupted_read()->instr, r.first_local.instr);
-    EXPECT_NE(r.to_string().find("read-write-write"), std::string::npos);
+    ir::NameTable names;
+    EXPECT_NE(r.to_string(names).find("read-write-write"), std::string::npos);
   }
   EXPECT_TRUE(found);
 }

@@ -91,9 +91,10 @@ void expect_same_reports(const std::vector<RaceReport>& expected,
   for (std::size_t i = 0; i < expected.size(); ++i) {
     const std::string field = first_difference(expected[i], actual[i]);
     if (field.empty()) continue;
+    ir::NameTable names;
     ADD_FAILURE() << where << ": report " << i << " differs in " << field
-                  << "\nexpected:\n" << expected[i].to_string()
-                  << "actual:\n" << actual[i].to_string();
+                  << "\nexpected:\n" << expected[i].to_string(names)
+                  << "actual:\n" << actual[i].to_string(names);
     return;
   }
 }

@@ -310,6 +310,24 @@ TEST(ParallelEquivalenceTest, SpanTimingsAggregateAcrossWorkers) {
   EXPECT_EQ(rows.front().name, "target");
 }
 
+TEST(ParallelEquivalenceTest, SerializeOpensOneSpanPerResult) {
+  // The canonical dump is traced on its own: one `serialize` span per
+  // serialize_result call, so a trace charges the dump to its own row.
+  const Workload w = make_workload();
+  const std::vector<PipelineResult> results = Pipeline().run_many(w.targets);
+  support::TraceCollector& trace = support::TraceCollector::instance();
+  trace.clear();
+  trace.set_enabled(true);
+  for (const PipelineResult& result : results) (void)serialize_result(result);
+  trace.set_enabled(false);
+  const std::vector<support::SpanTiming> rows =
+      support::span_timings(trace.snapshot());
+  trace.clear();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows.front().name, "serialize");
+  EXPECT_EQ(rows.front().count, w.targets.size());
+}
+
 TEST(ParallelEquivalenceTest, SerializationExcludesWallClock) {
   // Guard the canonical form itself: mutating the timing fields must not
   // change the serialization (otherwise the differential gates would flake

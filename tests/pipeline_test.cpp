@@ -141,7 +141,8 @@ TEST(PipelineTest, FullPipelineOnMixedProgram) {
     if (attack.exploit.site->opcode() == ir::Opcode::kSetUid &&
         attack.confirmed()) {
       setuid_attack = true;
-      EXPECT_FALSE(attack.to_string().empty());
+      ir::NameTable names;
+      EXPECT_FALSE(attack.to_string(names).empty());
     }
   }
   EXPECT_TRUE(setuid_attack);
@@ -286,7 +287,8 @@ TEST(ReportStoreTest, StagesIndependent) {
   EXPECT_TRUE(store.has_stage(Stage::kRawDetection));
   EXPECT_FALSE(store.has_stage(Stage::kAfterAnnotation));
   EXPECT_TRUE(store.stage(Stage::kRawDetection).empty());
-  EXPECT_EQ(store.render_stage(Stage::kAfterAnnotation),
+  ir::NameTable names;
+  EXPECT_EQ(store.render_stage(Stage::kAfterAnnotation, names),
             "<stage not recorded>\n");
 }
 

@@ -431,10 +431,11 @@ core::PipelineResult run_one(const std::shared_ptr<ir::Module>& m,
 /// currency of the jobs-invariance test (mirrors prescreen_test.cpp).
 std::string behavior_fingerprint(const std::vector<core::PipelineResult>& rs) {
   std::ostringstream out;
+  ir::NameTable names;
   for (const core::PipelineResult& r : rs) {
     out << r.target_name << '\n'
         << r.counts.serialize() << '\n'
-        << r.store.canonical_dump() << "exploits=" << r.exploits.size()
+        << r.store.canonical_dump(names) << "exploits=" << r.exploits.size()
         << " attacks=" << r.attacks.size()
         << " confirmed=" << r.confirmed_attacks() << '\n';
   }
@@ -459,7 +460,9 @@ TEST(PredictPipelineTest, AuditAgreesWithExhaustiveOnEveryExample) {
 
     const core::PipelineResult audit = run_one(m, PredictMode::kAudit);
     EXPECT_TRUE(audit.counts.predict_ran) << path.filename();
-    EXPECT_EQ(audit.store.canonical_dump(), off.store.canonical_dump())
+    ir::NameTable names;
+    EXPECT_EQ(audit.store.canonical_dump(names),
+              off.store.canonical_dump(names))
         << "audit changed the report stream for " << path.filename();
     EXPECT_EQ(audit.counts.remaining, off.counts.remaining) << path.filename();
     EXPECT_EQ(support::metrics().advisory("predict.audit_violations").value(),
@@ -476,7 +479,8 @@ TEST(PredictPipelineTest, AuditAgreesWithExhaustiveOnEveryExample) {
       EXPECT_EQ(on.counts.remaining, 1u);
       EXPECT_EQ(on.counts.predict_new_confirmed, 1u);
     } else {
-      EXPECT_EQ(on.store.canonical_dump(), off.store.canonical_dump())
+      EXPECT_EQ(on.store.canonical_dump(names),
+                off.store.canonical_dump(names))
           << "--predict on changed the final reports for " << path.filename();
       EXPECT_EQ(on.counts.remaining, off.counts.remaining) << path.filename();
     }
@@ -522,7 +526,9 @@ TEST(PredictPipelineTest, PredictionSlashesVerifierWorkOnGuardedExamples) {
     const core::PipelineResult on = run_one(m, PredictMode::kOn);
 
     // Identical final reports...
-    EXPECT_EQ(on.store.canonical_dump(), off.store.canonical_dump()) << name;
+    ir::NameTable names;
+    EXPECT_EQ(on.store.canonical_dump(names), off.store.canonical_dump(names))
+        << name;
     // ...from at least 2x fewer verifier candidates: the guarded handoff
     // pairs are SP-infeasible and never reach schedule exploration.
     EXPECT_GE(on.counts.predict_pruned, 1u) << name;

@@ -369,10 +369,11 @@ core::PipelineTarget target_for(const std::shared_ptr<ir::Module>& m) {
 /// metrics snapshot (advisory counters excluded by design).
 std::string behavior_fingerprint(const std::vector<core::PipelineResult>& rs) {
   std::ostringstream out;
+  ir::NameTable names;
   for (const core::PipelineResult& r : rs) {
     out << r.target_name << '\n'
         << r.counts.serialize() << '\n'
-        << r.store.canonical_dump() << "exploits=" << r.exploits.size()
+        << r.store.canonical_dump(names) << "exploits=" << r.exploits.size()
         << " attacks=" << r.attacks.size()
         << " confirmed=" << r.confirmed_attacks() << '\n';
   }

@@ -394,7 +394,8 @@ TEST(ReportTest, ToStringMentionsObjectAndStacks) {
   auto m = parse_ok(kPlainRace);
   auto reports = detect(*m);
   ASSERT_EQ(reports.size(), 1u);
-  const std::string text = reports.front().to_string();
+  ir::NameTable names;
+  const std::string text = reports.front().to_string(names);
   EXPECT_NE(text.find("data race"), std::string::npos);
   EXPECT_NE(text.find("'x'"), std::string::npos);
   EXPECT_NE(text.find("writer"), std::string::npos);

@@ -70,7 +70,7 @@ TEST(PagedShadowTest, WildAddressesUseOverflowPages) {
 
 TEST(ShadowSlotTest, ReadsKeepInsertionOrderAndReplaceInPlace) {
   ShadowSlot slot;
-  EXPECT_FALSE(slot.has_reads());
+  EXPECT_FALSE(slot.has_read0);
   slot.add_read(cell(1, 10));
   slot.add_read(cell(2, 20));
   slot.add_read(cell(3, 30));
@@ -94,7 +94,7 @@ TEST(ShadowSlotTest, ClearReadsKeepsWriteAndAllowsRepopulation) {
   slot.add_read(cell(3, 3));
   slot.clear_reads();
   EXPECT_TRUE(slot.has_write);
-  EXPECT_FALSE(slot.has_reads());
+  EXPECT_FALSE(slot.has_read0);
   slot.add_read(cell(7, 70));
   std::vector<ThreadId> order;
   slot.for_each_read([&](const ShadowCell& c) { order.push_back(c.tid); });

@@ -459,13 +459,14 @@ out:
   const VulnerabilityAnalyzer analyzer(*m);
   const VulnAnalysis analysis = analyzer.analyze_from(read, stack_of(read));
   ASSERT_EQ(analysis.exploits.size(), 1u);
-  const std::string hint = render_hint(analysis.exploits.front());
+  ir::NameTable names;
+  const std::string hint = render_hint(analysis.exploits.front(), names);
   EXPECT_NE(hint.find("Ctrl Dependent Vulnerability"), std::string::npos);
   EXPECT_NE(hint.find("util.c:145"), std::string::npos);
   EXPECT_NE(hint.find("intercept.c:165"), std::string::npos);
   EXPECT_NE(hint.find("memory-operation"), std::string::npos);
 
-  const std::string full = render_analysis(analysis);
+  const std::string full = render_analysis(analysis, names);
   EXPECT_NE(full.find("corrupted read"), std::string::npos);
   EXPECT_NE(full.find("analysis:"), std::string::npos);
 }
@@ -565,7 +566,8 @@ entry:
   EXPECT_EQ(e.type, SiteType::kCustom);
   EXPECT_EQ(e.custom_site_name, "audit-log-write");
   EXPECT_EQ(e.dep, DepKind::kData);
-  EXPECT_NE(render_hint(e).find("audit-log-write"), std::string::npos);
+  ir::NameTable names;
+  EXPECT_NE(render_hint(e, names).find("audit-log-write"), std::string::npos);
 
   // Without the registry the same program yields nothing.
   const VulnerabilityAnalyzer plain(*m);
