@@ -36,6 +36,7 @@
 #include "support/strings.hpp"
 #include "support/thread_pool.hpp"
 #include "vuln/analyzer.hpp"
+#include "workloads/registry.hpp"
 
 namespace {
 
@@ -110,6 +111,44 @@ void BM_TsanDetectionOverhead(benchmark::State& state) {
       static_cast<double>(steps), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_TsanDetectionOverhead);
+
+// --- interpreter on the workload models (BENCH_interp.json) ----------------
+// Run with --benchmark_filter='MachineFromImage|ModelRunUnsteered'. The
+// `model` argument picks a model at noise scale 1: 0 = memcached (the
+// race verifier's largest customer), 1 = linux (the largest image). Both
+// go through the target's exploit factory, so they time what one race-
+// verifier attempt pays: a machine from the target's shared image, then a
+// whole run without breakpoints.
+
+workloads::Workload interp_model(std::int64_t model) {
+  return model == 0 ? workloads::make_memcached({1.0})
+                    : workloads::make_linux({1.0});
+}
+
+void BM_MachineFromImage(benchmark::State& state) {
+  const workloads::Workload w = interp_model(state.range(0));
+  const race::MachineFactory factory = w.target(/*seed=*/1).exploit_factory;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(factory());
+  }
+  state.SetLabel(w.name);
+}
+BENCHMARK(BM_MachineFromImage)->ArgName("model")->Arg(0)->Arg(1);
+
+void BM_ModelRunUnsteered(benchmark::State& state) {
+  const workloads::Workload w = interp_model(state.range(0));
+  const race::MachineFactory factory = w.target(/*seed=*/1).exploit_factory;
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    std::unique_ptr<interp::Machine> machine = factory();
+    interp::RandomScheduler sched(/*seed=*/1);
+    steps += machine->run(sched).steps;
+  }
+  state.SetLabel(w.name);
+  state.counters["steps/s"] = benchmark::Counter(
+      static_cast<double>(steps), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ModelRunUnsteered)->ArgName("model")->Arg(0)->Arg(1);
 
 // --- detection-substrate benches (BENCH_detector.json) ---------------------
 // The fast-vs-reference numbers behind DESIGN.md §2's "fast substrate":

@@ -89,6 +89,9 @@ stage_ctest() {
 }
 
 # Sanitizer pass: a separate tree so the regular build stays reusable.
+# -D_GLIBCXX_ASSERTIONS bounds-checks container indexing: an off-by-one
+# cell index into the interpreter's dense memory that stays inside the
+# vectors' capacity reads a neighbour's cell, which ASan does not flag.
 stage_asan() {
   if [ "${reuse_build}" = "1" ] && [ -x build-asan/tests/owl_unit_tests ]; then
     echo "ci.sh: OWL_CI_REUSE_BUILD=1: reusing existing build-asan/ tree"
@@ -96,7 +99,7 @@ stage_asan() {
     current_step="configure (ASan+UBSan)"
     cmake -B build-asan -S . ${launcher_args[@]+"${launcher_args[@]}"} \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
+      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
 
     current_step="build owl_unit_tests (ASan+UBSan)"
     cmake --build build-asan -j"${jobs}" --target owl_unit_tests
@@ -496,7 +499,7 @@ stage_serve() {
     current_step="configure (ASan+UBSan serve tree)"
     cmake -B build-asan -S . ${launcher_args[@]+"${launcher_args[@]}"} \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
+      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
 
     current_step="build owl_served/owl_cli/integration tests (ASan+UBSan)"
     cmake --build build-asan -j"${jobs}" \
@@ -709,6 +712,13 @@ stage_bench() {
     --benchmark_out=build-release/BENCH_serve.json \
     --benchmark_out_format=json > /dev/null
 
+  current_step="record fresh interpreter benchmarks"
+  ./build-release/bench/micro_perf \
+    --benchmark_filter='MachineFromImage|ModelRunUnsteered' \
+    --benchmark_repetitions=3 \
+    --benchmark_out=build-release/BENCH_interp.json \
+    --benchmark_out_format=json > /dev/null
+
   current_step="benchmark regression gate (detector)"
   python3 scripts/check_bench.py \
     build-release/BENCH_detector.json bench/baselines/BENCH_detector.json
@@ -732,6 +742,10 @@ stage_bench() {
   current_step="benchmark regression gate (serve)"
   python3 scripts/check_bench.py \
     build-release/BENCH_serve.json bench/baselines/BENCH_serve.json
+
+  current_step="benchmark regression gate (interpreter)"
+  python3 scripts/check_bench.py \
+    build-release/BENCH_interp.json bench/baselines/BENCH_interp.json
 }
 
 stages=("$@")

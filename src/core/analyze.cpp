@@ -56,20 +56,21 @@ std::string field_text(const checkers::CheckerOptions& selection, bool json) {
   return field_text(selection.canonical(), json);
 }
 
-/// Fresh machines on `module`, started at `entry` with `inputs`: the one
-/// factory behind a target's detection, exploit and repair-verification
-/// runs. The shared_ptr keeps the module alive while any factory does.
-race::MachineFactory machine_factory(std::shared_ptr<const ir::Module> module,
-                                     const std::string& entry,
-                                     std::vector<interp::Word> inputs,
-                                     std::uint64_t max_steps) {
+/// Fresh machines from `image` (of `module`), started at `entry` with
+/// `inputs`: the one factory behind a target's detection, exploit and
+/// repair-verification runs. The shared_ptr keeps the module alive while
+/// any factory does.
+race::MachineFactory machine_factory(
+    std::shared_ptr<const ir::Module> module,
+    std::shared_ptr<const interp::MachineImage> image, const std::string& entry,
+    std::vector<interp::Word> inputs, std::uint64_t max_steps) {
   const ir::Function* start = module->find_function(entry);
-  return [module = std::move(module), start, inputs = std::move(inputs),
-          max_steps] {
+  return [module = std::move(module), image = std::move(image), start,
+          inputs = std::move(inputs), max_steps] {
     interp::MachineOptions machine_options;
     machine_options.inputs = inputs;
     machine_options.max_steps = max_steps;
-    auto machine = std::make_unique<interp::Machine>(*module, machine_options);
+    auto machine = std::make_unique<interp::Machine>(image, machine_options);
     machine->start(start);
     return machine;
   };
@@ -210,16 +211,20 @@ AnalysisOutcome analyze(const std::vector<ModuleSource>& sources,
     PipelineTarget target;
     target.name = source.name;
     target.module = module.get();
-    target.factory =
-        machine_factory(module, request.entry, inputs, request.max_steps);
-    target.exploit_factory = machine_factory(module, request.entry,
-                                             exploit_inputs, request.max_steps);
+    // One image per module: both factories start every machine from it.
+    const auto image = std::make_shared<const interp::MachineImage>(*module);
+    target.factory = machine_factory(module, image, request.entry, inputs,
+                                     request.max_steps);
+    target.exploit_factory = machine_factory(
+        module, image, request.entry, exploit_inputs, request.max_steps);
     // The repair stage verifies candidate patches by running the pipeline
     // on a cloned, rewritten module.
     target.factory_for_module =
         [entry_name = request.entry, inputs,
          max_steps = request.max_steps](std::shared_ptr<const ir::Module> m) {
-          return machine_factory(std::move(m), entry_name, inputs, max_steps);
+          auto patched = std::make_shared<const interp::MachineImage>(*m);
+          return machine_factory(std::move(m), std::move(patched), entry_name,
+                                 inputs, max_steps);
         };
     target.detector = request.detector;
     target.detection_schedules = request.schedules;

@@ -41,8 +41,7 @@ std::string SecurityEvent::to_string() const {
   return out;
 }
 
-Machine::Machine(const ir::Module& module, MachineOptions options)
-    : module_(&module), options_(std::move(options)) {
+MachineImage::MachineImage(const ir::Module& module) : module_(&module) {
   for (const auto& g : module.globals()) {
     global_addr_[g.get()] = memory_.allocate(
         ObjectKind::kGlobal, g->cell_count(), g->initial_value(), g->name());
@@ -51,6 +50,27 @@ Machine::Machine(const ir::Module& module, MachineOptions options)
     functions_by_id_[f->id()] = f.get();
   }
 }
+
+Address MachineImage::global_address(const ir::GlobalVariable* global) const {
+  auto it = global_addr_.find(global);
+  assert(it != global_addr_.end());
+  return it->second;
+}
+
+const ir::Function* MachineImage::resolve_function(Word value) const {
+  auto it = functions_by_id_.find(static_cast<std::uint64_t>(value));
+  return it != functions_by_id_.end() ? it->second : nullptr;
+}
+
+Machine::Machine(std::shared_ptr<const MachineImage> image,
+                 MachineOptions options)
+    : image_(std::move(image)),
+      options_(std::move(options)),
+      memory_(image_->memory()) {}
+
+Machine::Machine(const ir::Module& module, MachineOptions options)
+    : Machine(std::make_shared<const MachineImage>(module),
+              std::move(options)) {}
 
 ThreadId Machine::start(const ir::Function* entry) {
   assert(threads_.empty() && "start() must create the first thread");
@@ -77,27 +97,24 @@ const Thread* Machine::thread(ThreadId tid) const {
   return tid < threads_.size() ? threads_[tid].get() : nullptr;
 }
 
-std::vector<ThreadId> Machine::runnable_threads() const {
-  std::vector<ThreadId> out;
+void Machine::collect_runnable() {
+  runnable_.clear();
   for (const auto& t : threads_) {
     if (t->state() == ThreadState::kRunnable) {
-      out.push_back(t->id());
+      runnable_.push_back(t->id());
     } else if (t->state() == ThreadState::kSleeping &&
                t->wake_tick <= tick_) {
-      out.push_back(t->id());
+      runnable_.push_back(t->id());
     }
   }
-  return out;
 }
 
 Address Machine::global_address(const ir::GlobalVariable* global) const {
-  auto it = global_addr_.find(global);
-  assert(it != global_addr_.end());
-  return it->second;
+  return image_->global_address(global);
 }
 
 Address Machine::global_address(std::string_view name) const {
-  const ir::GlobalVariable* g = module_->find_global(name);
+  const ir::GlobalVariable* g = module().find_global(name);
   assert(g != nullptr && "unknown global");
   return global_address(g);
 }
@@ -113,8 +130,7 @@ Word Machine::eval_in_thread(ThreadId tid, const ir::Value* value) const {
 }
 
 const ir::Function* Machine::resolve_function(Word value) const {
-  auto it = functions_by_id_.find(static_cast<std::uint64_t>(value));
-  return it != functions_by_id_.end() ? it->second : nullptr;
+  return image_->resolve_function(value);
 }
 
 Word Machine::function_value(const ir::Function* function) const {
@@ -144,8 +160,8 @@ RunResult Machine::run(Scheduler& scheduler) {
       continue;
     }
 
-    std::vector<ThreadId> runnable = runnable_threads();
-    if (runnable.empty()) {
+    collect_runnable();
+    if (runnable_.empty()) {
       bool all_finished = true;
       bool any_sleeping = false;
       bool any_suspended = false;
@@ -181,7 +197,7 @@ RunResult Machine::run(Scheduler& scheduler) {
       return {StopReason::kDeadlock, steps_, std::nullopt, 0};
     }
 
-    const ThreadId tid = scheduler.pick(runnable, steps_);
+    const ThreadId tid = scheduler.pick(runnable_, steps_);
     Thread& t = *threads_[tid];
     if (t.state() == ThreadState::kSleeping) {
       t.set_state(ThreadState::kRunnable);
@@ -389,7 +405,8 @@ void Machine::report_fault(Thread& thread, const ir::Instruction* instr,
   const MemObject* obj = memory_.find_object(addr);
   std::string detail = "addr=" + std::to_string(addr);
   if (obj != nullptr && !obj->name.empty()) {
-    detail += " object=" + obj->name;
+    detail += " object=";
+    detail += obj->name;
   }
   emit_event(kind, thread, instr, std::move(detail));
 }

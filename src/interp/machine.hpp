@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/module.hpp"
@@ -136,9 +137,34 @@ struct RunResult {
   BreakpointId break_id = 0;
 };
 
+/// A module's starting machine state, built once and shared read-only by
+/// every machine on the module: the globals laid out and initialised in
+/// module order, the global address table and the function-id index. The
+/// module must outlive the image and pass ir::verify_module.
+class MachineImage {
+ public:
+  explicit MachineImage(const ir::Module& module);
+
+  const ir::Module& module() const noexcept { return *module_; }
+  /// The address space holding the globals at their initial values.
+  const Memory& memory() const noexcept { return memory_; }
+  Address global_address(const ir::GlobalVariable* global) const;
+  /// The function whose value id is `value`, or nullptr.
+  const ir::Function* resolve_function(Word value) const;
+
+ private:
+  const ir::Module* module_;
+  Memory memory_;
+  std::unordered_map<const ir::GlobalVariable*, Address> global_addr_;
+  std::unordered_map<std::uint64_t, const ir::Function*> functions_by_id_;
+};
+
 class Machine {
  public:
-  /// The module must outlive the machine and pass ir::verify_module.
+  /// Starts from a copy of `image`'s memory; the image's module must
+  /// outlive the machine.
+  Machine(std::shared_ptr<const MachineImage> image, MachineOptions options);
+  /// One-shot: builds an image of `module` for this machine alone.
   Machine(const ir::Module& module, MachineOptions options);
 
   // --- setup ---
@@ -171,7 +197,7 @@ class Machine {
   Status resume_thread(ThreadId tid, bool skip_breakpoint_once = true);
 
   // --- inspection ---
-  const ir::Module& module() const noexcept { return *module_; }
+  const ir::Module& module() const noexcept { return image_->module(); }
   Memory& memory() noexcept { return memory_; }
   const Memory& memory() const noexcept { return memory_; }
 
@@ -180,7 +206,6 @@ class Machine {
   }
   Thread* thread(ThreadId tid);
   const Thread* thread(ThreadId tid) const;
-  std::vector<ThreadId> runnable_threads() const;
 
   std::uint64_t tick() const noexcept { return tick_; }
 
@@ -188,7 +213,7 @@ class Machine {
   /// are pushed; ids stay valid for the machine's lifetime).
   const ContextTree& contexts() const noexcept { return contexts_; }
 
-  /// Base address of a global (allocated at construction).
+  /// Base address of a global (laid out by the image).
   Address global_address(const ir::GlobalVariable* global) const;
   Address global_address(std::string_view name) const;
 
@@ -231,6 +256,9 @@ class Machine {
     std::vector<ThreadId> waiters;
   };
 
+  /// Refills runnable_ with the threads that may step now, in id order.
+  void collect_runnable();
+
   // Core interpreter: executes one instruction of `thread`.
   void execute(Thread& thread);
   Word value_of(const Frame& frame, const ir::Value* value) const;
@@ -254,7 +282,7 @@ class Machine {
   void notify_access(const Observer::Access& access);
   void notify_sync(ThreadId tid, Observer::SyncKind kind, Address addr);
 
-  const ir::Module* module_;
+  std::shared_ptr<const MachineImage> image_;
   MachineOptions options_;
   Memory memory_;
   ContextTree contexts_;
@@ -263,9 +291,8 @@ class Machine {
   Debugger* debugger_ = nullptr;
   support::FaultInjector* fault_injector_ = nullptr;
 
-  std::unordered_map<const ir::GlobalVariable*, Address> global_addr_;
-  std::unordered_map<std::uint64_t, const ir::Function*> functions_by_id_;
   std::unordered_map<Address, MutexState> mutexes_;
+  std::vector<ThreadId> runnable_;  ///< run()'s per-step buffer
 
   std::uint64_t tick_ = 0;
   std::uint64_t steps_ = 0;

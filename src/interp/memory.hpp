@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace owl::interp {
@@ -45,24 +46,26 @@ struct MemObject {
   std::uint64_t cells = 0;
   ObjectKind kind = ObjectKind::kHeap;
   bool freed = false;
-  std::string name;          ///< global name or "" for anonymous
+  /// Global or instruction name, "" for anonymous. A view: the name is owned
+  /// by the IR, which outlives every machine on it.
+  std::string_view name;
   std::uint64_t owner_frame = 0;  ///< stack objects: frame serial for pop
 
   Address end() const noexcept { return base + cells * 8; }
-  bool contains(Address addr) const noexcept {
-    return addr >= base && addr < end();
-  }
 };
 
 /// The address space. Not thread-safe by design: the interpreter serializes
 /// all accesses (that serialization *is* the simulated schedule).
+///
+/// Allocation is a bump pointer with a one-cell red zone after each object,
+/// so `[kNullGuard, bytes_allocated())` is one dense range: cell i is
+/// address kNullGuard + 8i. Copying a Memory copies the whole address space.
 class Memory {
  public:
-  Memory();
-
-  /// Allocates an object; cells are zero-initialized to `init`.
+  /// Allocates an object; cells are initialized to `init`. `name` must
+  /// outlive the memory (string literals and IR-owned names do).
   Address allocate(ObjectKind kind, std::uint64_t cells, Word init,
-                   std::string name = "", std::uint64_t owner_frame = 0);
+                   std::string_view name = {}, std::uint64_t owner_frame = 0);
 
   /// Frees a heap object by its base address.
   MemFault free_heap(Address addr);
@@ -83,22 +86,30 @@ class Memory {
   Word load_raw(Address addr) const;
   void store_raw(Address addr, Word value);
 
-  /// Object containing `addr`, or nullptr.
+  /// Object containing `addr`, or nullptr. Valid until the next allocate.
   const MemObject* find_object(Address addr) const;
 
   /// Cells remaining in the object from `addr` to its end; 0 if unmapped.
   std::uint64_t cells_until_end(Address addr) const;
 
   std::size_t object_count() const noexcept { return objects_.size(); }
-  std::uint64_t bytes_allocated() const noexcept { return next_; }
+  /// One past the last cell allocated (the bump pointer).
+  std::uint64_t bytes_allocated() const noexcept {
+    return kNullGuard + cells_.size() * 8;
+  }
 
  private:
-  MemObject* find_object_mutable(Address addr);
+  /// 1 + the objects_ index of the object owning `addr`'s cell; 0 for a red
+  /// zone or an address outside the dense range.
+  std::uint32_t owner_of(Address addr) const noexcept;
 
-  // base address -> object; cell payloads in a parallel map keyed by address.
-  std::map<Address, MemObject> objects_;
-  std::map<Address, Word> cells_;
-  Address next_;
+  std::vector<Word> cells_;            ///< the dense range, one per cell
+  std::vector<std::uint32_t> owners_;  ///< 1 + index into objects_, 0 = red zone
+  std::vector<MemObject> objects_;     ///< in allocation order
+  std::vector<std::uint32_t> live_stack_;  ///< objects_ indices not yet popped
+  /// Raw cells outside the dense range: strcpy/memcpy spill below kNullGuard
+  /// or past the last object.
+  std::map<Address, Word> spill_;
 };
 
 }  // namespace owl::interp

@@ -70,8 +70,8 @@ void TraceRecorder::finish_run(const interp::Machine& machine) {
     }
     if (!trace.object_names.contains(event.addr)) {
       const interp::MemObject* obj = machine.memory().find_object(event.addr);
-      trace.object_names.emplace(event.addr,
-                                 obj != nullptr ? obj->name : std::string());
+      trace.object_names.emplace(
+          event.addr, obj != nullptr ? std::string(obj->name) : std::string());
     }
   }
 }

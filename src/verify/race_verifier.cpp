@@ -174,6 +174,9 @@ RaceVerifier::AttemptOutcome RaceVerifier::run_attempt(
             out.writes_null = out.value_about_to_write == 0 && writer.is_write;
             const interp::MemObject* obj =
                 machine->memory().find_object(addr_a);
+            const std::string object =
+                obj != nullptr && !obj->name.empty() ? std::string(obj->name)
+                                                     : "<anonymous>";
             out.variable_type =
                 std::string(reader.instr != nullptr
                                 ? reader.instr->type().name()
@@ -181,8 +184,7 @@ RaceVerifier::AttemptOutcome RaceVerifier::run_attempt(
             out.security_hint = str_format(
                 "racing pair verified on %s: about to read %lld, about to "
                 "write %lld (type %s)%s",
-                obj != nullptr && !obj->name.empty() ? obj->name.c_str()
-                                                      : "<anonymous>",
+                object.c_str(),
                 static_cast<long long>(out.value_about_to_read),
                 static_cast<long long>(out.value_about_to_write),
                 out.variable_type.c_str(),

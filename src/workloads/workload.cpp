@@ -2,43 +2,42 @@
 
 namespace owl::workloads {
 
-std::unique_ptr<interp::Machine> Workload::make_machine(
-    const std::vector<interp::Word>& inputs) const {
+namespace {
+
+/// Fresh machines from `image` (of `w.module`) on `inputs`, with all
+/// simulated threads spawned. Captures by value: the factory outlives the
+/// Workload's stack frame and shares the module (which the image points
+/// into) via shared_ptr.
+race::MachineFactory machine_factory(
+    const Workload& w, std::shared_ptr<const interp::MachineImage> image,
+    const std::vector<interp::Word>& inputs) {
   interp::MachineOptions options;
   options.inputs = inputs;
-  options.max_steps = max_steps;
-  options.authorized_root = authorized_root;
-  auto machine = std::make_unique<interp::Machine>(*module, options);
-  machine->start(entry);
-  return machine;
-}
-
-race::MachineFactory Workload::factory(bool use_exploit_inputs) const {
-  // Capture by value: the factory must outlive this Workload's stack frame
-  // but shares the module via shared_ptr.
-  const std::shared_ptr<ir::Module> mod = module;
-  const std::vector<interp::Word> inputs =
-      use_exploit_inputs ? exploit_inputs : testing_inputs;
-  const ir::Function* entry_fn = entry;
-  const std::uint64_t steps = max_steps;
-  const bool root = authorized_root;
-  return [mod, inputs, entry_fn, steps, root] {
-    interp::MachineOptions options;
-    options.inputs = inputs;
-    options.max_steps = steps;
-    options.authorized_root = root;
-    auto machine = std::make_unique<interp::Machine>(*mod, options);
-    machine->start(entry_fn);
+  options.max_steps = w.max_steps;
+  options.authorized_root = w.authorized_root;
+  return [module = w.module, image = std::move(image), options,
+          entry = w.entry] {
+    auto machine = std::make_unique<interp::Machine>(image, options);
+    machine->start(entry);
     return machine;
   };
 }
 
+}  // namespace
+
+std::unique_ptr<interp::Machine> Workload::make_machine(
+    const std::vector<interp::Word>& inputs) const {
+  return machine_factory(
+      *this, std::make_shared<const interp::MachineImage>(*module), inputs)();
+}
+
 core::PipelineTarget Workload::target(std::uint64_t seed) const {
+  const auto image = std::make_shared<const interp::MachineImage>(*module);
   core::PipelineTarget t;
   t.name = name;
   t.module = module.get();
-  t.factory = factory(/*use_exploit_inputs=*/false);
-  t.exploit_factory = factory(/*use_exploit_inputs=*/true);
+  t.factory = machine_factory(*this, image, testing_inputs);
+  t.exploit_factory = machine_factory(*this, image, exploit_inputs);
   t.thread_order = thread_order;
   t.detector = detector;
   t.detection_schedules = detection_schedules;

@@ -75,11 +75,9 @@ struct Workload {
   std::unique_ptr<interp::Machine> make_machine(
       const std::vector<interp::Word>& inputs) const;
 
-  /// Machine factory bound to testing or exploit inputs.
-  race::MachineFactory factory(bool use_exploit_inputs) const;
-
   /// Pipeline target (detection on testing inputs, verification on exploit
-  /// inputs — the "directed" part of directed detection).
+  /// inputs — the "directed" part of directed detection). Both factories
+  /// share one image of the module.
   core::PipelineTarget target(std::uint64_t seed = 1) const;
 
   /// Pipeline options appropriate for this workload (kernel => no dynamic

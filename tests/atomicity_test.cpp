@@ -340,7 +340,7 @@ TEST(BankAtomicityTest, VerifierReproducesTheTriple) {
       detection.store.stage(core::Stage::kAfterRaceVerifier).front();
   const verify::RaceVerifier verifier;
   const verify::RaceVerifyResult vr =
-      verifier.verify(report, bank.factory(false));
+      verifier.verify(report, target.factory);
   EXPECT_TRUE(vr.verified);
   EXPECT_NE(report.security_hint.find("atomicity violation reproduced"),
             std::string::npos);

@@ -1,12 +1,18 @@
 // Unit tests for the MiniIR machine: instruction semantics, threading,
-// locking, security events, breakpoints.
+// locking, security events, breakpoints, and machines sharing one image.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "interp/debugger.hpp"
 #include "interp/machine.hpp"
 #include "ir/builder.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
+#include "workloads/registry.hpp"
 
 namespace owl::interp {
 namespace {
@@ -784,6 +790,150 @@ entry:
   EXPECT_EQ(stack[2].instr, load_instr);
   // Outer frames report their call sites.
   EXPECT_EQ(stack[1].instr->opcode(), ir::Opcode::kCall);
+}
+
+// --- MachineImage: one prepared starting state shared by many machines ---
+
+TEST(MachineImageTest, MachinesFromOneImageShareNoState) {
+  auto m = parse_ok(R"(module t
+global @g [2] = 7
+global @h [1] = 3
+func @main() {
+entry:
+  store 42, @g
+  %p = malloc 2
+  store 5, %p
+  free %p
+  %s = alloca 1
+  store 9, %s
+  print %p
+  print %s
+  ret
+}
+)");
+  const auto image = std::make_shared<const MachineImage>(*m);
+  const std::size_t globals = image->memory().object_count();
+  Machine first(image, {});
+  Machine second(image, {});
+  run_main(first, *m);
+  ASSERT_EQ(first.prints().size(), 2u);
+  const auto heap = static_cast<Address>(first.prints()[0]);
+  const auto stack = static_cast<Address>(first.prints()[1]);
+
+  // The first machine's store, malloc/free and alloca stay in its memory.
+  EXPECT_EQ(first.read_global("g"), 42);
+  EXPECT_EQ(first.memory().object_count(), globals + 2);
+  ASSERT_NE(first.memory().find_object(heap), nullptr);
+  EXPECT_TRUE(first.memory().find_object(heap)->freed);
+  EXPECT_EQ(second.read_global("g"), 7);
+  EXPECT_EQ(second.memory().load_raw(second.global_address("g") + 8), 7);
+  EXPECT_EQ(second.read_global("h"), 3);
+  EXPECT_EQ(second.memory().object_count(), globals);
+  EXPECT_EQ(second.memory().find_object(heap), nullptr);
+  EXPECT_EQ(second.memory().find_object(stack), nullptr);
+  EXPECT_EQ(image->memory().load_raw(image->global_address(
+                m->find_global("g"))),
+            7);
+  EXPECT_EQ(image->memory().object_count(), globals);
+
+  // The second machine then runs from the image's initial values to the
+  // same addresses and results.
+  run_main(second, *m);
+  EXPECT_EQ(second.prints(), first.prints());
+  EXPECT_EQ(second.read_global("g"), 42);
+  Machine third(image, {});
+  EXPECT_EQ(third.read_global("g"), 7);
+  EXPECT_EQ(third.memory().bytes_allocated(),
+            image->memory().bytes_allocated());
+}
+
+/// What a caller can observe of one run: stop reason, steps, prints,
+/// security events, file writes, setuids and every global's final cells.
+std::string run_digest(Machine& machine, const ir::Function* entry,
+                       Scheduler& scheduler) {
+  machine.start(entry);
+  const RunResult result = machine.run(scheduler);
+  std::ostringstream out;
+  out << "reason=" << static_cast<int>(result.reason)
+      << " steps=" << result.steps << "\nprints:";
+  for (const Word value : machine.prints()) out << ' ' << value;
+  for (const SecurityEvent& event : machine.security_events()) {
+    out << "\nevent " << event.to_string();
+  }
+  for (const FileWriteRecord& write : machine.file_writes()) {
+    out << "\nwrite t" << write.tid << " fd" << write.fd << ':';
+    for (const Word value : write.payload) out << ' ' << value;
+  }
+  for (const SetUidRecord& setuid : machine.setuids()) {
+    out << "\nsetuid t" << setuid.tid << ' ' << setuid.uid;
+  }
+  for (const auto& global : machine.module().globals()) {
+    out << "\n@" << global->name() << ':';
+    const Address base = machine.global_address(global.get());
+    for (std::uint64_t i = 0; i < global->cell_count(); ++i) {
+      out << ' ' << machine.memory().load_raw(base + i * 8);
+    }
+  }
+  return out.str();
+}
+
+/// A machine from an image that has already served another machine runs
+/// exactly as a one-shot Machine(module, ...), under round-robin and a
+/// seeded random schedule.
+void expect_shared_image_matches_one_shot(const ir::Module& module,
+                                          const ir::Function* entry,
+                                          const MachineOptions& options,
+                                          const std::string& label) {
+  const auto image = std::make_shared<const MachineImage>(module);
+  Machine earlier(image, options);
+  RandomScheduler earlier_schedule(99);
+  (void)run_digest(earlier, entry, earlier_schedule);
+  for (const bool random : {false, true}) {
+    const auto schedule = [random]() -> std::unique_ptr<Scheduler> {
+      if (random) return std::make_unique<RandomScheduler>(7);
+      return std::make_unique<RoundRobinScheduler>();
+    };
+    Machine shared(image, options);
+    Machine one_shot(module, options);
+    const auto shared_schedule = schedule();
+    const auto one_shot_schedule = schedule();
+    EXPECT_EQ(run_digest(shared, entry, *shared_schedule),
+              run_digest(one_shot, entry, *one_shot_schedule))
+        << label << (random ? " (random)" : " (round-robin)");
+  }
+}
+
+TEST(MachineImageTest, SharedImageMatchesOneShotOnExamplesAndModels) {
+  std::vector<std::filesystem::path> examples;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(OWL_EXAMPLES_DIR)) {
+    if (entry.path().extension() == ".mir") examples.push_back(entry.path());
+  }
+  std::sort(examples.begin(), examples.end());
+  ASSERT_GE(examples.size(), 16u);
+  for (const auto& path : examples) {
+    std::ifstream file(path);
+    std::stringstream text;
+    text << file.rdbuf();
+    auto m = parse_ok(text.str());
+    MachineOptions options;
+    options.max_steps = 400'000;
+    expect_shared_image_matches_one_shot(*m, m->find_function("main"), options,
+                                         path.filename().string());
+  }
+
+  const std::vector<workloads::Workload> models = workloads::make_all({1.0});
+  ASSERT_EQ(models.size(), 9u);
+  for (const workloads::Workload& w : models) {
+    for (const auto* inputs : {&w.testing_inputs, &w.exploit_inputs}) {
+      MachineOptions options;
+      options.inputs = *inputs;
+      options.max_steps = w.max_steps;
+      options.authorized_root = w.authorized_root;
+      expect_shared_image_matches_one_shot(*w.module, w.entry, options,
+                                           w.name);
+    }
+  }
 }
 
 }  // namespace
