@@ -127,7 +127,7 @@ workloads::Workload interp_model(std::int64_t model) {
 
 void BM_MachineFromImage(benchmark::State& state) {
   const workloads::Workload w = interp_model(state.range(0));
-  const race::MachineFactory factory = w.target(/*seed=*/1).exploit_factory;
+  const interp::MachineFactory factory = w.target(/*seed=*/1).exploit_factory;
   for (auto _ : state) {
     benchmark::DoNotOptimize(factory());
   }
@@ -137,7 +137,7 @@ BENCHMARK(BM_MachineFromImage)->ArgName("model")->Arg(0)->Arg(1);
 
 void BM_ModelRunUnsteered(benchmark::State& state) {
   const workloads::Workload w = interp_model(state.range(0));
-  const race::MachineFactory factory = w.target(/*seed=*/1).exploit_factory;
+  const interp::MachineFactory factory = w.target(/*seed=*/1).exploit_factory;
   std::uint64_t steps = 0;
   for (auto _ : state) {
     std::unique_ptr<interp::Machine> machine = factory();

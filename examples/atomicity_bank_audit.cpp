@@ -1,6 +1,7 @@
 // Auditing a lock-protected program for atomicity-violation attacks — the
-// §8.3 extension end to end, plus schedule record/replay: once the double
-// spend manifests, the exact triggering schedule is captured and replayed.
+// §8.3 extension end to end, plus schedule replay: once the double spend
+// manifests, rerunning its scheduler seed reproduces the exact triggering
+// schedule.
 //
 // The target: a bank teller whose balance check and debit are each under
 // the lock, but not together. No data race exists (TSan mode is silent);
@@ -42,12 +43,11 @@ int main() {
     std::fputs(vuln::render_hint(exploit, names).c_str(), stdout);
   }
 
-  // ---- 3. Manifest the double spend and capture its schedule ----
+  // ---- 3. Manifest the double spend; its seed is the schedule ----
   for (unsigned attempt = 0; attempt < 30; ++attempt) {
     auto machine = bank.make_machine(bank.exploit_inputs);
-    interp::RandomScheduler inner(3000 + attempt);
-    interp::RecordingScheduler recorder(&inner);
-    machine->run(recorder);
+    interp::RandomScheduler sched(3000 + attempt);
+    machine->run(sched);
     if (!bank.attack_succeeded(*machine)) continue;
 
     interp::Word dispensed = 0;
@@ -59,9 +59,9 @@ int main() {
                 attempt + 1, static_cast<long long>(dispensed),
                 static_cast<long long>(machine->read_global("balance")));
 
-    // ---- 4. Replay the recorded schedule: the theft reproduces exactly --
+    // ---- 4. Replay the seed: the theft reproduces exactly ----
     auto replay_machine = bank.make_machine(bank.exploit_inputs);
-    interp::ReplayScheduler replay(recorder.take_trace());
+    interp::RandomScheduler replay(3000 + attempt);
     replay_machine->run(replay);
     interp::Word replayed = 0;
     for (const interp::EvalRecord& rec : replay_machine->evals()) {

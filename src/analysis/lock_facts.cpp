@@ -97,12 +97,6 @@ bool LockFacts::call_released_tokens(const ir::Instruction& instr,
   return true;
 }
 
-bool LockFacts::call_may_release(const ir::Instruction& instr) const {
-  LockSet tokens;
-  if (!call_released_tokens(instr, tokens)) return true;
-  return !tokens.empty();
-}
-
 bool LockFacts::call_may_release(const ir::Instruction& instr,
                                  PointsTo::ObjectId token) const {
   LockSet tokens;

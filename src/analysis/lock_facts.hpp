@@ -52,8 +52,6 @@ class LockFacts {
   /// global variable directly (computed mutexes prove nothing).
   bool lock_token(const ir::Value* operand, PointsTo::ObjectId& token) const;
 
-  /// True when executing `instr` (a call site) may release some mutex.
-  bool call_may_release(const ir::Instruction& instr) const;
   /// True when executing `instr` (a call site) may release `token`
   /// specifically (or some mutex the analysis cannot identify).
   bool call_may_release(const ir::Instruction& instr,

@@ -689,10 +689,6 @@ const std::vector<PointsTo::ObjectId>& PointsTo::object_points_to(
   return nodes_[find(content_node(o))].pts;
 }
 
-bool PointsTo::object_content_unknown(ObjectId o) const {
-  return nodes_[find(content_node(o))].unknown;
-}
-
 bool PointsTo::object_size(ObjectId o, std::uint64_t& cells) const {
   const AbstractObject& obj = objects_[o];
   switch (obj.kind) {

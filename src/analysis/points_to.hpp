@@ -96,8 +96,6 @@ class PointsTo {
 
   /// Sorted object ids the cells of object `o` may point to.
   const std::vector<ObjectId>& object_points_to(ObjectId o) const;
-  /// True when object `o`'s cells may hold an unbounded pointer.
-  bool object_content_unknown(ObjectId o) const;
   /// Cell count of `o` when statically known (globals, constant-sized
   /// allocas/mallocs). Returns false for functions and dynamic sizes.
   bool object_size(ObjectId o, std::uint64_t& cells) const;

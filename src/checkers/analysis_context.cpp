@@ -4,7 +4,7 @@ namespace owl::checkers {
 
 AnalysisContext::AnalysisContext(const ir::Module& module_in,
                                  const analysis::ModuleStatic& statics_in,
-                                 race::MachineFactory machine_factory_in)
+                                 interp::MachineFactory machine_factory_in)
     : module(module_in),
       statics(statics_in),
       mhp(module_in, statics_in.resolved_calls),

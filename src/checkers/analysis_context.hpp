@@ -10,21 +10,21 @@
 #pragma once
 
 #include "analysis/static_info.hpp"
+#include "interp/machine.hpp"
 #include "ir/module.hpp"
 #include "race/mhp.hpp"
-#include "race/ski_detector.hpp"
 
 namespace owl::checkers {
 
 struct AnalysisContext {
   AnalysisContext(const ir::Module& module,
                   const analysis::ModuleStatic& statics,
-                  race::MachineFactory machine_factory);
+                  interp::MachineFactory machine_factory);
 
   const ir::Module& module;
   const analysis::ModuleStatic& statics;
   race::MhpInfo mhp;
-  race::MachineFactory machine_factory;  ///< may be empty (no replay)
+  interp::MachineFactory machine_factory;  ///< may be empty (no replay)
 
   const analysis::PointsTo& points_to() const noexcept {
     return statics.points_to;

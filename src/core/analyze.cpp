@@ -56,26 +56,6 @@ std::string field_text(const checkers::CheckerOptions& selection, bool json) {
   return field_text(selection.canonical(), json);
 }
 
-/// Fresh machines from `image` (of `module`), started at `entry` with
-/// `inputs`: the one factory behind a target's detection, exploit and
-/// repair-verification runs. The shared_ptr keeps the module alive while
-/// any factory does.
-race::MachineFactory machine_factory(
-    std::shared_ptr<const ir::Module> module,
-    std::shared_ptr<const interp::MachineImage> image, const std::string& entry,
-    std::vector<interp::Word> inputs, std::uint64_t max_steps) {
-  const ir::Function* start = module->find_function(entry);
-  return [module = std::move(module), image = std::move(image), start,
-          inputs = std::move(inputs), max_steps] {
-    interp::MachineOptions machine_options;
-    machine_options.inputs = inputs;
-    machine_options.max_steps = max_steps;
-    auto machine = std::make_unique<interp::Machine>(image, machine_options);
-    machine->start(start);
-    return machine;
-  };
-}
-
 PipelineOptions pipeline_options(const AnalysisRequest& request) {
   PipelineOptions options;
   options.enable_adhoc_annotation = request.adhoc;
@@ -171,9 +151,15 @@ AnalysisOutcome analyze(const std::vector<ModuleSource>& sources,
     outcome.error = std::move(error);
     return std::move(outcome);
   };
-  const std::vector<interp::Word>& inputs = request.inputs;
-  const std::vector<interp::Word>& exploit_inputs =
-      request.exploit_inputs.empty() ? inputs : request.exploit_inputs;
+  // Detection and repair-verification machines run on the testing inputs,
+  // exploit machines on the exploit inputs (the testing ones when unset).
+  interp::MachineOptions testing_options;
+  testing_options.inputs = request.inputs;
+  testing_options.max_steps = request.max_steps;
+  interp::MachineOptions exploit_options = testing_options;
+  if (!request.exploit_inputs.empty()) {
+    exploit_options.inputs = request.exploit_inputs;
+  }
 
   // Load and verify every module up front, in input order: the first
   // failure ends the run before any analysis.
@@ -213,18 +199,19 @@ AnalysisOutcome analyze(const std::vector<ModuleSource>& sources,
     target.module = module.get();
     // One image per module: both factories start every machine from it.
     const auto image = std::make_shared<const interp::MachineImage>(*module);
-    target.factory = machine_factory(module, image, request.entry, inputs,
-                                     request.max_steps);
-    target.exploit_factory = machine_factory(
-        module, image, request.entry, exploit_inputs, request.max_steps);
+    target.factory =
+        interp::machine_factory(module, image, entry, testing_options);
+    target.exploit_factory =
+        interp::machine_factory(module, image, entry, exploit_options);
     // The repair stage verifies candidate patches by running the pipeline
     // on a cloned, rewritten module.
     target.factory_for_module =
-        [entry_name = request.entry, inputs,
-         max_steps = request.max_steps](std::shared_ptr<const ir::Module> m) {
+        [entry_name = request.entry,
+         testing_options](std::shared_ptr<const ir::Module> m) {
+          const ir::Function* start = m->find_function(entry_name);
           auto patched = std::make_shared<const interp::MachineImage>(*m);
-          return machine_factory(std::move(m), std::move(patched), entry_name,
-                                 inputs, max_steps);
+          return interp::machine_factory(std::move(m), std::move(patched),
+                                         start, testing_options);
         };
     target.detector = request.detector;
     target.detection_schedules = request.schedules;

@@ -131,7 +131,7 @@ std::string render_manifest(const std::string& tool,
   kv.emplace_back("enable_race_verifier", flag(options.enable_race_verifier));
   kv.emplace_back("enable_vuln_verifier", flag(options.enable_vuln_verifier));
   kv.emplace_back("race_verifier_attempts",
-                  str_format("%u", options.race_verifier_attempts));
+                  str_format("%u", kRaceVerifierAttempts));
   kv.emplace_back("analyzer_mode",
                   options.analyzer_mode ==
                           vuln::VulnerabilityAnalyzer::Mode::kDirected

@@ -11,6 +11,7 @@
 #include "analysis/static_info.hpp"
 #include "race/atomicity_detector.hpp"
 #include "race/predict/sp_predictor.hpp"
+#include "race/tsan_detector.hpp"
 #include "repair/engine.hpp"
 #include "support/log.hpp"
 #include "support/metrics.hpp"
@@ -162,13 +163,14 @@ class StageRunner {
     return finished;
   }
 
-  /// The per-item retry loop: up to `attempts` rounds of the maybe_throw
-  /// probe plus `body(attempt)`, charging the retries used. Returns the
-  /// last exception's text when every round threw.
-  template <typename Body>
-  std::optional<std::string> attempt_item(unsigned attempts,
-                                          Body&& body) const {
+  /// The per-item retry loop: up to `attempts` rounds of `setup(attempt)`,
+  /// the maybe_throw probe and `body(attempt)`, charging the retries used.
+  /// Returns the last exception's text when every round threw.
+  template <typename Body, typename Setup>
+  std::optional<std::string> attempt_item(unsigned attempts, Body&& body,
+                                          Setup&& setup) const {
     for (unsigned attempt = 0;; ++attempt) {
+      setup(attempt);
       try {
         if (injector() != nullptr) injector()->maybe_throw();
         body(attempt);
@@ -180,6 +182,13 @@ class StageRunner {
         return error.what();
       }
     }
+  }
+
+  /// attempt_item() with nothing to set up before a round.
+  template <typename Body>
+  std::optional<std::string> attempt_item(unsigned attempts,
+                                          Body&& body) const {
+    return attempt_item(attempts, body, [](unsigned) {});
   }
 
   /// attempt_item() under the retry policy, for the verification stages.
@@ -246,7 +255,8 @@ std::vector<race::RaceReport> Pipeline::detect_once(
       machine->add_observer(&atomicity.emplace());
       scheduler = std::make_unique<interp::RandomScheduler>(base_seed + i);
     } else if (target.detector == DetectorKind::kSki) {
-      detector = std::make_unique<race::SkiDetector>(annotations, prescreen);
+      detector = std::make_unique<race::TsanDetector>(
+          annotations, /*ski_watch_mode=*/true, prescreen);
       scheduler = std::make_unique<interp::PctScheduler>(
           base_seed + i, /*depth=*/3, /*expected_steps=*/20000);
     } else {
@@ -289,36 +299,32 @@ std::optional<std::vector<race::RaceReport>> Pipeline::detect(
     FlowAuditRecorder* flow_audit) const {
   FaultInjector* injector = options_.fault_injector;
   const support::RetryPolicy& retry = options_.retry;
-  StageCounts& counts = result.counts;
-  for (unsigned attempt = 0; attempt < retry.max_attempts(); ++attempt) {
-    if (injector != nullptr) {
-      injector->begin_stage(PipelineStage::kDetection);
-    }
-    support::Budget budget(
-        retry.deadline_for(options_.stage_deadline, attempt));
-    try {
-      if (injector != nullptr) injector->maybe_throw();
-      std::vector<race::RaceReport> merged = detect_once(
-          target, annotations, prescreen,
-          retry.seed_for(target.seed, attempt), budget, result, recorder,
-          flow_audit);
-      counts.retries_used += attempt;
-      attribute_injected(injector, counts, PipelineStage::kDetection);
-      return merged;
-    } catch (const std::exception& error) {
-      if (attempt + 1 >= retry.max_attempts()) {
-        record_failure(counts, PipelineStage::kDetection,
-                       FailureCause::kException, error.what(),
-                       budget.steps_spent(), attempt);
-        counts.retries_used += attempt;
-        return std::nullopt;
-      }
-      OWL_LOG(kInfo) << target.name << ": detection attempt " << attempt
-                     << " failed (" << error.what()
-                     << "), retrying with rotated seed";
-    }
+  const StageRunner stages(options_, target.name, result.counts);
+  // Each attempt re-enters the stage (fresh probe counters and first-firing
+  // log) under its own budget, before the maybe_throw probe.
+  std::optional<support::Budget> budget;
+  std::vector<race::RaceReport> merged;
+  const std::optional<std::string> error = stages.attempt_item(
+      retry.max_attempts(),
+      [&](unsigned attempt) {
+        merged = detect_once(target, annotations, prescreen,
+                             retry.seed_for(target.seed, attempt), *budget,
+                             result, recorder, flow_audit);
+      },
+      [&](unsigned attempt) {
+        if (injector != nullptr) {
+          injector->begin_stage(PipelineStage::kDetection);
+        }
+        budget.emplace(retry.deadline_for(options_.stage_deadline, attempt));
+      });
+  if (error.has_value()) {
+    record_failure(result.counts, PipelineStage::kDetection,
+                   FailureCause::kException, *error, budget->steps_spent(),
+                   retry.max_attempts() - 1);
+    return std::nullopt;
   }
-  return std::nullopt;
+  attribute_injected(injector, result.counts, PipelineStage::kDetection);
+  return merged;
 }
 
 PipelineResult Pipeline::run(const PipelineTarget& target) const {
@@ -471,7 +477,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
         // (an infeasible pair never verifies, and failure has no early
         // exit) — that is the exploration this stage saves.
         counts.predict_schedules_avoided =
-            counts.predict_pruned * options_.race_verifier_attempts;
+            counts.predict_pruned * kRaceVerifierAttempts;
       }
       OWL_LOG(kInfo) << target.name << ": predict checked "
                      << predict_outcome->candidates << " candidate pair(s), "
@@ -509,7 +515,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
             PipelineStage::kRaceVerification, failure_recorded,
             [&](unsigned attempt) {
               verify::RaceVerifier::Options vopts;
-              vopts.max_attempts = options_.race_verifier_attempts;
+              vopts.max_attempts = kRaceVerifierAttempts;
               vopts.base_seed =
                   retry.seed_for(target.seed * 7919 + 13, attempt);
               vopts.fault_injector = injector;
@@ -654,7 +660,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   // ---- step (5): dynamic vulnerability verification ----
   if (options_.enable_vuln_verifier) {
     stages.enter(PipelineStage::kVulnVerification, [&] {
-      const race::MachineFactory& factory =
+      const interp::MachineFactory& factory =
           target.exploit_factory ? target.exploit_factory : target.factory;
       support::Budget budget(options_.stage_deadline);
       std::size_t livelocked = 0;

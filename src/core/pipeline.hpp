@@ -23,10 +23,10 @@
 #include "core/attack.hpp"
 #include "core/report_store.hpp"
 #include "analysis/value_flow.hpp"
+#include "interp/machine.hpp"
 #include "race/predict/predict_mode.hpp"
 #include "race/predict/trace_recorder.hpp"
 #include "race/prescreen_view.hpp"
-#include "race/ski_detector.hpp"
 #include "repair/report.hpp"
 #include "support/deadline.hpp"
 #include "support/fault_injector.hpp"
@@ -54,22 +54,26 @@ struct PipelineTarget {
   std::string name;                 ///< program name for reports
   const ir::Module* module = nullptr;
   /// Fresh machine configured with the *testing* inputs (detection runs).
-  race::MachineFactory factory;
+  interp::MachineFactory factory;
   /// Fresh machine configured with the *vulnerable* inputs inferred from
   /// the input hints (verification runs). Falls back to `factory` if unset.
-  race::MachineFactory exploit_factory;
+  interp::MachineFactory exploit_factory;
   /// Exploit-driver ordering hint for the vulnerability verifier.
   std::vector<interp::ThreadId> thread_order;
   /// Builds a machine factory for an *arbitrary* module — the repair
   /// stage's hook for running the full pipeline on patched clones (the
   /// shared_ptr keeps the clone alive inside the returned factory). Unset
   /// means repair cannot verify candidates and degrades for this target.
-  std::function<race::MachineFactory(std::shared_ptr<const ir::Module>)>
+  std::function<interp::MachineFactory(std::shared_ptr<const ir::Module>)>
       factory_for_module;
   DetectorKind detector = DetectorKind::kTsan;
   unsigned detection_schedules = 4;  ///< schedules explored in steps (1)/(2)
   std::uint64_t seed = 1;
 };
+
+/// Seeded schedules the step-(3) verifier tries per race report (the run
+/// manifest records it among the options).
+inline constexpr unsigned kRaceVerifierAttempts = 3;
 
 struct PipelineOptions {
   bool enable_adhoc_annotation = true;  ///< ablation knob (step 2)
@@ -101,7 +105,6 @@ struct PipelineOptions {
   analysis::ValueFlowMode vuln_flow = analysis::ValueFlowMode::kOff;
   bool enable_race_verifier = true;     ///< off for kernels (paper §8.3)
   bool enable_vuln_verifier = true;
-  unsigned race_verifier_attempts = 3;
   vuln::VulnerabilityAnalyzer::Mode analyzer_mode =
       vuln::VulnerabilityAnalyzer::Mode::kDirected;
   /// Concurrency checker suite beyond data races (DESIGN.md §11): deadlock,

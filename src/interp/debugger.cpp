@@ -1,7 +1,5 @@
 #include "interp/debugger.hpp"
 
-#include <algorithm>
-
 namespace owl::interp {
 
 BreakpointId Debugger::add_breakpoint(const ir::Instruction* instr,
@@ -14,30 +12,17 @@ BreakpointId Debugger::add_breakpoint(const ir::Instruction* instr,
   return bp.id;
 }
 
-void Debugger::remove_breakpoint(BreakpointId id) {
-  breakpoints_.erase(
-      std::remove_if(breakpoints_.begin(), breakpoints_.end(),
-                     [&](const Breakpoint& bp) { return bp.id == id; }),
-      breakpoints_.end());
-}
-
 void Debugger::set_enabled(BreakpointId id, bool enabled) {
-  if (Breakpoint* bp = find(id)) bp->enabled = enabled;
+  for (Breakpoint& bp : breakpoints_) {
+    if (bp.id == id) bp.enabled = enabled;
+  }
 }
 
 Breakpoint* Debugger::match(ThreadId tid, const ir::Instruction* instr) {
   for (Breakpoint& bp : breakpoints_) {
     if (!bp.enabled || bp.instr != instr) continue;
     if (bp.thread.has_value() && *bp.thread != tid) continue;
-    ++bp.hit_count;
     return &bp;
-  }
-  return nullptr;
-}
-
-Breakpoint* Debugger::find(BreakpointId id) {
-  for (Breakpoint& bp : breakpoints_) {
-    if (bp.id == id) return &bp;
   }
   return nullptr;
 }

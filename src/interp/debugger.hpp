@@ -24,7 +24,6 @@ struct Breakpoint {
   /// If set, only this thread stops here (thread-specific breakpoint).
   std::optional<ThreadId> thread;
   bool enabled = true;
-  std::uint64_t hit_count = 0;
 };
 
 class Debugger {
@@ -33,17 +32,11 @@ class Debugger {
   BreakpointId add_breakpoint(const ir::Instruction* instr,
                               std::optional<ThreadId> thread = std::nullopt);
 
-  void remove_breakpoint(BreakpointId id);
   void set_enabled(BreakpointId id, bool enabled);
 
-  /// The machine consults this before executing `instr` on `tid`; a hit
-  /// increments the breakpoint's counter.
+  /// The machine consults this before executing `instr` on `tid`: the first
+  /// enabled breakpoint that stops `tid` at `instr`, or nullptr.
   Breakpoint* match(ThreadId tid, const ir::Instruction* instr);
-
-  const std::vector<Breakpoint>& breakpoints() const noexcept {
-    return breakpoints_;
-  }
-  Breakpoint* find(BreakpointId id);
 
  private:
   std::vector<Breakpoint> breakpoints_;

@@ -10,6 +10,9 @@ namespace owl::interp {
 
 namespace {
 constexpr std::size_t kMaxSecurityEvents = 10000;
+/// Runaway-copy guard: strcpy measures and memcpy copies at most this many
+/// cells.
+constexpr std::uint64_t kStrCpyCap = 65536;
 }
 
 std::string_view security_event_kind_name(SecurityEventKind kind) noexcept {
@@ -71,6 +74,18 @@ Machine::Machine(std::shared_ptr<const MachineImage> image,
 Machine::Machine(const ir::Module& module, MachineOptions options)
     : Machine(std::make_shared<const MachineImage>(module),
               std::move(options)) {}
+
+MachineFactory machine_factory(std::shared_ptr<const ir::Module> module,
+                               std::shared_ptr<const MachineImage> image,
+                               const ir::Function* entry,
+                               MachineOptions options) {
+  return [module = std::move(module), image = std::move(image), entry,
+          options = std::move(options)] {
+    auto machine = std::make_unique<Machine>(image, options);
+    machine->start(entry);
+    return machine;
+  };
+}
 
 ThreadId Machine::start(const ir::Function* entry) {
   assert(threads_.empty() && "start() must create the first thread");
@@ -227,28 +242,6 @@ RunResult Machine::run(Scheduler& scheduler) {
     ++steps_;
     ++tick_;
   }
-}
-
-Status Machine::step_thread(ThreadId tid) {
-  Thread* t = thread(tid);
-  if (t == nullptr) return invalid_argument_error("no such thread");
-  if (t->finished()) return failed_precondition_error("thread finished");
-  if (t->state() == ThreadState::kSuspended) {
-    t->set_state(ThreadState::kRunnable);
-  }
-  if (t->state() != ThreadState::kRunnable &&
-      t->state() != ThreadState::kSleeping) {
-    return failed_precondition_error(
-        "thread is " + std::string(thread_state_name(t->state())));
-  }
-  if (t->next_instruction() == nullptr) {
-    finish_thread(*t);
-    return Status::ok();
-  }
-  execute(*t);
-  ++steps_;
-  ++tick_;
-  return Status::ok();
 }
 
 Status Machine::resume_thread(ThreadId tid, bool skip_breakpoint_once) {
@@ -766,7 +759,7 @@ void Machine::execute(Thread& thread) {
           static_cast<Address>(value_of(frame, instr->operand(1)));
       // Measure the source string (cells until a 0 cell).
       std::uint64_t len = 0;
-      while (len < options_.strcpy_cap && memory_.load_raw(src + len * 8) != 0) {
+      while (len < kStrCpyCap && memory_.load_raw(src + len * 8) != 0) {
         ++len;
       }
       const std::uint64_t room = memory_.cells_until_end(dst);
@@ -800,8 +793,8 @@ void Machine::execute(Thread& thread) {
           static_cast<Address>(value_of(frame, instr->operand(1)));
       Word len = value_of(frame, instr->operand(2));
       if (len < 0) len = 0;
-      if (static_cast<std::uint64_t>(len) > options_.strcpy_cap) {
-        len = static_cast<Word>(options_.strcpy_cap);
+      if (static_cast<std::uint64_t>(len) > kStrCpyCap) {
+        len = static_cast<Word>(kStrCpyCap);
       }
       const std::uint64_t room = memory_.cells_until_end(dst);
       if (static_cast<std::uint64_t>(len) > room) {

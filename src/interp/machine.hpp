@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -118,7 +119,6 @@ struct MachineOptions {
   std::vector<Word> inputs;          ///< workload input vector (kInput)
   std::uint64_t max_steps = 2'000'000;
   bool authorized_root = false;      ///< setuid(0) legal for this run?
-  std::uint64_t strcpy_cap = 65536;  ///< runaway-copy guard
 };
 
 enum class StopReason {
@@ -187,10 +187,6 @@ class Machine {
   /// Runs under `scheduler` until a stop condition. Can be called again
   /// after a breakpoint stop (resume the thread first).
   RunResult run(Scheduler& scheduler);
-
-  /// Executes exactly one instruction of `tid` (must be runnable or
-  /// suspended; a suspended thread is resumed for this one step).
-  Status step_thread(ThreadId tid);
 
   /// Makes a suspended thread runnable again. With `skip_breakpoint_once`
   /// the pending instruction executes even though its breakpoint is armed.
@@ -311,5 +307,17 @@ class Machine {
   std::vector<SetUidRecord> setuids_;
   std::vector<Word> prints_;
 };
+
+/// Builds one fresh, ready-to-run machine per call (threads spawned,
+/// inputs set). The factory owns nothing after returning.
+using MachineFactory = std::function<std::unique_ptr<Machine>()>;
+
+/// Fresh machines from `image` under `options`, each started at `entry`.
+/// `module` is the image's module: the factory shares it, so the module
+/// lives as long as any copy of the factory does.
+MachineFactory machine_factory(std::shared_ptr<const ir::Module> module,
+                               std::shared_ptr<const MachineImage> image,
+                               const ir::Function* entry,
+                               MachineOptions options);
 
 }  // namespace owl::interp

@@ -13,18 +13,6 @@ std::uint64_t cell_index(Address addr) noexcept {
 }
 }  // namespace
 
-std::string_view mem_fault_name(MemFault fault) noexcept {
-  switch (fault) {
-    case MemFault::kNone: return "none";
-    case MemFault::kNullDeref: return "null-deref";
-    case MemFault::kOutOfBounds: return "out-of-bounds";
-    case MemFault::kUseAfterFree: return "use-after-free";
-    case MemFault::kDoubleFree: return "double-free";
-    case MemFault::kBadFree: return "bad-free";
-  }
-  return "?";
-}
-
 Address Memory::allocate(ObjectKind kind, std::uint64_t cells, Word init,
                          std::string_view name, std::uint64_t owner_frame) {
   assert(cells > 0);

@@ -39,8 +39,6 @@ enum class MemFault {
   kBadFree,        ///< free() of a non-heap or interior pointer
 };
 
-std::string_view mem_fault_name(MemFault fault) noexcept;
-
 struct MemObject {
   Address base = 0;
   std::uint64_t cells = 0;

@@ -64,33 +64,6 @@ ThreadId PctScheduler::pick(const std::vector<ThreadId>& runnable,
   return best;
 }
 
-ThreadId ReplayScheduler::pick(const std::vector<ThreadId>& runnable,
-                               std::uint64_t step) {
-  assert(!runnable.empty());
-  while (cursor_ < script_.size()) {
-    const ThreadId want = script_[cursor_];
-    if (std::find(runnable.begin(), runnable.end(), want) != runnable.end()) {
-      ++cursor_;
-      return want;
-    }
-    // Scripted thread cannot run (blocked/finished); skip the entry rather
-    // than deadlocking the replay.
-    ++cursor_;
-  }
-  return fallback_.pick(runnable, step);
-}
-
-ThreadId RecordingScheduler::pick(const std::vector<ThreadId>& runnable,
-                                  std::uint64_t step) {
-  const ThreadId tid = inner_->pick(runnable, step);
-  trace_.push_back(tid);
-  return tid;
-}
-
-void RecordingScheduler::on_thread_created(ThreadId tid) {
-  inner_->on_thread_created(tid);
-}
-
 ThreadId PriorityScheduler::pick(const std::vector<ThreadId>& runnable,
                                  std::uint64_t /*step*/) {
   assert(!runnable.empty());

@@ -3,7 +3,7 @@
 // The schedule space is where concurrency bugs hide: the paper's Finding III
 // shows attacks manifest within tens of runs once inputs (and IO timings)
 // are crafted. All schedulers here are deterministic functions of their
-// seed, so every manifestation is replayable.
+// seed, so a rerun with the same seed reproduces every manifestation.
 #pragma once
 
 #include <cstdint>
@@ -72,45 +72,6 @@ class PctScheduler final : public Scheduler {
   std::unordered_map<ThreadId, std::uint64_t> priority_;
   std::vector<std::uint64_t> change_points_;  ///< sorted step indices
   std::size_t next_change_ = 0;
-};
-
-/// Replays an explicit thread-id sequence; after the script is exhausted it
-/// falls back to round-robin. The dynamic verifiers use this to drive a
-/// program into "the racing moment".
-class ReplayScheduler final : public Scheduler {
- public:
-  explicit ReplayScheduler(std::vector<ThreadId> script)
-      : script_(std::move(script)) {}
-
-  ThreadId pick(const std::vector<ThreadId>& runnable,
-                std::uint64_t step) override;
-
- private:
-  std::vector<ThreadId> script_;
-  std::size_t cursor_ = 0;
-  RoundRobinScheduler fallback_;
-};
-
-/// Decorator that records every pick of an inner scheduler. Feeding the
-/// trace back through a ReplayScheduler reproduces the execution exactly —
-/// including a bug-manifesting one — which is how a report's schedule can
-/// be shipped alongside it.
-class RecordingScheduler final : public Scheduler {
- public:
-  /// `inner` must outlive this scheduler.
-  explicit RecordingScheduler(Scheduler* inner) : inner_(inner) {}
-
-  ThreadId pick(const std::vector<ThreadId>& runnable,
-                std::uint64_t step) override;
-  void on_thread_created(ThreadId tid) override;
-
-  const std::vector<ThreadId>& trace() const noexcept { return trace_; }
-  /// Moves the trace out (e.g. straight into a ReplayScheduler).
-  std::vector<ThreadId> take_trace() noexcept { return std::move(trace_); }
-
- private:
-  Scheduler* inner_;
-  std::vector<ThreadId> trace_;
 };
 
 /// Strict priority: always run the runnable thread the priority list ranks

@@ -20,18 +20,6 @@ std::string call_stack_to_string(const CallStack& stack) {
   return out;
 }
 
-std::string_view thread_state_name(ThreadState state) noexcept {
-  switch (state) {
-    case ThreadState::kRunnable: return "runnable";
-    case ThreadState::kBlockedOnLock: return "blocked-on-lock";
-    case ThreadState::kSleeping: return "sleeping";
-    case ThreadState::kWaitingJoin: return "waiting-join";
-    case ThreadState::kSuspended: return "suspended";
-    case ThreadState::kFinished: return "finished";
-  }
-  return "?";
-}
-
 CallStack Thread::call_stack() const {
   CallStack stack;
   stack.reserve(frames_.size());

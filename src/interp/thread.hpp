@@ -63,8 +63,6 @@ enum class ThreadState {
   kFinished,
 };
 
-std::string_view thread_state_name(ThreadState state) noexcept;
-
 class Thread {
  public:
   Thread(ThreadId id, const ir::Function* entry) : id_(id), entry_(entry) {}

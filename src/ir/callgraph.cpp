@@ -29,23 +29,15 @@ CallGraph::CallGraph(const Module& module, const IndirectCallMap& indirect)
       for (const auto& instr : bb->instructions()) {
         if (instr->opcode() != Opcode::kCallPtr) continue;
         auto it = indirect.find(instr.get());
-        if (it == indirect.end() || it->second.empty()) continue;
-        indirect_.emplace(instr.get(), it->second);
+        if (it == indirect.end()) continue;
         for (Function* target : it->second) {
           callees_[f.get()].insert(target);
           callers_[target].insert(f.get());
           sites_[target].push_back(instr.get());
-          ++indirect_edge_count_;
         }
       }
     }
   }
-}
-
-const std::vector<Function*>& CallGraph::indirect_callees(
-    const Instruction* site) const {
-  auto it = indirect_.find(site);
-  return it != indirect_.end() ? it->second : empty_functions_;
 }
 
 const std::unordered_set<Function*>& CallGraph::callees(

@@ -10,8 +10,7 @@
 // constructor additionally takes an IndirectCallMap — per-callptr resolved
 // targets, produced by analysis::PointsTo — and folds those edges into
 // callees/callers/call_sites, so reachable_from and is_recursive see through
-// function-pointer dispatch. Per-site provenance stays queryable via
-// indirect_callees().
+// function-pointer dispatch.
 #pragma once
 
 #include <unordered_map>
@@ -42,14 +41,6 @@ class CallGraph {
   /// All call sites targeting `f`.
   const std::vector<Instruction*>& call_sites(const Function* f) const;
 
-  /// Resolution provenance: functions `site` (a kCallPtr) was resolved to,
-  /// empty for direct calls or unresolved sites.
-  const std::vector<Function*>& indirect_callees(const Instruction* site) const;
-  /// Total resolved indirect edges folded into this graph.
-  std::size_t indirect_edge_count() const noexcept {
-    return indirect_edge_count_;
-  }
-
   /// Functions reachable from `roots` following callee edges (inclusive).
   std::unordered_set<Function*> reachable_from(
       const std::vector<Function*>& roots) const;
@@ -61,11 +52,8 @@ class CallGraph {
   std::unordered_map<const Function*, std::unordered_set<Function*>> callees_;
   std::unordered_map<const Function*, std::unordered_set<Function*>> callers_;
   std::unordered_map<const Function*, std::vector<Instruction*>> sites_;
-  std::unordered_map<const Instruction*, std::vector<Function*>> indirect_;
-  std::size_t indirect_edge_count_ = 0;
   std::unordered_set<Function*> empty_set_;
   std::vector<Instruction*> empty_sites_;
-  std::vector<Function*> empty_functions_;
 };
 
 }  // namespace owl::ir

@@ -47,8 +47,6 @@ class AnnotationSet {
     return std::min(releases_.size(), acquires_.size());
   }
 
-  void merge(const AnnotationSet& other);
-
  private:
   std::unordered_set<const ir::Instruction*> releases_;
   std::unordered_set<const ir::Instruction*> acquires_;

@@ -127,7 +127,6 @@ void AtomicityDetector::on_access(const Access& access,
     AtomicityPattern pattern;
     if (unserializable(mine.local.is_write, mine.first_remote.is_write,
                        access.is_write, pattern)) {
-      ++dynamic_violations_;
       AtomicityReport probe;
       probe.first_local = mine.local;
       probe.remote = mine.first_remote;

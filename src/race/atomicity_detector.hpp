@@ -77,9 +77,6 @@ class AtomicityDetector : public interp::Observer {
   const std::vector<AtomicityReport>& reports() const noexcept {
     return reports_;
   }
-  std::uint64_t dynamic_violation_count() const noexcept {
-    return dynamic_violations_;
-  }
 
  private:
   struct LocalState {
@@ -97,7 +94,6 @@ class AtomicityDetector : public interp::Observer {
       pending_;
   std::map<std::array<std::uint64_t, 3>, std::size_t> index_;
   std::vector<AtomicityReport> reports_;
-  std::uint64_t dynamic_violations_ = 0;
 };
 
 }  // namespace owl::race

@@ -91,8 +91,6 @@ MhpInfo::MhpInfo(const ir::Module& module,
       }
     }
   }
-  spawn_sites_ = spawns.size();
-
   // Context 0: the initial thread, entered at some root function. Roots are
   // functions nobody calls or spawns; if the call graph is fully cyclic we
   // conservatively treat every function as a potential entry.
@@ -119,7 +117,6 @@ MhpInfo::MhpInfo(const ir::Module& module,
       self_parallel_ |= bit;
     }
   }
-  context_count_ = 1 + (spawns.size() < 64 ? spawns.size() : 63);
 }
 
 std::uint64_t MhpInfo::mask_of(const ir::Function* f) const {

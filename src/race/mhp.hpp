@@ -34,20 +34,11 @@ class MhpInfo {
   bool may_happen_in_parallel(const ir::Function* a,
                               const ir::Function* b) const;
 
-  /// True when the module spawns any thread at all.
-  bool has_concurrency() const noexcept { return spawn_sites_ != 0; }
-
-  /// Number of distinct execution contexts (1 root + one per create site,
-  /// saturating at the 64-bit mask width).
-  std::size_t context_count() const noexcept { return context_count_; }
-
  private:
   std::uint64_t mask_of(const ir::Function* f) const;
 
   std::unordered_map<const ir::Function*, std::uint64_t> context_mask_;
   std::uint64_t self_parallel_ = 0;  ///< bit i: context i may run twice
-  std::size_t spawn_sites_ = 0;
-  std::size_t context_count_ = 0;
 };
 
 }  // namespace owl::race

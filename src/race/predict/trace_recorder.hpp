@@ -102,7 +102,6 @@ class TraceRecorder final : public interp::Observer {
   void on_sync(const Sync& sync, const interp::Machine&) override;
 
   const std::vector<Trace>& traces() const noexcept { return traces_; }
-  std::vector<Trace> take_traces() { return std::move(traces_); }
 
  private:
   const AnnotationSet* annotations_ = nullptr;

@@ -10,8 +10,11 @@
 //    the first subsequent load as the report's supplemental read — the
 //    paper's modification so Algorithm 1 always has a corrupted read to
 //    start from;
-//  - in SKI mode (ski_detector.hpp) every subsequent read's call stack is
-//    logged until a write sanitizes the address.
+//  - in SKI watch-list mode (`ski_watch_mode`, §6.3) every subsequent
+//    read's call stack is logged until a write sanitizes the address. The
+//    pipeline's SKI detection runs this mode under one PCT schedule per
+//    run and merges the per-run reports — SKI's systematic kernel-schedule
+//    exploration (§3).
 //
 // The hot path runs on paged shadow memory, dense ThreadId-indexed clock
 // tables, and lazy race-candidate capture (call stacks rebuilt from

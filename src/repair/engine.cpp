@@ -25,7 +25,7 @@ struct OutputSignature {
   interp::StopReason reason = interp::StopReason::kAllFinished;
 };
 
-OutputSignature run_round_robin(const race::MachineFactory& factory) {
+OutputSignature run_round_robin(const interp::MachineFactory& factory) {
   std::unique_ptr<interp::Machine> machine = factory();
   interp::RoundRobinScheduler scheduler;
   OutputSignature signature;
@@ -89,7 +89,7 @@ std::shared_ptr<ir::Module> apply_candidate(const ir::Module& original,
 
 /// Gate C. The original signature is computed once by the caller.
 bool gate_output_equal(const OutputSignature& original,
-                       const race::MachineFactory& patched_factory) {
+                       const interp::MachineFactory& patched_factory) {
   const OutputSignature patched = run_round_robin(patched_factory);
   if (patched.reason != interp::StopReason::kAllFinished) return false;
   if (original.reason != interp::StopReason::kAllFinished) return false;
@@ -110,7 +110,7 @@ bool gate_output_equal(const OutputSignature& original,
 /// findings under the full checker suite.
 bool gate_no_new_findings(const std::set<std::string>& baseline,
                           const ir::Module& patched,
-                          const race::MachineFactory& patched_factory) {
+                          const interp::MachineFactory& patched_factory) {
   const analysis::ModuleStatic patched_static(patched);
   const checkers::AnalysisContext ctx(patched, patched_static,
                                       patched_factory);
@@ -129,7 +129,7 @@ bool gate_no_new_findings(const std::set<std::string>& baseline,
 bool gate_race_free(const core::PipelineTarget& target,
                     const core::PipelineOptions& session,
                     const std::shared_ptr<ir::Module>& patched,
-                    const race::MachineFactory& patched_factory) {
+                    const interp::MachineFactory& patched_factory) {
   for (const race::PredictMode mode :
        {race::PredictMode::kOff, race::PredictMode::kOn}) {
     core::PipelineOptions options;
@@ -137,7 +137,6 @@ bool gate_race_free(const core::PipelineTarget& target,
     options.predict = mode;
     options.enable_race_verifier = true;
     options.enable_vuln_verifier = false;
-    options.race_verifier_attempts = session.race_verifier_attempts;
     options.retry = session.retry;
     // Everything else stays at defaults on purpose: no prescreen, no
     // checkers, no repair (recursion guard), no fault injector, no
@@ -223,7 +222,7 @@ RepairReport attempt_repair(const core::PipelineTarget& target,
       continue;
     }
     outcome.lock = lock_name;
-    const race::MachineFactory patched_factory =
+    const interp::MachineFactory patched_factory =
         target.factory_for_module(patched);
     // Cheapest gate first; all three must pass.
     if (!gate_output_equal(original_signature, patched_factory)) {

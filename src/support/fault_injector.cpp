@@ -4,17 +4,6 @@
 
 namespace owl::support {
 
-std::string_view fault_kind_name(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kSchedulerStall: return "scheduler-stall";
-    case FaultKind::kBreakpointLivelock: return "breakpoint-livelock";
-    case FaultKind::kStageException: return "stage-exception";
-    case FaultKind::kTruncatedEvents: return "truncated-events";
-    case FaultKind::kCorruptedData: return "corrupted-data";
-  }
-  return "?";
-}
-
 bool is_service_phase(PipelineStage stage) noexcept {
   switch (stage) {
     case PipelineStage::kServeAdmit:

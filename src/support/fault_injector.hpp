@@ -46,8 +46,6 @@ enum class FaultKind {
   kCorruptedData,
 };
 
-std::string_view fault_kind_name(FaultKind kind) noexcept;
-
 /// The exception kStageException raises. Derived from std::runtime_error so
 /// generic stage isolation catches it like any detector bug would be caught.
 class InjectedFault : public std::runtime_error {

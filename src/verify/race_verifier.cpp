@@ -53,11 +53,6 @@ RaceVerifyResult RaceVerifier::explore(
     if (out.livelocked) any_livelock = true;
     if (out.verified) {
       result.verified = true;
-      result.value_about_to_read = out.value_about_to_read;
-      result.value_about_to_write = out.value_about_to_write;
-      result.writes_null = out.writes_null;
-      result.variable_type = out.variable_type;
-      result.security_hint = out.security_hint;
       report.verified = true;
       report.security_hint = out.security_hint;
     }
@@ -97,8 +92,8 @@ RaceVerifyResult RaceVerifier::explore(
   return result;
 }
 
-RaceVerifyResult RaceVerifier::verify(race::RaceReport& report,
-                                      const race::MachineFactory& factory) const {
+RaceVerifyResult RaceVerifier::verify(
+    race::RaceReport& report, const interp::MachineFactory& factory) const {
   const race::AccessRecord& a = report.first;
   const race::AccessRecord& b = report.second;
   if (a.instr == nullptr || b.instr == nullptr) return RaceVerifyResult{};
@@ -112,7 +107,7 @@ RaceVerifyResult RaceVerifier::verify(race::RaceReport& report,
 }
 
 RaceVerifier::AttemptOutcome RaceVerifier::run_attempt(
-    const race::RaceReport& report, const race::MachineFactory& factory,
+    const race::RaceReport& report, const interp::MachineFactory& factory,
     unsigned attempt) const {
   AttemptOutcome out;
   const race::AccessRecord& a = report.first;
@@ -166,31 +161,30 @@ RaceVerifier::AttemptOutcome RaceVerifier::run_attempt(
             out.verified = true;
             const race::AccessRecord& writer = a.is_write ? a : b;
             const race::AccessRecord& reader = a.is_write ? b : a;
-            out.value_about_to_read = machine->memory().load_raw(addr_a);
+            const interp::Word about_to_read =
+                machine->memory().load_raw(addr_a);
+            interp::Word about_to_write = 0;
             if (writer.instr->opcode() == ir::Opcode::kStore) {
-              out.value_about_to_write = machine->eval_in_thread(
+              about_to_write = machine->eval_in_thread(
                   writer.tid, writer.instr->operand(0));
             }
-            out.writes_null = out.value_about_to_write == 0 && writer.is_write;
+            const bool writes_null = about_to_write == 0 && writer.is_write;
             const interp::MemObject* obj =
                 machine->memory().find_object(addr_a);
             const std::string object =
                 obj != nullptr && !obj->name.empty() ? std::string(obj->name)
                                                      : "<anonymous>";
-            out.variable_type =
-                std::string(reader.instr != nullptr
-                                ? reader.instr->type().name()
-                                : "i64");
+            const std::string variable_type(
+                reader.instr != nullptr ? reader.instr->type().name() : "i64");
             out.security_hint = str_format(
                 "racing pair verified on %s: about to read %lld, about to "
                 "write %lld (type %s)%s",
-                object.c_str(),
-                static_cast<long long>(out.value_about_to_read),
-                static_cast<long long>(out.value_about_to_write),
-                out.variable_type.c_str(),
-                out.writes_null ? " — NULL write: potential NULL "
-                                  "pointer dereference"
-                                : "");
+                object.c_str(), static_cast<long long>(about_to_read),
+                static_cast<long long>(about_to_write),
+                variable_type.c_str(),
+                writes_null ? " — NULL write: potential NULL "
+                              "pointer dereference"
+                            : "");
             done = true;
             break;
           }
@@ -236,7 +230,7 @@ RaceVerifier::AttemptOutcome RaceVerifier::run_attempt(
 }
 
 RaceVerifyResult RaceVerifier::verify_atomicity(
-    race::RaceReport& report, const race::MachineFactory& factory) const {
+    race::RaceReport& report, const interp::MachineFactory& factory) const {
   // Atomicity triples may be lock-protected access by access, so parking
   // one side would deadlock rather than expose a racing moment. Verify the
   // CTrigger way instead: re-run under fresh schedules and confirm the
@@ -247,7 +241,7 @@ RaceVerifyResult RaceVerifier::verify_atomicity(
 }
 
 RaceVerifier::AttemptOutcome RaceVerifier::run_atomicity_attempt(
-    const race::RaceReport& report, const race::MachineFactory& factory,
+    const race::RaceReport& report, const interp::MachineFactory& factory,
     unsigned attempt) const {
   AttemptOutcome out;
   const auto want = report.key();
@@ -261,21 +255,15 @@ RaceVerifier::AttemptOutcome RaceVerifier::run_atomicity_attempt(
   for (const race::AtomicityReport& found : detector.reports()) {
     if (found.race_key() != want) continue;
     out.verified = true;
-    if (const race::AccessRecord* read = found.corrupted_read()) {
-      out.value_about_to_read = read->value;
-      out.variable_type =
-          read->instr != nullptr ? std::string(read->instr->type().name())
-                                 : std::string("i64");
-    }
-    out.value_about_to_write = found.remote.value;
+    const race::AccessRecord* read = found.corrupted_read();
     out.security_hint = str_format(
         "atomicity violation reproduced (%s on %s): stale local value "
         "%lld, remote wrote %lld",
         std::string(race::atomicity_pattern_name(found.pattern)).c_str(),
         found.object_name.empty() ? "<anonymous>"
                                   : found.object_name.c_str(),
-        static_cast<long long>(out.value_about_to_read),
-        static_cast<long long>(out.value_about_to_write));
+        static_cast<long long>(read != nullptr ? read->value : 0),
+        static_cast<long long>(found.remote.value));
     break;
   }
   return out;

@@ -4,9 +4,9 @@
 // the racing moment": thread-specific breakpoints (our LLDB substrate) park
 // each racing thread right before its racing instruction; when both are
 // suspended and about to touch the same address, the race is verified and
-// security hints are extracted — the racing instructions, the values about
-// to be read/written, the variable's type, and whether a NULL write or an
-// uninitialized read is in play.
+// the report's security hint is rendered from the racing moment — the
+// racy object, the values about to be read/written, the variable's type,
+// and whether a NULL write is in play.
 //
 // Livelock (a thread needed for progress is the suspended one) is resolved
 // by temporarily releasing one triggered breakpoint, exactly as described.
@@ -17,8 +17,8 @@
 #include <functional>
 #include <string>
 
+#include "interp/machine.hpp"
 #include "race/report.hpp"
-#include "race/ski_detector.hpp"  // MachineFactory
 #include "support/fault_injector.hpp"
 #include "support/thread_pool.hpp"
 
@@ -27,13 +27,6 @@ namespace owl::verify {
 struct RaceVerifyResult {
   bool verified = false;
   unsigned attempts = 0;
-  /// Values captured in the racing moment.
-  interp::Word value_about_to_read = 0;
-  interp::Word value_about_to_write = 0;
-  bool writes_null = false;        ///< NULL-pointer-deref hint
-  bool reads_uninitialized = false;///< read observes a never-written cell
-  std::string variable_type;       ///< static type of the racy operand
-  std::string security_hint;       ///< the rendered §5.2 hint block
 
   // --- resilience accounting ---
   /// Times the §5.2 livelock-release rule fired (across all attempts).
@@ -69,7 +62,7 @@ class RaceVerifier {
   /// Verifies one report against fresh machines from `factory`. On success
   /// the report's `verified` flag and `security_hint` are filled in.
   RaceVerifyResult verify(race::RaceReport& report,
-                          const race::MachineFactory& factory) const;
+                          const interp::MachineFactory& factory) const;
 
  private:
   /// Everything one seeded attempt produces; verify() folds these in
@@ -79,22 +72,18 @@ class RaceVerifier {
     bool livelocked = false;
     std::uint64_t steps = 0;
     unsigned livelock_releases = 0;
-    // Racing-moment captures, filled only when verified:
-    interp::Word value_about_to_read = 0;
-    interp::Word value_about_to_write = 0;
-    bool writes_null = false;
-    std::string variable_type;
+    /// The rendered §5.2 hint, filled only when verified.
     std::string security_hint;
   };
 
   /// One breakpoint-choreography session under seed base_seed + attempt.
   AttemptOutcome run_attempt(const race::RaceReport& report,
-                             const race::MachineFactory& factory,
+                             const interp::MachineFactory& factory,
                              unsigned attempt) const;
 
   /// One CTrigger-style re-manifestation run for an atomicity report.
   AttemptOutcome run_atomicity_attempt(const race::RaceReport& report,
-                                       const race::MachineFactory& factory,
+                                       const interp::MachineFactory& factory,
                                        unsigned attempt) const;
 
   /// True when the attempt loop may be sharded across options_.pool.
@@ -114,8 +103,8 @@ class RaceVerifier {
   /// Reproduction-based verification for atomicity-violation reports
   /// (their accesses may be lock-protected, so the breakpoint choreography
   /// does not apply; CTrigger-style re-manifestation does).
-  RaceVerifyResult verify_atomicity(race::RaceReport& report,
-                                    const race::MachineFactory& factory) const;
+  RaceVerifyResult verify_atomicity(
+      race::RaceReport& report, const interp::MachineFactory& factory) const;
 
   Options options_;
 };

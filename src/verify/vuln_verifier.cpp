@@ -51,7 +51,7 @@ enum class Steering { kWriteFirst, kReadFirst, kFree };
 }  // namespace
 
 VulnVerifyResult VulnVerifier::verify(const vuln::ExploitReport& exploit,
-                                      const race::MachineFactory& factory,
+                                      const interp::MachineFactory& factory,
                                       const race::RaceReport* race) const {
   TRACE_SPAN("vuln-verify-session", "exploit");
   VulnVerifyResult result;

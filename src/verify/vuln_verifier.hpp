@@ -21,7 +21,7 @@
 #include <optional>
 #include <vector>
 
-#include "race/ski_detector.hpp"  // MachineFactory
+#include "interp/machine.hpp"
 #include "support/fault_injector.hpp"
 #include "vuln/analyzer.hpp"
 
@@ -64,7 +64,7 @@ class VulnVerifier {
   /// Verifies one exploit. If `race` is non-null, its racing instruction
   /// pair is used to steer the racing moment (order enforcement).
   VulnVerifyResult verify(const vuln::ExploitReport& exploit,
-                          const race::MachineFactory& factory,
+                          const interp::MachineFactory& factory,
                           const race::RaceReport* race = nullptr) const;
 
  private:

@@ -15,10 +15,6 @@
 
 namespace owl::vuln {
 
-std::string_view dep_kind_name(DepKind kind) noexcept {
-  return kind == DepKind::kControl ? "control-dependent" : "data-dependent";
-}
-
 VulnerabilityAnalyzer::VulnerabilityAnalyzer(const ir::Module& module,
                                              Options options)
     : module_(&module), options_(options) {}
@@ -35,6 +31,9 @@ const ControlDependence& VulnerabilityAnalyzer::control_dep(
 }
 
 namespace {
+
+/// Instructions one analyze_from() call visits before it stops descending.
+constexpr std::uint64_t kMaxVisitedInstructions = 5'000'000;
 
 /// The walking state of one analyze_from() call (Algorithm 1's globals).
 class Walker {
@@ -60,8 +59,7 @@ class Walker {
   bool detect(const ir::Function* function, const ir::BasicBlock* block,
               std::size_t index, bool ctrl_in, std::size_t depth) {
     if (depth > options_.max_call_depth) return false;
-    if (result.stats.instructions_visited >=
-        options_.max_visited_instructions) {
+    if (result.stats.instructions_visited >= kMaxVisitedInstructions) {
       return false;
     }
     if (!on_path_.insert(function).second) return false;  // recursion guard

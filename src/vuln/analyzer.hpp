@@ -36,8 +36,6 @@ namespace owl::vuln {
 
 enum class DepKind { kControl, kData };
 
-std::string_view dep_kind_name(DepKind kind) noexcept;
-
 /// One potential bug-to-attack propagation — the "vulnerable input hint".
 struct ExploitReport {
   const ir::Instruction* site = nullptr;
@@ -76,7 +74,6 @@ class VulnerabilityAnalyzer {
   struct Options {
     Mode mode = Mode::kDirected;
     std::size_t max_call_depth = 12;
-    std::uint64_t max_visited_instructions = 5'000'000;
     /// §9 comparison knobs. ConSeq-style consequence analysis stays within
     /// the bug's function (`interprocedural = false`); Livshits-style taint
     /// tracking ignores control dependences (`track_control_flow = false`).

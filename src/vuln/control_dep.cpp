@@ -40,10 +40,4 @@ bool ControlDependence::depends(const ir::Instruction* instr,
   return block_depends(instr->parent(), branch->parent());
 }
 
-const std::unordered_set<const ir::BasicBlock*>& ControlDependence::controllers(
-    const ir::BasicBlock* block) const {
-  auto it = deps_.find(block);
-  return it != deps_.end() ? it->second : empty_;
-}
-
 }  // namespace owl::vuln

@@ -24,15 +24,10 @@ class ControlDependence {
   bool depends(const ir::Instruction* instr,
                const ir::Instruction* branch) const;
 
-  /// All branch blocks `block` is control dependent on.
-  const std::unordered_set<const ir::BasicBlock*>& controllers(
-      const ir::BasicBlock* block) const;
-
  private:
   std::unordered_map<const ir::BasicBlock*,
                      std::unordered_set<const ir::BasicBlock*>>
       deps_;  // block -> branch blocks it depends on
-  std::unordered_set<const ir::BasicBlock*> empty_;
 };
 
 }  // namespace owl::vuln

@@ -5,22 +5,16 @@ namespace owl::workloads {
 namespace {
 
 /// Fresh machines from `image` (of `w.module`) on `inputs`, with all
-/// simulated threads spawned. Captures by value: the factory outlives the
-/// Workload's stack frame and shares the module (which the image points
-/// into) via shared_ptr.
-race::MachineFactory machine_factory(
+/// simulated threads spawned.
+interp::MachineFactory machine_factory(
     const Workload& w, std::shared_ptr<const interp::MachineImage> image,
     const std::vector<interp::Word>& inputs) {
   interp::MachineOptions options;
   options.inputs = inputs;
   options.max_steps = w.max_steps;
   options.authorized_root = w.authorized_root;
-  return [module = w.module, image = std::move(image), options,
-          entry = w.entry] {
-    auto machine = std::make_unique<interp::Machine>(image, options);
-    machine->start(entry);
-    return machine;
-  };
+  return interp::machine_factory(w.module, std::move(image), w.entry,
+                                 std::move(options));
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ Analyzed analyze(std::shared_ptr<ir::Module> m, bool with_factory = true) {
   Analyzed out;
   out.module = std::move(m);
   out.statics = std::make_unique<analysis::ModuleStatic>(*out.module);
-  race::MachineFactory factory;
+  interp::MachineFactory factory;
   const ir::Function* entry = out.module->find_function("main");
   if (with_factory && entry != nullptr && entry->has_body()) {
     factory = [module = out.module, entry] {

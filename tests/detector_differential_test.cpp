@@ -26,7 +26,6 @@
 #include "interp/scheduler.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
-#include "race/ski_detector.hpp"
 #include "race/tsan_detector.hpp"
 #include "reference_detector.hpp"
 #include "support/fault_injector.hpp"
@@ -476,7 +475,8 @@ std::vector<RaceReport> co_observe_pass(const core::PipelineTarget& target,
     if (ski) {
       scheduler = std::make_unique<interp::PctScheduler>(
           target.seed + i, /*depth=*/3, /*expected_steps=*/20000);
-      product = std::make_unique<SkiDetector>(annotations, prescreen);
+      product = std::make_unique<TsanDetector>(
+          annotations, /*ski_watch_mode=*/true, prescreen);
       ++coverage.ski_schedules;
     } else {
       scheduler = std::make_unique<interp::RandomScheduler>(target.seed + i);

@@ -724,33 +724,6 @@ TEST(DebuggerTest, RemoveAndDisable) {
   EXPECT_EQ(debugger.match(0, i), nullptr);
   debugger.set_enabled(id, true);
   EXPECT_NE(debugger.match(0, i), nullptr);
-  debugger.remove_breakpoint(id);
-  EXPECT_EQ(debugger.match(0, i), nullptr);
-}
-
-TEST(MachineTest, StepThreadSingleSteps) {
-  auto m = parse_ok(R"(module st
-global @x
-func @main() {
-entry:
-  store 1, @x
-  store 2, @x
-  store 3, @x
-  ret
-}
-)");
-  Machine machine(*m, {});
-  machine.start(m->find_function("main"));
-  ASSERT_TRUE(machine.step_thread(0).is_ok());
-  EXPECT_EQ(machine.read_global("x"), 1);
-  ASSERT_TRUE(machine.step_thread(0).is_ok());
-  EXPECT_EQ(machine.read_global("x"), 2);
-  // Stepping a nonexistent or finished thread is rejected.
-  EXPECT_FALSE(machine.step_thread(7).is_ok());
-  ASSERT_TRUE(machine.step_thread(0).is_ok());
-  ASSERT_TRUE(machine.step_thread(0).is_ok());  // ret -> finished
-  EXPECT_TRUE(machine.thread(0)->finished());
-  EXPECT_FALSE(machine.step_thread(0).is_ok());
 }
 
 TEST(MachineTest, CallStackShape) {

@@ -268,8 +268,8 @@ TEST(ParallelEquivalenceTest, VerifierShardingMatchesSequentialAttempts) {
   auto module = parse_ok(lock_livelock_race("shard"));
   const PipelineTarget target = target_for(module, 99);
 
+  // kRaceVerifierAttempts (3) > 1 attempts, so the pool shards them.
   PipelineOptions sequential_options;
-  sequential_options.race_verifier_attempts = 6;
   const PipelineResult sequential =
       Pipeline(sequential_options).run(target);
 

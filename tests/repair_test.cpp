@@ -58,7 +58,7 @@ core::PipelineTarget target_for(const std::shared_ptr<ir::Module>& m,
     return machine;
   };
   t.factory_for_module = [](std::shared_ptr<const ir::Module> patched) {
-    return race::MachineFactory([patched] {
+    return interp::MachineFactory([patched] {
       auto machine =
           std::make_unique<interp::Machine>(*patched,
                                             interp::MachineOptions{});

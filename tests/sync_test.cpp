@@ -305,9 +305,7 @@ TEST(AnnotationSetTest, MergeAndQueries) {
 
   race::AnnotationSet a;
   a.add_release_store(store_flag);
-  race::AnnotationSet b;
-  b.add_acquire_load(load_flag);
-  a.merge(b);
+  a.add_acquire_load(load_flag);
   EXPECT_TRUE(a.is_release_store(store_flag));
   EXPECT_TRUE(a.is_acquire_load(load_flag));
   EXPECT_TRUE(a.annotated(store_flag));
