@@ -395,7 +395,8 @@ void BM_AnalyzerCallDepth(benchmark::State& state) {
 BENCHMARK(BM_AnalyzerCallDepth)->Arg(2)->Arg(8)->Arg(32);
 
 /// ThreadPool fan-out overhead: dispatch `range(1)` near-empty slots on a
-/// pool of `range(0)` workers. The floor every parallel stage pays.
+/// pool of `range(0)` threads in total. The floor every parallel stage
+/// pays.
 void BM_ParallelForDispatch(benchmark::State& state) {
   support::ThreadPool pool(static_cast<unsigned>(state.range(0)));
   const auto slots = static_cast<std::size_t>(state.range(1));

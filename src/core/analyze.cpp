@@ -71,6 +71,7 @@ PipelineOptions pipeline_options(const AnalysisRequest& request) {
   options.vuln_flow = request.vuln_flow;
   options.checkers = request.checkers;
   options.repair = request.repair;
+  options.jobs = request.jobs;
   return options;
 }
 
@@ -223,17 +224,6 @@ AnalysisOutcome analyze(const std::vector<ModuleSource>& sources,
 
   PipelineOptions options = pipeline_options(request);
   if (faults != nullptr && !faults->empty()) options.fault_injector = faults;
-  // Several targets fan out across the workers; one target buys wall-clock
-  // through the race verifier's schedule-exploration sharding instead.
-  std::unique_ptr<support::ThreadPool> pool;
-  options.jobs = request.jobs;
-  if (targets.size() == 1) {
-    options.jobs = 1;
-    if (request.jobs > 1) {
-      pool = std::make_unique<support::ThreadPool>(request.jobs);
-      options.verifier_pool = pool.get();
-    }
-  }
   outcome.results = Pipeline(options).run_many(targets);
   outcome.ran_pipeline = true;
   // Tool label "owl_cli" from either front end: the manifest documents the

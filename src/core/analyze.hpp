@@ -41,7 +41,7 @@ struct IntRange {
 
 /// The analysis-behavioral owl_cli flags, which are also the owl_served
 /// "options" object. Defaults match owl_cli with no flags, except `jobs`:
-/// owl_cli defaults to one worker per hardware thread.
+/// owl_cli defaults to one thread per hardware thread.
 struct AnalysisRequest {
   std::string entry = "main";
   std::vector<std::int64_t> inputs;
@@ -62,8 +62,8 @@ struct AnalysisRequest {
   bool quiet = false;
   double stage_deadline = 0.0;  ///< 0 = unlimited
   unsigned retries = 2;
-  /// Workers: targets fan out across them; one target shards the race
-  /// verifier's schedule exploration instead.
+  /// Threads in total: several targets fan out across them; one target
+  /// shards its race verifier's schedule exploration instead.
   unsigned jobs = 1;
   /// Stored parsed, so the cache key hashes the canonical spelling rather
   /// than whatever comma order the client typed.

@@ -165,8 +165,11 @@ std::string render_manifest(const std::string& tool,
   ManifestKv environment;
   environment.reserve(5);
   environment.emplace_back("jobs", str_format("%u", options.jobs));
-  environment.emplace_back("verifier_pool",
-                           flag(options.verifier_pool != nullptr));
+  // Where Pipeline::run_many puts the jobs threads: a lone target's race
+  // verifier shards its attempts over them unless faults are injected.
+  environment.emplace_back(
+      "verifier_pool", flag(targets.size() == 1 && options.jobs != 1 &&
+                            options.fault_injector == nullptr));
   // Environment, not options: the prescreen gate byte-diffs manifest
   // bodies across modes, so the mode echo must live in the stripped tail.
   environment.emplace_back(

@@ -16,6 +16,7 @@
 #include "support/log.hpp"
 #include "support/metrics.hpp"
 #include "support/strings.hpp"
+#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 #include "sync/annotator.hpp"
 #include "vuln/hint.hpp"
@@ -352,10 +353,8 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
       stages.timed("static-analysis",
                    [&] { return analysis::ModuleStatic(*target.module); });
   race::PrescreenView prescreen;
-  if (!module_static.prescreen.pruning_enabled()) {
-    OWL_LOG(kInfo) << target.name << ": prescreen pruning disabled ("
-                   << module_static.prescreen.disable_reason() << ")";
-  } else if (options_.prescreen != race::PrescreenMode::kOff) {
+  if (module_static.prescreen.pruning_enabled() &&
+      options_.prescreen != race::PrescreenMode::kOff) {
     prescreen.mode = options_.prescreen;
     prescreen.no_race = &module_static.prescreen.no_race();
   }
@@ -373,9 +372,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
       result.checker_findings = checkers::run_checkers(options_.checkers, ctx);
     });
     counts.checker_findings = result.checker_findings.size();
-    OWL_LOG(kInfo) << target.name << ": " << result.checker_findings.size()
-                   << " checker finding(s) ["
-                   << options_.checkers.canonical() << "]";
   }
 
   // ---- value-flow graph (--vuln-flow on/audit, DESIGN.md §14) ----
@@ -409,7 +405,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
         .value_or(std::vector<race::RaceReport>{});
   });
   counts.raw_reports = raw.size();
-  OWL_LOG(kInfo) << target.name << ": " << raw.size() << " raw race reports";
 
   // ---- step (2): adhoc-sync annotation + re-run ----
   result.store.set_stage(Stage::kRawDetection, raw);
@@ -438,9 +433,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   });
   counts.after_annotation = reduced.size();
   result.store.set_stage(Stage::kAfterAnnotation, reduced);
-  OWL_LOG(kInfo) << target.name << ": " << reduced.size()
-                 << " reports after annotation (" << counts.adhoc_syncs
-                 << " adhoc syncs)";
 
   // ---- predict stage: sync-preserving race prediction (DESIGN.md §12) ----
   // Decides, from the traces the detection schedules already produced,
@@ -479,11 +471,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
         counts.predict_schedules_avoided =
             counts.predict_pruned * kRaceVerifierAttempts;
       }
-      OWL_LOG(kInfo) << target.name << ": predict checked "
-                     << predict_outcome->candidates << " candidate pair(s), "
-                     << counts.predict_pruned << " infeasible, "
-                     << predict_outcome->predicted_new.size()
-                     << " predicted-new";
     });
   }
 
@@ -491,6 +478,10 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   std::vector<race::RaceReport> survivors;
   if (options_.enable_race_verifier) {
     stages.enter(PipelineStage::kRaceVerification, [&] {
+      // Each report's attempts shard over `jobs` threads, except under
+      // fault injection: the injector threads one mutable state through
+      // the attempt sequence, so there they run in order on the caller.
+      support::ThreadPool pool(injector != nullptr ? 1 : options_.jobs);
       support::Budget budget(options_.stage_deadline);
       std::size_t livelocked = 0;
       std::size_t passed_through = 0;
@@ -519,10 +510,7 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
               vopts.base_seed =
                   retry.seed_for(target.seed * 7919 + 13, attempt);
               vopts.fault_injector = injector;
-              // Schedule-exploration sharding: the verifier itself falls
-              // back to the sequential loop whenever the injector makes
-              // attempts order-dependent.
-              vopts.pool = options_.verifier_pool;
+              vopts.pool = &pool;
               vr = verify::RaceVerifier(vopts).verify(report, target.factory);
             });
         if (ran) {
@@ -575,8 +563,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
   result.store.set_stage(Stage::kAfterRaceVerifier, std::move(survivors));
   const std::vector<race::RaceReport>& final_reports =
       result.store.stage(Stage::kAfterRaceVerifier);
-  OWL_LOG(kInfo) << target.name << ": " << final_reports.size()
-                 << " verified races remain";
 
   // Audit cross-check: a replay-confirmed data race the predictor called
   // infeasible falsifies the pruning verdict — with --predict on that race
@@ -653,8 +639,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
         final_reports.empty()
             ? 0.0
             : analysis_seconds / static_cast<double>(final_reports.size());
-    OWL_LOG(kInfo) << target.name << ": " << result.exploits.size()
-                   << " vulnerability reports";
   });
 
   // ---- step (5): dynamic vulnerability verification ----
@@ -703,9 +687,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
                                   livelocked),
                        budget.steps_spent());
       }
-      OWL_LOG(kInfo) << target.name << ": " << result.attacks.size()
-                     << " attack candidates reached their site, "
-                     << result.confirmed_attacks() << " realized";
     });
   }
 
@@ -730,9 +711,6 @@ PipelineResult Pipeline::run(const PipelineTarget& target) const {
     }
     counts.repair_status = result.repair.status;
     counts.repair_candidates = result.repair.candidates_tried;
-    OWL_LOG(kInfo) << target.name << ": repair " << result.repair.status
-                   << " (" << result.repair.candidates_tried
-                   << " candidate(s) tried)";
   }
 
   result.total_seconds =
@@ -799,13 +777,15 @@ std::vector<PipelineResult> Pipeline::run_many(
   // that target alone — the load-bearing fact behind jobs=1 and jobs=N
   // producing identical results under fault injection.
   std::vector<std::unique_ptr<support::FaultInjector>> forks(targets.size());
+  // Where the `jobs` threads go: several targets fan out over them and
+  // each runs on one thread; a lone target runs on the caller, and its
+  // race verifier shards each report's attempts over them instead.
+  const bool fan_out = targets.size() > 1;
 
   const auto run_one = [&](std::size_t index) {
     const PipelineTarget& target = targets[index];
     PipelineOptions local = options_;
-    // Target-level parallelism already feeds the workers; nesting the
-    // verifier's attempt sharding on top would oversubscribe.
-    if (local.jobs != 1) local.verifier_pool = nullptr;
+    if (fan_out) local.jobs = 1;
     if (options_.fault_injector != nullptr) {
       forks[index] = std::make_unique<support::FaultInjector>(
           options_.fault_injector->fork());
@@ -825,12 +805,8 @@ std::vector<PipelineResult> Pipeline::run_many(
     }
   };
 
-  if (options_.jobs == 1 || targets.size() <= 1) {
-    for (std::size_t i = 0; i < targets.size(); ++i) run_one(i);
-  } else {
-    support::ThreadPool pool(options_.jobs);
-    pool.parallel_for(targets.size(), run_one);
-  }
+  support::ThreadPool pool(fan_out ? options_.jobs : 1);
+  pool.parallel_for(targets.size(), run_one);
 
   // Merge fork accounting back in input order so events() reads as one
   // deterministic log no matter how execution interleaved.

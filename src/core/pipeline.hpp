@@ -31,7 +31,6 @@
 #include "support/deadline.hpp"
 #include "support/fault_injector.hpp"
 #include "support/retry.hpp"
-#include "support/thread_pool.hpp"
 #include "verify/race_verifier.hpp"
 #include "verify/vuln_verifier.hpp"
 #include "vuln/analyzer.hpp"
@@ -135,18 +134,16 @@ struct PipelineOptions {
   support::FaultInjector* fault_injector = nullptr;
 
   // --- parallel execution ---
-  /// Worker threads for run_many's target fan-out: 1 = in-caller
-  /// sequential loop, 0 = hardware_concurrency, N = a pool of N. Results
-  /// are byte-identical for every value — each target's schedules derive
-  /// from its own seed (splittable support::Rng streams, see DESIGN.md),
-  /// results are collected in input order, and fault injection forks per
-  /// target — so jobs changes wall-clock only.
+  /// Threads in total, the calling thread included: 1 = everything on the
+  /// caller, 0 = hardware_concurrency. run_many fans several targets out
+  /// over them, one thread each; a lone target (run, or run_many of one)
+  /// shards its race verifier's attempts over them, unless a fault
+  /// injector is attached. Results are byte-identical for every value —
+  /// each target's schedules derive from its own seed (splittable
+  /// support::Rng streams, see DESIGN.md), results and verifier attempts
+  /// are folded in input order, and fault injection forks per target — so
+  /// jobs changes wall-clock only.
   unsigned jobs = 1;
-  /// Shards the race verifier's schedule-exploration attempts across this
-  /// pool (not owned; null disables). Applies to Pipeline::run; run_many
-  /// does not forward it to its workers (target-level parallelism already
-  /// saturates the pool, and two nested fan-outs oversubscribe).
-  support::ThreadPool* verifier_pool = nullptr;
 };
 
 /// Soundness violations the audit modes counted on one target (each zero
@@ -198,9 +195,9 @@ class Pipeline {
   /// outside run()'s own isolation, e.g. a throwing machine factory)
   /// yields a driver-stage FailureRecord instead of sinking the whole run.
   ///
-  /// Targets execute on `options().jobs` workers. Results are identical
+  /// Targets execute on `options().jobs` threads. Results are identical
   /// for any jobs value: every target is self-contained (own seed, own
-  /// module, own machines), each worker runs against a per-target fork of
+  /// module, own machines), each target runs against a per-target fork of
   /// the fault injector (forks are absorbed back in input order), and
   /// results land in pre-assigned slots. Note the fork semantics: a
   /// FaultPlan's `count` state is scoped per target here, even with

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "support/log.hpp"
 #include "support/strings.hpp"
 
 namespace owl::interp {
@@ -413,7 +412,6 @@ void Machine::emit_event(SecurityEventKind kind, Thread& thread,
   event.instr = instr;
   event.stack = thread.call_stack();
   event.detail = std::move(detail);
-  OWL_LOG(kDebug) << "security event: " << event.to_string();
   security_events_.push_back(std::move(event));
 }
 

@@ -10,7 +10,6 @@
 #include "ir/printer.hpp"
 #include "ir/transform.hpp"
 #include "repair/planner.hpp"
-#include "support/log.hpp"
 #include "support/strings.hpp"
 
 namespace owl::repair {
@@ -249,8 +248,6 @@ RepairReport attempt_repair(const core::PipelineTarget& target,
     report.gate_no_new_findings = true;
     report.gate_output_equal = true;
     report.patched_text = ir::print_module(*patched);
-    OWL_LOG(kInfo) << target.name << ": repaired via " << candidate.describe()
-                   << " after " << report.candidates_tried << " candidate(s)";
     return report;
   }
   report.status = "unrepaired";

@@ -264,12 +264,6 @@ bool in_spawn_window(const ir::Instruction& site, ir::InstrCoord& anchor) {
 
 }  // namespace
 
-std::string RepairCandidate::describe() const {
-  std::string out(strategy_name(strategy));
-  if (!lock.empty()) out += "(@" + lock + ")";
-  return out;
-}
-
 std::vector<RepairCandidate> RepairPlanner::plan(
     const std::vector<race::RaceReport>& confirmed) const {
   std::vector<RepairCandidate> candidates;

@@ -52,9 +52,6 @@ struct RepairCandidate {
   std::string lock;
   std::vector<GuardSpan> guards;
   std::vector<MoveEdit> moves;
-
-  /// "lock_insert(@__owl_fix)" — log/report label.
-  std::string describe() const;
 };
 
 class RepairPlanner {

@@ -1,6 +1,5 @@
 #include "support/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <utility>
@@ -8,25 +7,18 @@
 namespace owl {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
 std::mutex g_log_mutex;
 LogSink g_sink;  // guarded by g_log_mutex; empty = stderr
 
 const char* level_tag(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO ";
     case LogLevel::kWarn: return "WARN ";
     case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF  ";
   }
   return "?????";
 }
 
 }  // namespace
-
-void set_log_level(LogLevel level) noexcept { g_level.store(level); }
-LogLevel log_level() noexcept { return g_level.load(); }
 
 LogSink set_log_sink(LogSink sink) {
   const std::lock_guard<std::mutex> lock(g_log_mutex);
@@ -36,7 +28,6 @@ LogSink set_log_sink(LogSink sink) {
 }
 
 void log_line(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
   const std::lock_guard<std::mutex> lock(g_log_mutex);
   if (g_sink) {
     g_sink(level, message);

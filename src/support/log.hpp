@@ -1,7 +1,5 @@
-// Minimal leveled logger.
-//
-// OWL's pipeline stages narrate what they prune and why; the logger keeps
-// that narration controllable so tests stay quiet and benches stay readable.
+// Minimal logger for warnings and errors, such as a degraded pipeline
+// stage. Every line is emitted; tests capture them through a sink.
 //
 // The sink is thread-safe: parallel pipeline workers (Pipeline::run_many,
 // the verifier's schedule sharding) log concurrently, and every line must
@@ -15,15 +13,10 @@
 
 namespace owl {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+enum class LogLevel { kWarn, kError };
 
-/// Sets the global minimum level that will be emitted (default: kWarn).
-void set_log_level(LogLevel level) noexcept;
-LogLevel log_level() noexcept;
-
-/// Emits one line to the active sink (default: stderr) if `level` is at or
-/// above the global level. Safe to call from any thread; each call
-/// delivers one intact line.
+/// Emits one line to the active sink (default: stderr). Safe to call from
+/// any thread; each call delivers one intact line.
 void log_line(LogLevel level, const std::string& message);
 
 /// Receives fully formatted lines instead of stderr. Called under the

@@ -2,8 +2,6 @@
 
 #include <set>
 
-#include "support/log.hpp"
-
 namespace owl::sync {
 
 AnnotationOutcome annotate_adhoc_syncs(
@@ -21,9 +19,6 @@ AnnotationOutcome annotate_adhoc_syncs(
     outcome.annotations.add_acquire_load(result.read);
     if (pairs.emplace(result.write, result.read).second) {
       ++outcome.unique_adhoc_syncs;
-      OWL_LOG(kInfo) << "adhoc sync annotated: write at "
-                     << result.write->loc().to_string() << ", read at "
-                     << result.read->loc().to_string();
     }
   }
   return outcome;

@@ -1,5 +1,6 @@
 #include "verify/race_verifier.hpp"
 
+#include <atomic>
 #include <vector>
 
 #include "interp/debugger.hpp"
@@ -42,11 +43,35 @@ RaceVerifyResult RaceVerifier::explore(
     race::RaceReport& report,
     const std::function<AttemptOutcome(unsigned)>& attempt) const {
   TRACE_SPAN("race-verify-report", "explore");
+  // An attempt that verifies or throws ends the exploration, so a slot
+  // skips its attempt when a lower one already did: on one thread that is
+  // exactly the sequential early exit. Skipped attempts all lie past the
+  // point where the fold below stops, and the fold walks the outcomes in
+  // attempt order, so every pool size produces the same result.
+  const unsigned attempts = options_.max_attempts;
+  std::vector<AttemptOutcome> outcomes(attempts);
+  std::atomic<unsigned> last = attempts;  // lowest attempt that ended it
+  support::ThreadPool caller(1);
+  (options_.pool != nullptr ? *options_.pool : caller)
+      .parallel_for(attempts, [&](std::size_t slot) {
+        const auto index = static_cast<unsigned>(slot);
+        if (index > last.load()) return;
+        AttemptOutcome& out = outcomes[index];
+        try {
+          out = attempt(index);
+        } catch (...) {
+          out.error = std::current_exception();
+        }
+        if (!out.verified && !out.error) return;
+        unsigned seen = last.load();
+        while (index < seen && !last.compare_exchange_weak(seen, index)) {
+        }
+      });
+
   RaceVerifyResult result;
   bool any_livelock = false;
-  // Folds one attempt's outcome into the result; returns true when the
-  // exploration must stop (the attempt verified the race).
-  const auto fold = [&](const AttemptOutcome& out) {
+  for (const AttemptOutcome& out : outcomes) {
+    if (out.error) std::rethrow_exception(out.error);
     ++result.attempts;
     result.steps_spent += out.steps;
     result.livelock_releases += out.livelock_releases;
@@ -55,33 +80,14 @@ RaceVerifyResult RaceVerifier::explore(
       result.verified = true;
       report.verified = true;
       report.security_hint = out.security_hint;
-    }
-    return out.verified;
-  };
-
-  if (can_shard()) {
-    // Every attempt runs concurrently (each is an independent machine +
-    // scheduler seed), then the fold walks them in attempt order: the
-    // accounting and the winning attempt are exactly what the sequential
-    // loop would have produced — attempts past the first verified one
-    // are wasted wall-clock, never a behavioral difference.
-    std::vector<AttemptOutcome> outcomes(options_.max_attempts);
-    options_.pool->parallel_for(
-        options_.max_attempts, [&](std::size_t index) {
-          outcomes[index] = attempt(static_cast<unsigned>(index));
-        });
-    for (const AttemptOutcome& out : outcomes) {
-      if (fold(out)) break;
-    }
-  } else {
-    for (unsigned index = 0; index < options_.max_attempts; ++index) {
-      if (fold(attempt(index))) break;
+      break;
     }
   }
   result.livelocked = any_livelock && !result.verified;
   // Metrics flush from the *folded* result, never from raw attempt
-  // executions: the pool-sharded path runs every attempt but folds in
-  // attempt order, so these sums stay byte-identical across jobs values.
+  // executions: on several threads an attempt past the winner may still
+  // run, but the fold ignores it, so these sums stay byte-identical across
+  // jobs values.
   support::MetricsRegistry& registry = support::metrics();
   registry.counter("race_verifier.reports").inc();
   registry.counter("race_verifier.attempts").inc(result.attempts);

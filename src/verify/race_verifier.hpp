@@ -14,6 +14,7 @@
 // several seeded attempts before giving up (§5.2's two miss cases).
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <string>
 
@@ -45,12 +46,12 @@ class RaceVerifier {
     std::uint64_t base_seed = 0x5eed;
     /// Resilience-layer fault-injection harness (may be null; not owned).
     support::FaultInjector* fault_injector = nullptr;
-    /// Shards the seeded schedule-exploration attempts across this pool
-    /// (not owned; null = explore sequentially). Each attempt is already
-    /// an independent (machine, scheduler-seed) session, so they run
-    /// concurrently and their outcomes are folded in attempt order —
-    /// results are byte-identical to the sequential loop. Sharding only
-    /// engages when no fault injector is attached: it threads one mutable
+    /// Runs the seeded schedule-exploration attempts (not owned; null runs
+    /// them in order on the caller). Each attempt is an independent
+    /// (machine, scheduler-seed) session, so they run concurrently and
+    /// their outcomes are folded in attempt order — results are
+    /// byte-identical for every pool size. With a fault injector attached,
+    /// pass no pool or a one-thread one: the injector threads one mutable
     /// state through the attempt sequence, which would make outcomes
     /// order-dependent.
     support::ThreadPool* pool = nullptr;
@@ -65,8 +66,8 @@ class RaceVerifier {
                           const interp::MachineFactory& factory) const;
 
  private:
-  /// Everything one seeded attempt produces; verify() folds these in
-  /// attempt order so sequential and pool-sharded exploration agree.
+  /// Everything one seeded attempt produces; explore() folds these in
+  /// attempt order so every pool size agrees.
   struct AttemptOutcome {
     bool verified = false;
     bool livelocked = false;
@@ -74,6 +75,8 @@ class RaceVerifier {
     unsigned livelock_releases = 0;
     /// The rendered §5.2 hint, filled only when verified.
     std::string security_hint;
+    /// What the attempt threw; the fold rethrows it in attempt order.
+    std::exception_ptr error;
   };
 
   /// One breakpoint-choreography session under seed base_seed + attempt.
@@ -86,16 +89,9 @@ class RaceVerifier {
                                        const interp::MachineFactory& factory,
                                        unsigned attempt) const;
 
-  /// True when the attempt loop may be sharded across options_.pool.
-  bool can_shard() const noexcept {
-    return options_.pool != nullptr && options_.max_attempts > 1 &&
-           options_.fault_injector == nullptr;
-  }
-
-  /// Runs `attempts(i)` for every attempt index (concurrently when
-  /// sharded), then folds outcomes in attempt order: accumulate
-  /// accounting, stop at the first verified attempt — exactly the
-  /// sequential early-exit semantics.
+  /// Runs `attempt(i)` over the attempt indices on options_.pool, then
+  /// folds outcomes in attempt order: accumulate accounting, stop at the
+  /// first verified attempt — exactly the sequential early-exit semantics.
   RaceVerifyResult explore(
       race::RaceReport& report,
       const std::function<AttemptOutcome(unsigned)>& attempt) const;

@@ -158,10 +158,6 @@ class Walker {
         grew |= report(instr, *type, DepKind::kControl, function, controlling,
                        &cd, &local_brs);
       }
-      if (const CustomSite* custom = match_custom(instr)) {
-        grew |= report(instr, SiteType::kCustom, DepKind::kControl, function,
-                       controlling, &cd, &local_brs, custom->name);
-      }
     }
 
     // Data flow.
@@ -185,10 +181,6 @@ class Walker {
       if (auto type = classify_site(*instr)) {
         grew |= report(instr, *type, DepKind::kData, function, controlling,
                        &cd, &local_brs);
-      }
-      if (const CustomSite* custom = match_custom(instr)) {
-        grew |= report(instr, SiteType::kCustom, DepKind::kData, function,
-                       controlling, &cd, &local_brs, custom->name);
       }
       const std::size_t ptr_idx = pointer_operand_index(*instr);
       if (ptr_idx != SIZE_MAX && ptr_idx < instr->operand_count() &&
@@ -374,24 +366,16 @@ class Walker {
     return grew;
   }
 
-  const CustomSite* match_custom(const ir::Instruction* instr) const {
-    return options_.custom_sites != nullptr
-               ? options_.custom_sites->match(*instr)
-               : nullptr;
-  }
-
   bool report(const ir::Instruction* site, SiteType type, DepKind dep,
               const ir::Function* function,
               const ir::Instruction* controlling,
               const ControlDependence* cd = nullptr,
-              const std::vector<const ir::Instruction*>* local_brs = nullptr,
-              std::string custom_name = "") {
+              const std::vector<const ir::Instruction*>* local_brs = nullptr) {
     if (!reported_.emplace(site, dep).second) return false;
 
     ExploitReport exploit;
     exploit.site = site;
     exploit.type = type;
-    exploit.custom_site_name = std::move(custom_name);
     exploit.dep = dep;
     exploit.function = function;
 

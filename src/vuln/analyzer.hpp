@@ -40,8 +40,6 @@ enum class DepKind { kControl, kData };
 struct ExploitReport {
   const ir::Instruction* site = nullptr;
   SiteType type = SiteType::kMemoryOp;
-  /// Set when type == kCustom: the registered site's label.
-  std::string custom_site_name;
   DepKind dep = DepKind::kData;
   const ir::Function* function = nullptr;
 
@@ -81,9 +79,6 @@ class VulnerabilityAnalyzer {
     /// bench/ext_related_work quantifies it.
     bool interprocedural = true;
     bool track_control_flow = true;
-    /// Additional user-registered site classes (§7.2). Not owned; must
-    /// outlive the analyzer. nullptr = built-in taxonomy only.
-    const SiteRegistry* custom_sites = nullptr;
     /// Per-callsite indirect-call targets resolved by the points-to
     /// analysis. When set, the walk descends through kCallPtr dispatches
     /// (and whole-program mode follows indirect callers) instead of

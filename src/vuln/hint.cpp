@@ -11,9 +11,6 @@ std::string render_hint(const ExploitReport& exploit, ir::NameTable& names) {
              : "---- Data Dependent Vulnerability ----\n";
   out += "type: ";
   out += site_type_name(exploit.type);
-  if (!exploit.custom_site_name.empty()) {
-    out += " (" + exploit.custom_site_name + ")";
-  }
   out += "\n";
   for (const ir::Instruction* br : exploit.branches) {
     out += "  branch: " + names.instruction(*br) + "  (" +

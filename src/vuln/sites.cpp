@@ -11,7 +11,6 @@ std::string_view site_type_name(SiteType type) noexcept {
     case SiteType::kFileOp: return "file-operation";
     case SiteType::kProcessFork: return "process-forking";
     case SiteType::kPointerAssign: return "pointer-assignment";
-    case SiteType::kCustom: return "custom-site";
   }
   return "?";
 }

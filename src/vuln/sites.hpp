@@ -8,11 +8,8 @@
 // one-line change here.
 #pragma once
 
-#include <functional>
 #include <optional>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "ir/instruction.hpp"
 
@@ -29,9 +26,6 @@ enum class SiteType {
                      ///< "mycandidate = worker" site (paper §8.4 reports a
                      ///< pointer assignment control-dependent on the
                      ///< corrupted branch)
-  kCustom,           ///< user-registered site (§7.2: "by adding new
-                     ///< vulnerability and failure sites, OWL can be applied
-                     ///< to flagging bugs that cause severe consequences")
 };
 
 std::string_view site_type_name(SiteType type) noexcept;
@@ -50,34 +44,5 @@ std::optional<SiteType> classify_pointer_deref(
 /// Index of the pointer operand for deref classification (load: 0,
 /// store: 1, callptr: 0); SIZE_MAX when not a dereference.
 std::size_t pointer_operand_index(const ir::Instruction& instr) noexcept;
-
-/// A user-defined site class: the §7.2 extension point. "Our study found
-/// that these vulnerable sites have independent consequences to each other,
-/// thus more types can be easily added."
-struct CustomSite {
-  std::string name;  ///< label shown in reports, e.g. "audit-log-write"
-  std::function<bool(const ir::Instruction&)> match;
-};
-
-/// Holds the user's additional site classes; the analyzer consults it after
-/// the built-in taxonomy. Empty by default.
-class SiteRegistry {
- public:
-  void add(CustomSite site) { sites_.push_back(std::move(site)); }
-
-  /// First matching custom site, or nullptr.
-  const CustomSite* match(const ir::Instruction& instr) const {
-    for (const CustomSite& site : sites_) {
-      if (site.match && site.match(instr)) return &site;
-    }
-    return nullptr;
-  }
-
-  bool empty() const noexcept { return sites_.empty(); }
-  std::size_t size() const noexcept { return sites_.size(); }
-
- private:
-  std::vector<CustomSite> sites_;
-};
 
 }  // namespace owl::vuln

@@ -91,8 +91,9 @@ TEST(TraceCollectorTest, AttributesSpansToWorkerThreads) {
   });
   const std::vector<support::TraceEvent> events = collector.snapshot();
   ASSERT_EQ(events.size(), kTasks);
-  // Every task recorded exactly once, each on the tid of the worker that
-  // ran it; the pool has 4 workers so at most 4 distinct tids appear.
+  // Every task recorded exactly once, each on the tid of the thread that
+  // ran it; the pool runs 4 threads (3 workers and the caller), so at most
+  // 4 distinct tids appear.
   std::vector<std::string> details;
   std::vector<std::uint32_t> tids;
   for (const support::TraceEvent& e : events) {

@@ -17,7 +17,6 @@
 #include "core/pipeline.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace owl::core {
@@ -262,20 +261,19 @@ TEST(ParallelEquivalenceTest, ParallelRunIsInternallyDeterministic) {
 }
 
 TEST(ParallelEquivalenceTest, VerifierShardingMatchesSequentialAttempts) {
-  // Pipeline::run with a verifier pool shards the race verifier's
+  // Pipeline::run at jobs > 1 shards the race verifier's
   // schedule-exploration attempts; the fold must reproduce the
   // sequential attempt accounting exactly.
   auto module = parse_ok(lock_livelock_race("shard"));
   const PipelineTarget target = target_for(module, 99);
 
-  // kRaceVerifierAttempts (3) > 1 attempts, so the pool shards them.
+  // kRaceVerifierAttempts (3) > 1 attempts, so four threads shard them.
   PipelineOptions sequential_options;
   const PipelineResult sequential =
       Pipeline(sequential_options).run(target);
 
-  support::ThreadPool pool(4);
   PipelineOptions sharded_options = sequential_options;
-  sharded_options.verifier_pool = &pool;
+  sharded_options.jobs = 4;
   const PipelineResult sharded = Pipeline(sharded_options).run(target);
 
   EXPECT_EQ(serialize_result(sequential), serialize_result(sharded));

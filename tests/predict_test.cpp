@@ -563,7 +563,7 @@ TEST(PredictPipelineTest, PredictedOnlyRaceIsFoundAndReplayConfirmed) {
   support::metrics().reset();
 }
 
-// --predict is not yet sound on the paper workloads (ROADMAP open item 2):
+// --predict is not yet sound on the paper workloads (ROADMAP open item 4):
 // at scale 1, seed 1, chrome verifies two races the SP-closure called
 // infeasible. The typed per-target count must carry the same number as the
 // advisory counter, and the shared exit decision must turn it into exit 3

@@ -536,72 +536,5 @@ out:
   EXPECT_EQ(fork_report->propagation.front(), read);
 }
 
-TEST(CustomSiteTest, RegisteredSiteIsReported) {
-  // §7.2: "by adding new vulnerability and failure sites, OWL can be
-  // applied to flagging bugs that cause severe consequences". Register
-  // print as an "audit-log" failure site and track a race into it.
-  auto m = parse_ok(R"(module cs
-global @x
-func @f() {
-entry:
-  %v = load @x
-  %w = add %v, 1
-  print %w
-  ret
-}
-)");
-  const ir::Function* f = m->find_function("f");
-  const ir::Instruction* read = find_instr(f, ir::Opcode::kLoad);
-
-  SiteRegistry registry;
-  registry.add({"audit-log-write", [](const ir::Instruction& instr) {
-                  return instr.opcode() == ir::Opcode::kPrint;
-                }});
-  VulnerabilityAnalyzer::Options options;
-  options.custom_sites = &registry;
-  const VulnerabilityAnalyzer analyzer(*m, options);
-  const VulnAnalysis analysis = analyzer.analyze_from(read, stack_of(read));
-  ASSERT_EQ(analysis.exploits.size(), 1u);
-  const ExploitReport& e = analysis.exploits.front();
-  EXPECT_EQ(e.type, SiteType::kCustom);
-  EXPECT_EQ(e.custom_site_name, "audit-log-write");
-  EXPECT_EQ(e.dep, DepKind::kData);
-  ir::NameTable names;
-  EXPECT_NE(render_hint(e, names).find("audit-log-write"), std::string::npos);
-
-  // Without the registry the same program yields nothing.
-  const VulnerabilityAnalyzer plain(*m);
-  EXPECT_TRUE(plain.analyze_from(read, stack_of(read)).exploits.empty());
-}
-
-TEST(CustomSiteTest, ControlDependentCustomSite) {
-  auto m = parse_ok(R"(module cc
-global @flag
-func @f() {
-entry:
-  %v = load @flag
-  %c = icmp ne %v, 0
-  br %c, log, out
-log:
-  print 1
-  ret
-out:
-  ret
-}
-)");
-  const ir::Function* f = m->find_function("f");
-  const ir::Instruction* read = find_instr(f, ir::Opcode::kLoad);
-  SiteRegistry registry;
-  registry.add({"audit-log-write", [](const ir::Instruction& instr) {
-                  return instr.opcode() == ir::Opcode::kPrint;
-                }});
-  VulnerabilityAnalyzer::Options options;
-  options.custom_sites = &registry;
-  const VulnerabilityAnalyzer analyzer(*m, options);
-  const VulnAnalysis analysis = analyzer.analyze_from(read, stack_of(read));
-  ASSERT_EQ(analysis.exploits.size(), 1u);
-  EXPECT_EQ(analysis.exploits.front().dep, DepKind::kControl);
-}
-
 }  // namespace
 }  // namespace owl::vuln

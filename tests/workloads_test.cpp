@@ -141,8 +141,6 @@ TEST(RegistryTest, NoiseScaleGrowsReportVolume) {
   EXPECT_LT(ws.module->instruction_count(), wl.module->instruction_count());
 }
 
-// The Libsafe end-to-end story from the paper's §4.3 walkthrough: the
-// confirmed attack's artifacts are exactly the published ones.
 // The audits that hold must hold on the paper models, not only on the
 // examples: with prescreen and vuln-flow in audit mode, every model at
 // noise scales 1 and 2 counts zero soundness violations. (Predict audit is
@@ -167,6 +165,8 @@ TEST(WorkloadAuditTest, PrescreenAndVulnFlowAuditsHoldOnPaperModels) {
   support::metrics().reset();
 }
 
+// The Libsafe end-to-end story from the paper's §4.3 walkthrough: the
+// confirmed attack's artifacts are exactly the published ones.
 TEST(LibsafeStory, MatchesPaperWalkthrough) {
   const Workload w = make_libsafe(test_profile());
   const core::PipelineResult result = run_pipeline(w);

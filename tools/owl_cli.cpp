@@ -4,15 +4,16 @@
 //   owl_cli <program.mir> [more.mir ...] [options]
 //
 // Several programs run as one multi-target pipeline sweep on --jobs
-// workers; results print in input order and are byte-identical for any
+// threads; results print in input order and are byte-identical for any
 // --jobs value (each target's schedules derive from its own seed stream).
 //
 // Options:
 //   --entry <name>         entry function spawning the threads (default: main)
-//   --jobs N               worker threads: targets fan out across N workers;
-//                          with one program, N>1 instead shards the race
-//                          verifier's schedule exploration (default: one
-//                          worker per hardware thread; 1 = sequential)
+//   --jobs N               threads in total, the calling thread included:
+//                          targets fan out across N threads; with one
+//                          program, N>1 instead shards the race verifier's
+//                          schedule exploration (default: one thread per
+//                          hardware thread; 1 = sequential)
 //   --timings              print one row per trace span name (count, total,
 //                          mean, max seconds): the --trace-out spans, summed
 //   --inputs a,b,c         workload input vector (default: empty)
