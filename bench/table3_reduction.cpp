@@ -64,7 +64,7 @@ int main() {
       paper_text = cell(paper->rr) + "/" + cell(paper->as) + "/" +
                    cell(paper->rve) + "/" + cell(paper->r);
     }
-    const bool kernel = !w.dynamic_verifiers_supported;
+    const bool kernel = w.detector == core::DetectorKind::kSki;
     table.add_row({w.name, with_commas(c.raw_reports),
                    std::to_string(c.adhoc_syncs),
                    kernel ? "N/A" : with_commas(c.verifier_eliminated),

@@ -8,7 +8,8 @@
 #   ctest         full test suite on the main tree
 #   asan          unit tests under ASan+UBSan (own tree: build-asan)
 #   tsan          concurrency tests under TSan (own tree: build-tsan)
-#   differential  jobs/manifest differential gates on the examples
+#   differential  jobs/manifest differential gates on the examples, plus
+#                 the Table 2/3 Total rows at noise scale 1
 #   serve         owl_served robustness + differential gate under
 #                 ASan+UBSan (shares the asan tree)
 #   repair        automated race repair gate: every confirmed-race example
@@ -483,6 +484,21 @@ EOF
     > build/timings.txt
   grep -qE "^  target +count +${#examples[@]} " build/timings.txt \
     || { echo "ci.sh: timing summary missing the target row" >&2; exit 1; }
+
+  # The paper tables pin the workload models: at noise scale 1, Table 2's
+  # Total row reads 10 attacks / 10 found / 43 OWL reports and Table 3's
+  # 3,348 raw / 22 adhoc syncs / 753 eliminated / 261 remaining. A model
+  # edit that moves either row fails here.
+  current_step="paper tables at noise scale 1 (Tables 2 and 3)"
+  OWL_BENCH_SCALE=1 OWL_BENCH_JOBS=2 ./build/bench/table2_detection \
+    > build/table2.txt
+  grep -qE "^Total +\| +[^|]+ \| +10 \| +10 \| +43 \|" build/table2.txt \
+    || { echo "ci.sh: Table 2 Total row is not 10 / 10 / 43" >&2; exit 1; }
+  OWL_BENCH_SCALE=1 OWL_BENCH_JOBS=2 ./build/bench/table3_reduction \
+    > build/table3.txt
+  grep -qE "^Total +\| +3,348 \| +22 \| +753 \| +261 \|" build/table3.txt \
+    || { echo "ci.sh: Table 3 Total row is not 3,348 / 22 / 753 / 261" >&2
+         exit 1; }
 }
 
 # Service mode under ASan+UBSan: the daemon's fault handling, drain paths,

@@ -20,6 +20,8 @@ void erase_sorted(std::vector<PointsTo::ObjectId>& set, PointsTo::ObjectId v) {
   if (it != set.end() && *it == v) set.erase(it);
 }
 
+}  // namespace
+
 std::vector<PointsTo::ObjectId> intersect_sorted(
     const std::vector<PointsTo::ObjectId>& a,
     const std::vector<PointsTo::ObjectId>& b) {
@@ -28,8 +30,6 @@ std::vector<PointsTo::ObjectId> intersect_sorted(
                         std::back_inserter(out));
   return out;
 }
-
-}  // namespace
 
 const LockFacts::LockSet LockFacts::kEmptySet;
 

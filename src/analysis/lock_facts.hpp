@@ -33,6 +33,11 @@
 
 namespace owl::analysis {
 
+/// The intersection of two sorted object-id sets (the lockset meet).
+std::vector<PointsTo::ObjectId> intersect_sorted(
+    const std::vector<PointsTo::ObjectId>& a,
+    const std::vector<PointsTo::ObjectId>& b);
+
 class LockFacts {
  public:
   using LockSet = std::vector<PointsTo::ObjectId>;

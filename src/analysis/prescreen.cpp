@@ -1,7 +1,5 @@
 #include "analysis/prescreen.hpp"
 
-#include <algorithm>
-
 #include "ir/instruction.hpp"
 
 namespace owl::analysis {
@@ -41,15 +39,6 @@ EventPointers event_pointers(const ir::Instruction& instr) {
     default:
       break;
   }
-  return out;
-}
-
-std::vector<PointsTo::ObjectId> intersect_sorted(
-    const std::vector<PointsTo::ObjectId>& a,
-    const std::vector<PointsTo::ObjectId>& b) {
-  std::vector<PointsTo::ObjectId> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
   return out;
 }
 

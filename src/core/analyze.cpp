@@ -195,25 +195,8 @@ AnalysisOutcome analyze(const std::vector<ModuleSource>& sources,
     }
     if (request.print_module) outcome.output += ir::print_module(*module);
 
-    PipelineTarget target;
-    target.name = source.name;
-    target.module = module.get();
-    // One image per module: both factories start every machine from it.
-    const auto image = std::make_shared<const interp::MachineImage>(*module);
-    target.factory =
-        interp::machine_factory(module, image, entry, testing_options);
-    target.exploit_factory =
-        interp::machine_factory(module, image, entry, exploit_options);
-    // The repair stage verifies candidate patches by running the pipeline
-    // on a cloned, rewritten module.
-    target.factory_for_module =
-        [entry_name = request.entry,
-         testing_options](std::shared_ptr<const ir::Module> m) {
-          const ir::Function* start = m->find_function(entry_name);
-          auto patched = std::make_shared<const interp::MachineImage>(*m);
-          return interp::machine_factory(std::move(m), std::move(patched),
-                                         start, testing_options);
-        };
+    PipelineTarget target = machine_target(source.name, module, entry,
+                                           testing_options, exploit_options);
     target.detector = request.detector;
     target.detection_schedules = request.schedules;
     target.seed =

@@ -218,6 +218,31 @@ class StageRunner {
 
 }  // namespace
 
+PipelineTarget machine_target(std::string name,
+                              std::shared_ptr<const ir::Module> module,
+                              const ir::Function* entry,
+                              interp::MachineOptions testing,
+                              interp::MachineOptions exploit) {
+  PipelineTarget target;
+  target.name = std::move(name);
+  target.module = module.get();
+  const auto image = std::make_shared<const interp::MachineImage>(*module);
+  target.factory = interp::machine_factory(module, image, entry, testing);
+  target.exploit_factory = interp::machine_factory(
+      std::move(module), image, entry, std::move(exploit));
+  // The repair stage verifies candidate patches by running the pipeline
+  // on a cloned, rewritten module.
+  target.factory_for_module =
+      [entry_name = entry->name(),
+       testing = std::move(testing)](std::shared_ptr<const ir::Module> m) {
+        const ir::Function* start = m->find_function(entry_name);
+        auto patched = std::make_shared<const interp::MachineImage>(*m);
+        return interp::machine_factory(std::move(m), std::move(patched),
+                                       start, testing);
+      };
+  return target;
+}
+
 std::size_t PipelineResult::confirmed_attacks() const noexcept {
   std::size_t n = 0;
   for (const ConcurrencyAttack& attack : attacks) {

@@ -70,6 +70,17 @@ struct PipelineTarget {
   std::uint64_t seed = 1;
 };
 
+/// A target whose machines start at `entry` of `module`: both factories
+/// share one image of it, detection machines run under `testing` and
+/// exploit machines under `exploit`, and the repair hook starts a patched
+/// clone at the function of the same name under `testing`. Detector,
+/// schedules, seed and thread order keep their defaults.
+PipelineTarget machine_target(std::string name,
+                              std::shared_ptr<const ir::Module> module,
+                              const ir::Function* entry,
+                              interp::MachineOptions testing,
+                              interp::MachineOptions exploit);
+
 /// Seeded schedules the step-(3) verifier tries per race report (the run
 /// manifest records it among the options).
 inline constexpr unsigned kRaceVerifierAttempts = 3;

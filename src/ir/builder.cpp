@@ -121,6 +121,48 @@ Instruction* IRBuilder::ret(Value* value) {
   return emit(Opcode::kRet, Type::void_type(), "", {value});
 }
 
+// --- counted loops ---
+
+IRBuilder::CountedLoop IRBuilder::enter_loop(BasicBlock* header,
+                                             BasicBlock* exit) {
+  BasicBlock* preheader = block_;
+  jmp(header);
+  set_insert_point(header);
+  return {phi(Type::i64(), "i"), preheader, exit};
+}
+
+void IRBuilder::test_bound(const CountedLoop& loop, Value* bound,
+                           BasicBlock* body) {
+  br(icmp(CmpPredicate::kSLt, loop.index, bound, "more"), body, loop.exit);
+  set_insert_point(body);
+}
+
+IRBuilder::CountedLoop IRBuilder::loop_header(BasicBlock* header,
+                                              Value* bound, BasicBlock* body,
+                                              BasicBlock* exit) {
+  const CountedLoop loop = enter_loop(header, exit);
+  test_bound(loop, bound, body);
+  return loop;
+}
+
+IRBuilder::CountedLoop IRBuilder::loop_header(BasicBlock* header,
+                                              std::int64_t bound,
+                                              BasicBlock* body,
+                                              BasicBlock* exit) {
+  const CountedLoop loop = enter_loop(header, exit);
+  test_bound(loop, i64(bound), body);
+  return loop;
+}
+
+void IRBuilder::loop_latch(const CountedLoop& loop) {
+  BasicBlock* latch = block_;
+  Instruction* inext = add(loop.index, i64(1), "inext");
+  jmp(loop.index->parent());
+  loop.index->add_phi_incoming(i64(0), loop.preheader);
+  loop.index->add_phi_incoming(inext, latch);
+  set_insert_point(loop.exit);
+}
+
 // --- concurrency ---
 
 Instruction* IRBuilder::lock(Value* mutex) {

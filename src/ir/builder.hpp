@@ -61,6 +61,27 @@ class IRBuilder {
                        std::string name = "");
   Instruction* ret(Value* value = nullptr);
 
+  // --- counted loops: for (i = 0; i < bound; ++i), over blocks the caller
+  // made; both calls keep the caller's source location ---
+  struct CountedLoop {
+    Instruction* index = nullptr;     ///< %i, the header's phi
+    BasicBlock* preheader = nullptr;  ///< the block that jumped to the header
+    BasicBlock* exit = nullptr;
+  };
+  /// Ends the insert block with `jmp header`; in `header` emits `%i = phi`,
+  /// `%more = icmp slt %i, bound` and `br %more, body, exit`; continues in
+  /// `body`.
+  CountedLoop loop_header(BasicBlock* header, Value* bound, BasicBlock* body,
+                          BasicBlock* exit);
+  /// The same with a constant bound, created after the phi (value ids
+  /// follow creation order, so this matches a header built by hand).
+  CountedLoop loop_header(BasicBlock* header, std::int64_t bound,
+                          BasicBlock* body, BasicBlock* exit);
+  /// In the insert block (the latch) emits `%inext = add %i, 1` and
+  /// `jmp header`, completes the phi with [0, preheader], [%inext, latch]
+  /// and continues in the loop's exit.
+  void loop_latch(const CountedLoop& loop);
+
   // --- concurrency ---
   Instruction* lock(Value* mutex);
   Instruction* unlock(Value* mutex);
@@ -95,6 +116,10 @@ class IRBuilder {
  private:
   Instruction* emit(Opcode op, Type type, std::string name,
                     std::vector<Value*> operands);
+  /// loop_header up to the bound: `jmp header` and the phi.
+  CountedLoop enter_loop(BasicBlock* header, BasicBlock* exit);
+  /// The rest of loop_header: the bound test and its branch.
+  void test_bound(const CountedLoop& loop, Value* bound, BasicBlock* body);
 
   Module* module_;
   BasicBlock* block_ = nullptr;

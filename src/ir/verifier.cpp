@@ -219,8 +219,4 @@ Status verify_module(const Module& module) {
   return errors.empty() ? Status::ok() : errors.front();
 }
 
-std::vector<Status> verify_module_all(const Module& module) {
-  return Verifier(module).run();
-}
-
 }  // namespace owl::ir

@@ -4,8 +4,6 @@
 // analysis; all downstream components assume the invariants checked here.
 #pragma once
 
-#include <vector>
-
 #include "ir/module.hpp"
 #include "support/status.hpp"
 
@@ -21,8 +19,5 @@ namespace owl::ir {
 ///  - operands belong to the same function (or are constants/globals).
 /// Returns the first violation, or OK.
 Status verify_module(const Module& module);
-
-/// All violations instead of just the first (used by tests).
-std::vector<Status> verify_module_all(const Module& module);
 
 }  // namespace owl::ir

@@ -34,21 +34,6 @@ const AccessRecord* AtomicityReport::corrupted_read() const noexcept {
   return nullptr;
 }
 
-std::string AtomicityReport::to_string(ir::NameTable& names) const {
-  std::string out = "atomicity violation (";
-  out += atomicity_pattern_name(pattern);
-  out += ")";
-  if (!object_name.empty()) out += " on '" + object_name + "'";
-  out += " (" + std::to_string(occurrences) + " occurrence(s))\n";
-  out += "  local:  " + first_local.to_string(names) + "\n";
-  out += interp::call_stack_to_string(first_local.stack);
-  out += "  remote: " + remote.to_string(names) + "\n";
-  out += interp::call_stack_to_string(remote.stack);
-  out += "  local:  " + second_local.to_string(names) + "\n";
-  out += interp::call_stack_to_string(second_local.stack);
-  return out;
-}
-
 std::pair<std::uint64_t, std::uint64_t> AtomicityReport::race_key()
     const noexcept {
   // Mirrors RaceReport::key() over to_race_report()'s (first = remote,

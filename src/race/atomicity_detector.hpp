@@ -58,8 +58,6 @@ struct AtomicityReport {
   /// pattern (no stale local read) this is the remote read.
   const AccessRecord* corrupted_read() const noexcept;
 
-  std::string to_string(ir::NameTable& names) const;
-
   /// Converts into the pipeline's report currency: first = remote access,
   /// second = second local access, supplemental read = corrupted read.
   RaceReport to_race_report() const;

@@ -38,11 +38,6 @@ bool VectorClock::leq(const VectorClock& other) const noexcept {
   return true;
 }
 
-bool VectorClock::empty() const noexcept {
-  return std::all_of(clocks_.begin(), clocks_.end(),
-                     [](std::uint64_t c) { return c == 0; });
-}
-
 std::string VectorClock::to_string() const {
   std::string out = "[";
   for (std::size_t i = 0; i < clocks_.size(); ++i) {

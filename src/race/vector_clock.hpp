@@ -49,7 +49,6 @@ class VectorClock {
   }
 
   std::size_t size() const noexcept { return clocks_.size(); }
-  bool empty() const noexcept;
 
   /// Pre-reserves capacity for `threads` components without changing the
   /// observable size (detectors that know the thread count call this once

@@ -34,11 +34,6 @@ std::string_view trim(std::string_view text) noexcept {
   return text;
 }
 
-bool starts_with(std::string_view text, std::string_view prefix) noexcept {
-  return text.size() >= prefix.size() &&
-         text.compare(0, prefix.size(), prefix) == 0;
-}
-
 bool ends_with(std::string_view text, std::string_view suffix) noexcept {
   return text.size() >= suffix.size() &&
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;

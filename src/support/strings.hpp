@@ -14,9 +14,6 @@ std::vector<std::string> split(std::string_view text, char sep);
 /// Removes leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view text) noexcept;
 
-/// True if `text` begins with `prefix`.
-bool starts_with(std::string_view text, std::string_view prefix) noexcept;
-
 /// True if `text` ends with `suffix`.
 bool ends_with(std::string_view text, std::string_view suffix) noexcept;
 

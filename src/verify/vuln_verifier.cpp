@@ -15,37 +15,6 @@ namespace {
 /// declared livelocked (zero-progress break/release cycles).
 constexpr std::uint64_t kWatchdogIterations = 4096;
 
-/// Targets of `branch` from which `site` is still reachable inside the same
-/// function (a branch hit only "counts" when it goes this way). Branches in
-/// other functions always count — cross-function reachability is what the
-/// call-stack-directed analysis already established.
-std::unordered_set<const ir::BasicBlock*> site_reaching_targets(
-    const ir::Instruction* branch, const ir::Instruction* site) {
-  std::unordered_set<const ir::BasicBlock*> good;
-  if (branch == nullptr || site == nullptr ||
-      branch->function() != site->function()) {
-    for (const ir::BasicBlock* t : branch->targets()) good.insert(t);
-    return good;
-  }
-  for (const ir::BasicBlock* start : branch->targets()) {
-    std::unordered_set<const ir::BasicBlock*> seen;
-    std::vector<const ir::BasicBlock*> work{start};
-    bool reaches = false;
-    while (!work.empty() && !reaches) {
-      const ir::BasicBlock* bb = work.back();
-      work.pop_back();
-      if (!seen.insert(bb).second) continue;
-      if (bb == site->parent()) {
-        reaches = true;
-        break;
-      }
-      for (ir::BasicBlock* s : bb->successors()) work.push_back(s);
-    }
-    if (reaches) good.insert(start);
-  }
-  return good;
-}
-
 enum class Steering { kWriteFirst, kReadFirst, kFree };
 
 }  // namespace
@@ -59,12 +28,7 @@ VulnVerifyResult VulnVerifier::verify(const vuln::ExploitReport& exploit,
   support::metrics().counter("vuln_verifier.sessions").inc();
 
   // Precompute the site-reaching direction of every hint branch.
-  std::unordered_map<const ir::Instruction*,
-                     std::unordered_set<const ir::BasicBlock*>>
-      good_targets;
-  for (const ir::Instruction* br : exploit.branches) {
-    good_targets.emplace(br, site_reaching_targets(br, exploit.site));
-  }
+  const auto good_targets = vuln::site_reaching_targets(exploit);
   std::unordered_set<const ir::Instruction*> branches_satisfied;
 
   const race::AccessRecord* racy_read =

@@ -592,4 +592,35 @@ VulnAnalysis VulnerabilityAnalyzer::analyze_from(
   return analysis;
 }
 
+std::unordered_map<const ir::Instruction*,
+                   std::unordered_set<const ir::BasicBlock*>>
+site_reaching_targets(const ExploitReport& exploit) {
+  const ir::Instruction* site = exploit.site;
+  std::unordered_map<const ir::Instruction*,
+                     std::unordered_set<const ir::BasicBlock*>>
+      good;
+  for (const ir::Instruction* branch : exploit.branches) {
+    std::unordered_set<const ir::BasicBlock*>& targets = good[branch];
+    for (const ir::BasicBlock* start : branch->targets()) {
+      if (site == nullptr || branch->function() != site->function()) {
+        targets.insert(start);
+        continue;
+      }
+      std::unordered_set<const ir::BasicBlock*> seen;
+      std::vector<const ir::BasicBlock*> work{start};
+      while (!work.empty()) {
+        const ir::BasicBlock* bb = work.back();
+        work.pop_back();
+        if (!seen.insert(bb).second) continue;
+        if (bb == site->parent()) {
+          targets.insert(start);
+          break;
+        }
+        for (ir::BasicBlock* s : bb->successors()) work.push_back(s);
+      }
+    }
+  }
+  return good;
+}
+
 }  // namespace owl::vuln

@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "interp/thread.hpp"
@@ -49,6 +50,15 @@ struct ExploitReport {
   /// Register-level propagation chain from the racy read toward the site.
   std::vector<const ir::Instruction*> propagation;
 };
+
+/// Per hint branch of `exploit`, the targets from which its site is still
+/// reachable inside the branch's function: input search and the dynamic
+/// vulnerability verifier count a branch hit only when it goes one of these
+/// ways. A branch in another function keeps every target — cross-function
+/// reachability is what the call-stack-directed analysis established.
+std::unordered_map<const ir::Instruction*,
+                   std::unordered_set<const ir::BasicBlock*>>
+site_reaching_targets(const ExploitReport& exploit);
 
 struct AnalysisStats {
   std::uint64_t functions_visited = 0;

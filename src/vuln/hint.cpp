@@ -1,7 +1,5 @@
 #include "vuln/hint.hpp"
 
-#include "support/strings.hpp"
-
 namespace owl::vuln {
 
 std::string render_hint(const ExploitReport& exploit, ir::NameTable& names) {
@@ -30,24 +28,6 @@ std::string render_hint(const ExploitReport& exploit, ir::NameTable& names) {
            " (" + exploit.site->loc().to_string() + ")";
   }
   out += "\n";
-  return out;
-}
-
-std::string render_analysis(const VulnAnalysis& analysis,
-                            ir::NameTable& names) {
-  std::string out;
-  if (analysis.start != nullptr) {
-    out += "corrupted read: " + names.instruction(*analysis.start) +
-           "  (" + analysis.start->loc().to_string() + ")\n";
-  }
-  for (const ExploitReport& exploit : analysis.exploits) {
-    out += render_hint(exploit, names);
-  }
-  out += str_format(
-      "analysis: %llu function visit(s), %llu instruction visit(s), %.3fs\n",
-      static_cast<unsigned long long>(analysis.stats.functions_visited),
-      static_cast<unsigned long long>(analysis.stats.instructions_visited),
-      analysis.stats.seconds);
   return out;
 }
 

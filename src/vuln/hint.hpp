@@ -20,8 +20,4 @@ namespace owl::vuln {
 /// Branches and chain steps are quoted through `names`.
 std::string render_hint(const ExploitReport& exploit, ir::NameTable& names);
 
-/// All hints of an analysis plus its cost line.
-std::string render_analysis(const VulnAnalysis& analysis,
-                            ir::NameTable& names);
-
 }  // namespace owl::vuln

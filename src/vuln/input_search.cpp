@@ -9,35 +9,6 @@
 namespace owl::vuln {
 namespace {
 
-/// Targets of `branch` from which `site` remains reachable (same rule as
-/// the dynamic vulnerability verifier's direction tracking).
-std::unordered_set<const ir::BasicBlock*> site_reaching_targets(
-    const ir::Instruction* branch, const ir::Instruction* site) {
-  std::unordered_set<const ir::BasicBlock*> good;
-  if (branch == nullptr || site == nullptr ||
-      branch->function() != site->function()) {
-    for (const ir::BasicBlock* t : branch->targets()) good.insert(t);
-    return good;
-  }
-  for (const ir::BasicBlock* start : branch->targets()) {
-    std::unordered_set<const ir::BasicBlock*> seen;
-    std::vector<const ir::BasicBlock*> work{start};
-    bool reaches = false;
-    while (!work.empty() && !reaches) {
-      const ir::BasicBlock* bb = work.back();
-      work.pop_back();
-      if (!seen.insert(bb).second) continue;
-      if (bb == site->parent()) {
-        reaches = true;
-        break;
-      }
-      for (ir::BasicBlock* s : bb->successors()) work.push_back(s);
-    }
-    if (reaches) good.insert(start);
-  }
-  return good;
-}
-
 struct Probe {
   unsigned branches_satisfied = 0;
   bool site_reached = false;
@@ -57,13 +28,10 @@ Probe probe_run(const ExploitReport& exploit,
 
   const interp::BreakpointId site_bp = debugger.add_breakpoint(exploit.site);
   std::unordered_map<interp::BreakpointId, const ir::Instruction*> branch_bps;
-  std::unordered_map<const ir::Instruction*,
-                     std::unordered_set<const ir::BasicBlock*>>
-      good;
   for (const ir::Instruction* br : exploit.branches) {
     branch_bps.emplace(debugger.add_breakpoint(br), br);
-    good.emplace(br, site_reaching_targets(br, exploit.site));
   }
+  const auto good = site_reaching_targets(exploit);
   std::unordered_set<const ir::Instruction*> satisfied;
 
   interp::RandomScheduler scheduler(schedule_seed);

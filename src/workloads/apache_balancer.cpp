@@ -107,17 +107,9 @@ Workload make_apache_balancer(const NoiseProfile& profile) {
     ir::Instruction* cand_busy = b.alloca_cells(1, "cand_busy");
     b.store(b.i64(0), cand);
     b.store(b.i64(-1), cand_busy);  // "infinity" in unsigned compare
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more =
-        b.icmp(ir::CmpPredicate::kSLt, i, b.i64(kWorkers), "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, kWorkers, body, done);
     b.set_loc("proxy_balancer.c", 1192);
-    ir::Instruction* bp = b.gep(busy, i, "bp");
+    ir::Instruction* bp = b.gep(busy, loop.index, "bp");
     ir::Instruction* bv = b.load(bp, "bv");  // the corrupted read
     ir::Instruction* cb = b.load(cand_busy, "cb");
     ir::Instruction* less =
@@ -127,20 +119,16 @@ Workload make_apache_balancer(const NoiseProfile& profile) {
 
     b.set_insert_point(better);
     b.set_loc("proxy_balancer.c", 1195);
-    ir::Instruction* wp = b.gep(handlers, i, "worker_ptr");
-    b.store(wp, cand);       // mycandidate = worker (the paper's site:
-                             // a pointer assignment control-dependent on
-                             // the corrupted busyness comparison)
+    ir::Instruction* wp = b.gep(handlers, loop.index, "worker_ptr");
+    // mycandidate = worker: the paper's site, a pointer assignment
+    // control-dependent on the corrupted busyness comparison.
+    w.attack_sites.push_back(b.store(wp, cand));
     b.store(bv, cand_busy);
     b.jmp(next);
 
     b.set_insert_point(next);
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, next);
+    b.loop_latch(loop);
 
-    b.set_insert_point(done);
     b.set_loc("proxy_balancer.c", 1198);
     ir::Instruction* wp2 = b.load(cand, "wp2");
     ir::Instruction* h = b.load(wp2, "h");
@@ -170,23 +158,11 @@ Workload make_apache_balancer(const NoiseProfile& profile) {
     b.set_insert_point(entry);
     b.set_loc("proxy_balancer.c", 560);
     ir::Instruction* reps = b.input(b.i64(0), "requests");
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, reps, "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, reps, body, done);
     b.set_loc("proxy_balancer.c", 565);
     b.call(find_best, {});
     b.io_delay(b.i64(1));
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    b.loop_latch(loop);
     b.ret();
   }
 
@@ -209,24 +185,12 @@ Workload make_apache_balancer(const NoiseProfile& profile) {
     b.io_delay(phase);
     widx = b.add(b.i64(0), b.i64(0), "widx");  // all finishers target worker 0
     ir::Instruction* reps = b.input(b.i64(1), "finishes");
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, reps, "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, reps, body, done);
     b.set_loc("proxy_balancer.c", 585);
     b.call(post_request, {widx});
     ir::Instruction* gap = b.input(b.i64(2), "gap");
     b.io_delay(gap);
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    b.loop_latch(loop);
     b.ret();
   }
 
@@ -238,7 +202,7 @@ Workload make_apache_balancer(const NoiseProfile& profile) {
   noise.publication_depth = static_cast<unsigned>(std::lround(10 * s));
   noise.counters = static_cast<unsigned>(std::lround(2 * s));
   noise.safe_site_groups = static_cast<unsigned>(std::lround(1 * s));
-  std::vector<const ir::Function*> noise_entries = add_noise(m, noise);
+  std::vector<ir::Function*> noise_entries = add_noise(m, noise);
 
   ir::Function* main_fn = m.add_function("main", ir::Type::void_type());
   {
@@ -254,9 +218,8 @@ Workload make_apache_balancer(const NoiseProfile& profile) {
     tids.push_back(b.thread_create(finisher, b.i64(0), "f0"));
     tids.push_back(b.thread_create(finisher, f1_at, "f1"));
     tids.push_back(b.thread_create(balancer, b.i64(0), "bal"));
-    for (const ir::Function* entry_fn : noise_entries) {
-      tids.push_back(
-          b.thread_create(const_cast<ir::Function*>(entry_fn), b.i64(0)));
+    for (ir::Function* entry_fn : noise_entries) {
+      tids.push_back(b.thread_create(entry_fn, b.i64(0)));
     }
     for (ir::Instruction* tid : tids) b.thread_join(tid);
     b.ret();
@@ -281,20 +244,6 @@ Workload make_apache_balancer(const NoiseProfile& profile) {
     for (std::int64_t i = 0; i < kWorkers; ++i) {
       if (machine.memory().load_raw(base + static_cast<interp::Address>(i) *
                                                8) < 0) {
-        return true;
-      }
-    }
-    return false;
-  };
-  w.attack_detected = [](const core::PipelineResult& result) {
-    // Matching the paper's §8.4 verification of this attack: the corrupted
-    // branch is real and the line-1195 candidate assignment is reachable
-    // under it (the DoS itself is demonstrated by the fig8 bench).
-    for (const core::ConcurrencyAttack& attack : result.attacks) {
-      if (attack.exploit.site != nullptr &&
-          attack.exploit.site->loc().line == 1195 &&
-          attack.exploit.type == vuln::SiteType::kPointerAssign &&
-          attack.verification.site_reached) {
         return true;
       }
     }

@@ -80,7 +80,7 @@ Workload make_apache_log(const NoiseProfile& profile) {
     ir::Instruction* c2 = b.load(cnt_ptr, "c2");  // the corrupted read
     ir::Instruction* s = b.gep(logbuf, c2, "s");  // s = &outbuf[outcnt]
     b.set_loc("http_log.c", 1359);
-    b.memcpy_(s, payload, len);  // vulnerable site
+    w.attack_sites.push_back(b.memcpy_(s, payload, len));  // vulnerable site
     b.set_loc("http_log.c", 1362);
     ir::Instruction* c3 = b.add(c2, len, "c3");
     b.store(c3, cnt_ptr);  // buf->outcnt += len — the racy write
@@ -105,24 +105,12 @@ Workload make_apache_log(const NoiseProfile& profile) {
     b.store(mark, buf);
     b.store(mark, b.gep(buf, b.i64(1), "b1"));
     b.store(mark, b.gep(buf, b.i64(2), "b2"));
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, reps, "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, reps, body, done);
     b.set_loc("worker.c", 110);
     b.call(log_writer, {buf, len});
     ir::Instruction* gap = b.add(id, b.i64(1), "gap");
     b.io_delay(gap);
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    b.loop_latch(loop);
     b.ret();
   }
 
@@ -146,7 +134,8 @@ Workload make_apache_log(const NoiseProfile& profile) {
     ir::Instruction* gap = b.input(b.i64(7), "shutdown_io");
     b.io_delay(gap);
     b.set_loc("mod_php.c", 805);
-    b.free_ptr(p);  // vulnerable site: double free under the race
+    // vulnerable site: double free under the race
+    w.attack_sites.push_back(b.free_ptr(p));
     b.set_loc("mod_php.c", 807);
     ir::Instruction* fresh = b.malloc_cells(b.i64(2), "fresh");
     b.store(fresh, php_pool);  // racy write
@@ -168,23 +157,11 @@ Workload make_apache_log(const NoiseProfile& profile) {
     b.set_loc("worker.c", 200);
     b.io_delay(phase);
     ir::Instruction* reps = b.input(b.i64(8), "php_reps");
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, reps, "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, reps, body, done);
     b.set_loc("worker.c", 210);
     b.call(php_cleanup, {});
     b.io_delay(b.i64(2));
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    b.loop_latch(loop);
     b.ret();
   }
 
@@ -196,7 +173,7 @@ Workload make_apache_log(const NoiseProfile& profile) {
   noise.publication_depth = static_cast<unsigned>(std::lround(12 * s));
   noise.counters = static_cast<unsigned>(std::lround(2 * s));
   noise.safe_site_groups = static_cast<unsigned>(std::lround(1 * s));
-  std::vector<const ir::Function*> noise_entries = add_noise(m, noise);
+  std::vector<ir::Function*> noise_entries = add_noise(m, noise);
 
   ir::Function* main_fn = m.add_function("main", ir::Type::void_type());
   {
@@ -217,9 +194,8 @@ Workload make_apache_log(const NoiseProfile& profile) {
     tids.push_back(b.thread_create(php_worker, b.i64(0), "p0"));
     ir::Instruction* p1_at = b.input(b.i64(9), "p1_at");
     tids.push_back(b.thread_create(php_worker, p1_at, "p1"));
-    for (const ir::Function* entry_fn : noise_entries) {
-      tids.push_back(
-          b.thread_create(const_cast<ir::Function*>(entry_fn), b.i64(0)));
+    for (ir::Function* entry_fn : noise_entries) {
+      tids.push_back(b.thread_create(entry_fn, b.i64(0)));
     }
     for (ir::Instruction* tid : tids) b.thread_join(tid);
     b.ret();
@@ -247,39 +223,6 @@ Workload make_apache_log(const NoiseProfile& profile) {
       }
     }
     return machine.has_event(interp::SecurityEventKind::kDoubleFree);
-  };
-  w.attack_detected = [](const core::PipelineResult& result) {
-    bool memcpy_site = false;
-    bool free_site = false;
-    for (const core::ConcurrencyAttack& attack : result.attacks) {
-      if (attack.exploit.site == nullptr) continue;
-      if (attack.exploit.site->opcode() == ir::Opcode::kMemCopy &&
-          attack.exploit.site->loc().line == 1359) {
-        memcpy_site = true;
-      }
-      if (attack.exploit.site->opcode() == ir::Opcode::kFree &&
-          attack.exploit.site->loc().line == 805) {
-        free_site = true;
-      }
-    }
-    return memcpy_site && free_site;
-  };
-  w.attacks_found = [](const core::PipelineResult& result) {
-    bool memcpy_site = false;
-    bool free_site = false;
-    for (const core::ConcurrencyAttack& attack : result.attacks) {
-      if (attack.exploit.site == nullptr) continue;
-      if (attack.exploit.site->opcode() == ir::Opcode::kMemCopy &&
-          attack.exploit.site->loc().line == 1359) {
-        memcpy_site = true;
-      }
-      if (attack.exploit.site->opcode() == ir::Opcode::kFree &&
-          attack.exploit.site->loc().line == 805) {
-        free_site = true;
-      }
-    }
-    return static_cast<std::size_t>(memcpy_site) +
-           static_cast<std::size_t>(free_site);
   };
   return w;
 }

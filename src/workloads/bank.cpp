@@ -67,7 +67,8 @@ Workload make_bank_atomicity(const NoiseProfile& profile) {
     b.store(b.sub(bal, amount), balance);
     b.unlock(mu);
     b.set_loc("teller.c", 50);
-    b.eval_(amount);  // dispense the cash — the vulnerable site
+    // dispense the cash — the vulnerable site
+    w.attack_sites.push_back(b.eval_(amount));
     b.ret();
 
     b.set_insert_point(declined);
@@ -89,23 +90,11 @@ Workload make_bank_atomicity(const NoiseProfile& profile) {
     b.io_delay(phase);
     ir::Instruction* reps = b.input(b.i64(2), "withdrawals");
     ir::Instruction* amount = b.input(b.i64(0), "amount");
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, reps, "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, reps, body, done);
     b.set_loc("teller.c", 25);
     b.call(withdraw, {amount});
     b.io_delay(b.i64(2));
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    b.loop_latch(loop);
     b.ret();
   }
 
@@ -144,17 +133,6 @@ Workload make_bank_atomicity(const NoiseProfile& profile) {
       dispensed += rec.command_id;  // eval's operand is the amount
     }
     return dispensed > 10;
-  };
-  w.attack_detected = [](const core::PipelineResult& result) {
-    for (const core::ConcurrencyAttack& attack : result.attacks) {
-      if (attack.exploit.site != nullptr &&
-          attack.exploit.site->opcode() == ir::Opcode::kEval &&
-          attack.exploit.site->loc().line == 50 &&
-          attack.verification.site_reached) {
-        return true;
-      }
-    }
-    return false;
   };
   return w;
 }

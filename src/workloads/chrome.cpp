@@ -48,7 +48,7 @@ Workload make_chrome(const NoiseProfile& profile) {
     b.set_loc("v8/profiler.cc", 220);
     ir::Instruction* hook = b.load(p, "hook");  // UAF read when torn down
     b.set_loc("v8/profiler.cc", 225);
-    b.callptr(hook, {}, "res");  // vulnerable site
+    w.attack_sites.push_back(b.callptr(hook, {}, "res"));  // vulnerable site
     b.ret();
   }
 
@@ -89,23 +89,11 @@ Workload make_chrome(const NoiseProfile& profile) {
     b.set_insert_point(entry);
     b.set_loc("v8/api.cc", 100);
     ir::Instruction* reps = b.input(b.i64(1), "profile_calls");
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, reps, "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, reps, body, done);
     b.set_loc("v8/api.cc", 110);
     b.call(js_profile, {});
     b.io_delay(b.i64(1));
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    b.loop_latch(loop);
     b.ret();
   }
 
@@ -133,7 +121,7 @@ Workload make_chrome(const NoiseProfile& profile) {
   noise.publication_depth = static_cast<unsigned>(std::lround(56 * s));
   noise.counters = static_cast<unsigned>(std::lround(2 * s));
   noise.safe_site_groups = static_cast<unsigned>(std::lround(5 * s));
-  std::vector<const ir::Function*> noise_entries = add_noise(m, noise);
+  std::vector<ir::Function*> noise_entries = add_noise(m, noise);
 
   ir::Function* main_fn = m.add_function("main", ir::Type::void_type());
   {
@@ -148,9 +136,8 @@ Workload make_chrome(const NoiseProfile& profile) {
     std::vector<ir::Instruction*> tids;
     tids.push_back(b.thread_create(js_thread, b.i64(0), "js"));
     tids.push_back(b.thread_create(teardown, b.i64(0), "td"));
-    for (const ir::Function* entry_fn : noise_entries) {
-      tids.push_back(
-          b.thread_create(const_cast<ir::Function*>(entry_fn), b.i64(0)));
+    for (ir::Function* entry_fn : noise_entries) {
+      tids.push_back(b.thread_create(entry_fn, b.i64(0)));
     }
     for (ir::Instruction* tid : tids) b.thread_join(tid);
     b.ret();
@@ -170,17 +157,6 @@ Workload make_chrome(const NoiseProfile& profile) {
   w.attack_succeeded = [](const interp::Machine& machine) {
     return machine.has_event(interp::SecurityEventKind::kUseAfterFree) ||
            machine.has_event(interp::SecurityEventKind::kNullFuncPtrDeref);
-  };
-  w.attack_detected = [](const core::PipelineResult& result) {
-    for (const core::ConcurrencyAttack& attack : result.attacks) {
-      if (attack.exploit.site != nullptr &&
-          attack.exploit.site->opcode() == ir::Opcode::kCallPtr &&
-          attack.exploit.site->loc().line == 225 &&
-          attack.verification.site_reached) {
-        return true;
-      }
-    }
-    return false;
   };
   return w;
 }

@@ -93,6 +93,8 @@ Workload make_libsafe(const NoiseProfile& profile) {
     b.set_loc("util.c", 120);
     b.jmp(len_loop);
 
+    // The scan tests the byte it reads, not a bound, so only the latch
+    // comes from IRBuilder::loop_latch.
     b.set_insert_point(len_loop);
     ir::Instruction* i = b.phi(ir::Type::i64(), "i");
     b.set_loc("util.c", 121);
@@ -102,12 +104,8 @@ Workload make_libsafe(const NoiseProfile& profile) {
     b.br(nz, len_cont, len_done);
 
     b.set_insert_point(len_cont);
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(len_loop);
-    i->add_phi_incoming(b.i64(0), measure);
-    i->add_phi_incoming(inext, len_cont);
+    b.loop_latch({i, measure, len_done});
 
-    b.set_insert_point(len_done);
     b.set_loc("util.c", 130);
     ir::Instruction* fits = b.icmp(ir::CmpPredicate::kULt, i, b.i64(8), "fits");
     b.br(fits, ok, overflow);
@@ -138,7 +136,7 @@ Workload make_libsafe(const NoiseProfile& profile) {
 
     b.set_insert_point(do_copy);
     b.set_loc("intercept.c", 165);
-    b.strcpy_(dst, src);  // the vulnerable site
+    w.attack_sites.push_back(b.strcpy_(dst, src));  // the vulnerable site
     b.ret();
 
     b.set_insert_point(blocked);
@@ -167,23 +165,12 @@ Workload make_libsafe(const NoiseProfile& profile) {
     ir::Instruction* len = b.input(id, "len");
     ir::Instruction* delay = b.input(b.add(id, b.i64(2)), "delay");
     ir::Instruction* marker = b.input(b.i64(4), "marker");
-    b.jmp(fill_loop);
-
-    b.set_insert_point(fill_loop);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, len, "more");
-    b.br(more, fill_body, send);
-
-    b.set_insert_point(fill_body);
+    const auto loop = b.loop_header(fill_loop, len, fill_body, send);
     b.set_loc("server.c", 20);
-    ir::Instruction* slot = b.gep(src, i, "slot");
+    ir::Instruction* slot = b.gep(src, loop.index, "slot");
     b.store(marker, slot);
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(fill_loop);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, fill_body);
+    b.loop_latch(loop);
 
-    b.set_insert_point(send);
     b.set_loc("server.c", 30);
     b.io_delay(delay);  // request arrival timing — the attacker's knob
     b.call(lscpy, {buf, src});
@@ -199,7 +186,7 @@ Workload make_libsafe(const NoiseProfile& profile) {
   NoiseSpec noise;
   noise.counters = 1;
   noise.tag = "ls_noise";
-  std::vector<const ir::Function*> noise_entries = add_noise(m, noise);
+  std::vector<ir::Function*> noise_entries = add_noise(m, noise);
 
   // --- @main ---
   ir::Function* main_fn = m.add_function("main", ir::Type::void_type());
@@ -209,9 +196,8 @@ Workload make_libsafe(const NoiseProfile& profile) {
     ir::Instruction* t0 = b.thread_create(handler, b.i64(0), "t0");
     ir::Instruction* t1 = b.thread_create(handler, b.i64(1), "t1");
     std::vector<ir::Instruction*> tids{t0, t1};
-    for (const ir::Function* entry_fn : noise_entries) {
-      tids.push_back(b.thread_create(const_cast<ir::Function*>(entry_fn),
-                                     b.i64(0)));
+    for (ir::Function* entry_fn : noise_entries) {
+      tids.push_back(b.thread_create(entry_fn, b.i64(0)));
     }
     for (ir::Instruction* tid : tids) b.thread_join(tid);
     b.ret();
@@ -238,16 +224,6 @@ Workload make_libsafe(const NoiseProfile& profile) {
     // The injected "shellcode" ran: our root-shell equivalent.
     for (const interp::EvalRecord& rec : machine.evals()) {
       if (rec.command_id == 1337) return true;
-    }
-    return false;
-  };
-  w.attack_detected = [](const core::PipelineResult& result) {
-    for (const core::ConcurrencyAttack& attack : result.attacks) {
-      if (attack.exploit.site != nullptr &&
-          attack.exploit.site->opcode() == ir::Opcode::kStrCpy &&
-          attack.verification.site_reached) {
-        return true;
-      }
     }
     return false;
   };

@@ -73,7 +73,8 @@ Workload make_linux(const NoiseProfile& profile) {
     b.io_delay(window);  // disk IO between the check and the use
     b.set_loc("mm/msync.c", 115);
     ir::Instruction* f2 = b.load(f_op, "f2");  // racy re-read
-    b.callptr(f2, {}, "err");                  // file->f_op->fsync(...)
+    // file->f_op->fsync(...): the vulnerable site
+    w.attack_sites.push_back(b.callptr(f2, {}, "err"));
     b.ret();
 
     b.set_insert_point(out);
@@ -91,22 +92,10 @@ Workload make_linux(const NoiseProfile& profile) {
     b.set_insert_point(entry);
     b.set_loc("mm/msync.c", 90);
     ir::Instruction* reps = b.input(b.i64(2), "reps");
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, reps, "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, reps, body, done);
     b.set_loc("mm/msync.c", 95);
     b.call(msync_interval, {});
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    b.loop_latch(loop);
     b.ret();
   }
 
@@ -129,7 +118,8 @@ Workload make_linux(const NoiseProfile& profile) {
   {
     b.set_insert_point(commit_creds->add_block("entry"));
     b.set_loc("kernel/cred.c", 480);
-    b.setuid_(b.i64(0));  // vulnerable site: unauthorized uid 0
+    // vulnerable site: unauthorized uid 0
+    w.attack_sites.push_back(b.setuid_(b.i64(0)));
     b.ret();
   }
 
@@ -170,23 +160,11 @@ Workload make_linux(const NoiseProfile& profile) {
     b.set_insert_point(entry);
     b.set_loc("fs/exec.c", 50);
     ir::Instruction* reps = b.input(b.i64(4), "reps");
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, reps, "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, reps, body, done);
     b.set_loc("fs/exec.c", 55);
     b.call(check_exec, {});
     b.io_delay(b.i64(1));
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    b.loop_latch(loop);
     b.ret();
   }
 
@@ -214,7 +192,7 @@ Workload make_linux(const NoiseProfile& profile) {
   noise.adhoc_guarded = static_cast<unsigned>(std::lround(275 * s));
   noise.counters = static_cast<unsigned>(std::lround(82 * s));
   noise.safe_site_groups = static_cast<unsigned>(std::lround(3 * s));
-  std::vector<const ir::Function*> noise_entries = add_noise(m, noise);
+  std::vector<ir::Function*> noise_entries = add_noise(m, noise);
 
   ir::Function* main_fn = m.add_function("main", ir::Type::void_type());
   {
@@ -225,9 +203,8 @@ Workload make_linux(const NoiseProfile& profile) {
     tids.push_back(b.thread_create(munmap_fn, b.i64(0), "t_uselib"));
     tids.push_back(b.thread_create(exec_loop, b.i64(0), "t_exec"));
     tids.push_back(b.thread_create(ptrace_fn, b.i64(0), "t_ptrace"));
-    for (const ir::Function* entry_fn : noise_entries) {
-      tids.push_back(
-          b.thread_create(const_cast<ir::Function*>(entry_fn), b.i64(0)));
+    for (ir::Function* entry_fn : noise_entries) {
+      tids.push_back(b.thread_create(entry_fn, b.i64(0)));
     }
     for (ir::Instruction* tid : tids) b.thread_join(tid);
     b.ret();
@@ -235,8 +212,7 @@ Workload make_linux(const NoiseProfile& profile) {
 
   w.module = module;
   w.entry = main_fn;
-  w.detector = core::DetectorKind::kSki;
-  w.dynamic_verifiers_supported = false;  // paper §8.3: LLDB is user-space
+  w.detector = core::DetectorKind::kSki;  // no dynamic verifiers (§8.3)
   w.detection_schedules = 4;
   w.max_steps = 600'000;
   // inputs: [msync_io, uselib_io, msync_reps, ptrace_when, exec_reps,
@@ -255,35 +231,6 @@ Workload make_linux(const NoiseProfile& profile) {
   w.attack_succeeded = [](const interp::Machine& machine) {
     return machine.has_event(interp::SecurityEventKind::kNullFuncPtrDeref) ||
            machine.has_event(interp::SecurityEventKind::kPrivilegeEscalation);
-  };
-  w.attack_detected = [](const core::PipelineResult& result) {
-    bool fop_site = false;
-    bool setuid_site = false;
-    for (const vuln::ExploitReport& exploit : result.exploits) {
-      if (exploit.site == nullptr) continue;
-      if (exploit.site->opcode() == ir::Opcode::kCallPtr &&
-          exploit.site->loc().file == "mm/msync.c") {
-        fop_site = true;
-      }
-      if (exploit.site->opcode() == ir::Opcode::kSetUid) {
-        setuid_site = true;
-      }
-    }
-    return fop_site && setuid_site;
-  };
-  w.attacks_found = [](const core::PipelineResult& result) {
-    bool fop_site = false;
-    bool setuid_site = false;
-    for (const vuln::ExploitReport& exploit : result.exploits) {
-      if (exploit.site == nullptr) continue;
-      if (exploit.site->opcode() == ir::Opcode::kCallPtr &&
-          exploit.site->loc().file == "mm/msync.c") {
-        fop_site = true;
-      }
-      if (exploit.site->opcode() == ir::Opcode::kSetUid) setuid_site = true;
-    }
-    return static_cast<std::size_t>(fop_site) +
-           static_cast<std::size_t>(setuid_site);
   };
   return w;
 }

@@ -32,16 +32,15 @@ Workload make_memcached(const NoiseProfile& profile) {
   noise.tag = "mc";
   noise.publication_depth = static_cast<unsigned>(std::lround(266 * s)) + 1;
   noise.counters = static_cast<unsigned>(std::lround(2 * s));
-  std::vector<const ir::Function*> noise_entries = add_noise(m, noise);
+  std::vector<ir::Function*> noise_entries = add_noise(m, noise);
 
   ir::Function* main_fn = m.add_function("main", ir::Type::void_type());
   {
     b.set_insert_point(main_fn->add_block("entry"));
     b.set_loc("memcached.c", 1);
     std::vector<ir::Instruction*> tids;
-    for (const ir::Function* entry_fn : noise_entries) {
-      tids.push_back(
-          b.thread_create(const_cast<ir::Function*>(entry_fn), b.i64(0)));
+    for (ir::Function* entry_fn : noise_entries) {
+      tids.push_back(b.thread_create(entry_fn, b.i64(0)));
     }
     for (ir::Instruction* tid : tids) b.thread_join(tid);
     b.ret();
@@ -55,7 +54,6 @@ Workload make_memcached(const NoiseProfile& profile) {
   w.max_steps = 400'000;
 
   w.attack_succeeded = [](const interp::Machine&) { return false; };
-  w.attack_detected = [](const core::PipelineResult&) { return false; };
   return w;
 }
 

@@ -40,7 +40,7 @@ Workload make_mysql_flush(const NoiseProfile& profile) {
   {
     b.set_insert_point(grant_fn->add_block("entry"));
     b.set_loc("sql_acl.cc", 2100);
-    b.setuid_(b.i64(0));  // vulnerable site
+    w.attack_sites.push_back(b.setuid_(b.i64(0)));  // vulnerable site
     b.ret();
   }
 
@@ -83,14 +83,7 @@ Workload make_mysql_flush(const NoiseProfile& profile) {
     b.set_insert_point(entry);
     b.set_loc("sql_acl.cc", 1190);
     ir::Instruction* reps = b.input(b.i64(0), "flush_reps");
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, reps, "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, reps, body, done);
     b.set_loc("sql_acl.cc", 1200);
     b.store(b.i64(0), acl_loaded);  // cache cleared — the window opens
     ir::Instruction* scan = b.input(b.i64(1), "table_scan_io");
@@ -98,12 +91,7 @@ Workload make_mysql_flush(const NoiseProfile& profile) {
     b.set_loc("sql_acl.cc", 1210);
     b.store(b.i64(1), acl_loaded);  // reloaded — the window closes
     b.io_delay(b.i64(2));
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    b.loop_latch(loop);
     b.ret();
   }
 
@@ -120,23 +108,11 @@ Workload make_mysql_flush(const NoiseProfile& profile) {
     ir::Instruction* connect_at = b.input(b.i64(3), "connect_at");
     b.io_delay(connect_at);
     ir::Instruction* reps = b.input(b.i64(2), "query_reps");
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, reps, "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, reps, body, done);
     b.set_loc("sql_parse.cc", 410);
     b.call(check_grant, {});
     b.io_delay(b.i64(1));
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    b.loop_latch(loop);
     b.ret();
   }
 
@@ -149,7 +125,7 @@ Workload make_mysql_flush(const NoiseProfile& profile) {
   noise.publication_depth = static_cast<unsigned>(std::lround(15 * s));
   noise.counters = static_cast<unsigned>(std::lround(3 * s));
   noise.safe_site_groups = static_cast<unsigned>(std::lround(2 * s));
-  std::vector<const ir::Function*> noise_entries = add_noise(m, noise);
+  std::vector<ir::Function*> noise_entries = add_noise(m, noise);
 
   ir::Function* main_fn = m.add_function("main", ir::Type::void_type());
   {
@@ -158,9 +134,8 @@ Workload make_mysql_flush(const NoiseProfile& profile) {
     std::vector<ir::Instruction*> tids;
     tids.push_back(b.thread_create(flush_fn, b.i64(0), "t_flush"));
     tids.push_back(b.thread_create(conn_fn, b.i64(0), "t_conn"));
-    for (const ir::Function* entry_fn : noise_entries) {
-      tids.push_back(
-          b.thread_create(const_cast<ir::Function*>(entry_fn), b.i64(0)));
+    for (ir::Function* entry_fn : noise_entries) {
+      tids.push_back(b.thread_create(entry_fn, b.i64(0)));
     }
     for (ir::Instruction* tid : tids) b.thread_join(tid);
     b.ret();
@@ -179,16 +154,6 @@ Workload make_mysql_flush(const NoiseProfile& profile) {
 
   w.attack_succeeded = [](const interp::Machine& machine) {
     return machine.has_event(interp::SecurityEventKind::kPrivilegeEscalation);
-  };
-  w.attack_detected = [](const core::PipelineResult& result) {
-    for (const core::ConcurrencyAttack& attack : result.attacks) {
-      if (attack.exploit.site != nullptr &&
-          attack.exploit.site->opcode() == ir::Opcode::kSetUid &&
-          attack.verification.site_reached) {
-        return true;
-      }
-    }
-    return false;
   };
   return w;
 }

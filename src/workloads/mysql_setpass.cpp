@@ -40,7 +40,8 @@ Workload make_mysql_setpass(const NoiseProfile& profile) {
     ir::Argument* p = replace_fn->add_argument(ir::Type::ptr(), "p");
     b.set_insert_point(replace_fn->add_block("entry"));
     b.set_loc("password.cc", 205);
-    b.free_ptr(p);  // vulnerable site (memory operation)
+    // vulnerable site (memory operation)
+    w.attack_sites.push_back(b.free_ptr(p));
     b.set_loc("password.cc", 208);
     ir::Instruction* fresh = b.malloc_cells(b.i64(4), "fresh");
     b.set_loc("password.cc", 210);
@@ -88,23 +89,11 @@ Workload make_mysql_setpass(const NoiseProfile& profile) {
     b.set_loc("sql_parse.cc", 900);
     b.io_delay(phase);
     ir::Instruction* reps = b.input(b.i64(0), "reps");
-    b.jmp(header);
-
-    b.set_insert_point(header);
-    ir::Instruction* i = b.phi(ir::Type::i64(), "i");
-    ir::Instruction* more = b.icmp(ir::CmpPredicate::kSLt, i, reps, "more");
-    b.br(more, body, done);
-
-    b.set_insert_point(body);
+    const auto loop = b.loop_header(header, reps, body, done);
     b.set_loc("sql_parse.cc", 910);
     b.call(setpass, {});
     b.io_delay(b.i64(2));
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    b.loop_latch(loop);
     b.ret();
   }
 
@@ -116,7 +105,7 @@ Workload make_mysql_setpass(const NoiseProfile& profile) {
   noise.publication_depth = static_cast<unsigned>(std::lround(15 * s));
   noise.counters = static_cast<unsigned>(std::lround(3 * s));
   noise.safe_site_groups = static_cast<unsigned>(std::lround(1 * s));
-  std::vector<const ir::Function*> noise_entries = add_noise(m, noise);
+  std::vector<ir::Function*> noise_entries = add_noise(m, noise);
 
   ir::Function* main_fn = m.add_function("main", ir::Type::void_type());
   {
@@ -129,9 +118,8 @@ Workload make_mysql_setpass(const NoiseProfile& profile) {
     tids.push_back(b.thread_create(session, b.i64(0), "s1"));
     ir::Instruction* s2_at = b.input(b.i64(2), "s2_at");
     tids.push_back(b.thread_create(session, s2_at, "s2"));
-    for (const ir::Function* entry_fn : noise_entries) {
-      tids.push_back(
-          b.thread_create(const_cast<ir::Function*>(entry_fn), b.i64(0)));
+    for (ir::Function* entry_fn : noise_entries) {
+      tids.push_back(b.thread_create(entry_fn, b.i64(0)));
     }
     for (ir::Instruction* tid : tids) b.thread_join(tid);
     b.ret();
@@ -150,17 +138,6 @@ Workload make_mysql_setpass(const NoiseProfile& profile) {
 
   w.attack_succeeded = [](const interp::Machine& machine) {
     return machine.has_event(interp::SecurityEventKind::kDoubleFree);
-  };
-  w.attack_detected = [](const core::PipelineResult& result) {
-    for (const core::ConcurrencyAttack& attack : result.attacks) {
-      if (attack.exploit.site != nullptr &&
-          attack.exploit.site->opcode() == ir::Opcode::kFree &&
-          attack.exploit.site->loc().line == 205 &&
-          attack.verification.site_reached) {
-        return true;
-      }
-    }
-    return false;
   };
   return w;
 }

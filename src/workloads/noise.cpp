@@ -9,7 +9,7 @@ namespace {
 /// Unsynchronized statistics counters, incremented by two threads.
 /// Each counter yields a (load,store) and a (store,store) report; both are
 /// genuine races that re-verify, so they survive into the R. column.
-const ir::Function* build_counters(ir::Module& m, const NoiseSpec& spec,
+ir::Function* build_counters(ir::Module& m, const NoiseSpec& spec,
                                    unsigned& line) {
   ir::IRBuilder b(&m);
   ir::Function* f = m.add_function(spec.tag + "_counters", ir::Type::void_type());
@@ -35,7 +35,7 @@ const ir::Function* build_counters(ir::Module& m, const NoiseSpec& spec,
 /// the race cannot be caught in the racing moment — eliminated (R.V.E.).
 /// Only the outermost gate_0 race re-verifies.
 void build_publication(ir::Module& m, const NoiseSpec& spec, unsigned& line,
-                       std::vector<const ir::Function*>& entries) {
+                       std::vector<ir::Function*>& entries) {
   const unsigned depth = spec.publication_depth;
   if (depth == 0) return;
 
@@ -96,7 +96,7 @@ void build_publication(ir::Module& m, const NoiseSpec& spec, unsigned& line,
 /// SyncFinder pattern §5.1 classifies and annotates. Every report they
 /// generate vanishes on the annotated re-run (the A.S. reduction).
 void build_adhoc(ir::Module& m, const NoiseSpec& spec, unsigned& line,
-                 std::vector<const ir::Function*>& entries) {
+                 std::vector<ir::Function*>& entries) {
   if (spec.adhoc_groups == 0) return;
 
   std::vector<ir::GlobalVariable*> flags;
@@ -170,7 +170,7 @@ void build_adhoc(ir::Module& m, const NoiseSpec& spec, unsigned& line,
 /// Benign counter races whose value flows (bounded) into a memcpy — they
 /// reach a memory-operation site statically, so OWL keeps them as residual
 /// vulnerability reports, but the bound keeps the attack unrealizable.
-const ir::Function* build_safe_sites(ir::Module& m, const NoiseSpec& spec,
+ir::Function* build_safe_sites(ir::Module& m, const NoiseSpec& spec,
                                      unsigned& line) {
   ir::IRBuilder b(&m);
   ir::Function* f =
@@ -198,20 +198,20 @@ const ir::Function* build_safe_sites(ir::Module& m, const NoiseSpec& spec,
 
 }  // namespace
 
-std::vector<const ir::Function*> add_noise(ir::Module& module,
-                                           const NoiseSpec& spec) {
-  std::vector<const ir::Function*> entries;
+std::vector<ir::Function*> add_noise(ir::Module& module,
+                                     const NoiseSpec& spec) {
+  std::vector<ir::Function*> entries;
   unsigned line = 1000;
 
   if (spec.counters > 0) {
-    const ir::Function* counters = build_counters(module, spec, line);
+    ir::Function* counters = build_counters(module, spec, line);
     entries.push_back(counters);
     entries.push_back(counters);  // two racing incrementers
   }
   build_publication(module, spec, line, entries);
   build_adhoc(module, spec, line, entries);
   if (spec.safe_site_groups > 0) {
-    const ir::Function* stats = build_safe_sites(module, spec, line);
+    ir::Function* stats = build_safe_sites(module, spec, line);
     entries.push_back(stats);
     entries.push_back(stats);
   }

@@ -42,7 +42,7 @@ struct NoiseSpec {
 
 /// Adds the noise structures to `module`; returns thread-entry functions
 /// the workload's main must spawn (all take zero or one ignored argument).
-std::vector<const ir::Function*> add_noise(ir::Module& module,
-                                           const NoiseSpec& spec);
+std::vector<ir::Function*> add_noise(ir::Module& module,
+                                     const NoiseSpec& spec);
 
 }  // namespace owl::workloads

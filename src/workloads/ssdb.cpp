@@ -59,6 +59,8 @@ Workload make_ssdb(const NoiseProfile& profile) {
     ir::Instruction* reps = b.input(b.i64(1), "range");
     b.jmp(header);
 
+    // The header's test sits on the next source line, so the header is
+    // built here and only the latch comes from IRBuilder::loop_latch.
     b.set_insert_point(header);
     ir::Instruction* i = b.phi(ir::Type::i64(), "i");
     b.set_loc("binlog.cpp", 342);
@@ -74,13 +76,9 @@ Workload make_ssdb(const NoiseProfile& profile) {
     b.set_loc("binlog.cpp", 346);
     ir::Instruction* vt = b.load(d, "vt");  // reads freed object (UAF)
     b.set_loc("binlog.cpp", 347);
-    b.callptr(vt, {}, "s");  // Status s = db->Write(...): vulnerable site
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, body);
-
-    b.set_insert_point(done);
+    // Status s = db->Write(...): the vulnerable site
+    w.attack_sites.push_back(b.callptr(vt, {}, "s"));
+    b.loop_latch({i, entry, done});
     b.ret();
   }
 
@@ -99,6 +97,8 @@ Workload make_ssdb(const NoiseProfile& profile) {
     ir::Instruction* cap = b.input(b.i64(2), "clean_cycles");
     b.jmp(header);
 
+    // The header tests the quit flag as well as the cycle cap, so only the
+    // latch comes from IRBuilder::loop_latch.
     b.set_insert_point(header);
     ir::Instruction* i = b.phi(ir::Type::i64(), "i");
     b.set_loc("binlog.cpp", 358);
@@ -121,12 +121,7 @@ Workload make_ssdb(const NoiseProfile& profile) {
     b.set_loc("binlog.cpp", 371);
     b.call(del_range, {});  // logs->del_range(start, end)
     b.io_delay(b.i64(2));
-    ir::Instruction* inext = b.add(i, b.i64(1), "inext");
-    b.jmp(header);
-    i->add_phi_incoming(b.i64(0), entry);
-    i->add_phi_incoming(inext, work);
-
-    b.set_insert_point(done);
+    b.loop_latch({i, entry, done});
     b.ret();
   }
 
@@ -149,7 +144,7 @@ Workload make_ssdb(const NoiseProfile& profile) {
   NoiseSpec noise;
   noise.tag = "ssdb";
   noise.publication_depth = static_cast<unsigned>(std::lround(5 * s));
-  std::vector<const ir::Function*> noise_entries = add_noise(m, noise);
+  std::vector<ir::Function*> noise_entries = add_noise(m, noise);
 
   ir::Function* main_fn = m.add_function("main", ir::Type::void_type());
   {
@@ -165,9 +160,8 @@ Workload make_ssdb(const NoiseProfile& profile) {
     std::vector<ir::Instruction*> tids;
     tids.push_back(b.thread_create(log_clean, b.i64(0), "t_clean"));
     tids.push_back(b.thread_create(dtor, b.i64(0), "t_dtor"));
-    for (const ir::Function* entry_fn : noise_entries) {
-      tids.push_back(
-          b.thread_create(const_cast<ir::Function*>(entry_fn), b.i64(0)));
+    for (ir::Function* entry_fn : noise_entries) {
+      tids.push_back(b.thread_create(entry_fn, b.i64(0)));
     }
     b.thread_join(tids[1]);           // shutdown completes...
     b.store(b.i64(1), thread_quit);   // ...then the quit flag is raised
@@ -189,17 +183,6 @@ Workload make_ssdb(const NoiseProfile& profile) {
   w.attack_succeeded = [](const interp::Machine& machine) {
     return machine.has_event(interp::SecurityEventKind::kUseAfterFree) ||
            machine.has_event(interp::SecurityEventKind::kNullFuncPtrDeref);
-  };
-  w.attack_detected = [](const core::PipelineResult& result) {
-    for (const core::ConcurrencyAttack& attack : result.attacks) {
-      if (attack.exploit.site != nullptr &&
-          attack.exploit.site->opcode() == ir::Opcode::kCallPtr &&
-          attack.exploit.site->loc().line == 347 &&
-          attack.verification.site_reached) {
-        return true;
-      }
-    }
-    return false;
   };
   return w;
 }

@@ -1,37 +1,37 @@
 #include "workloads/workload.hpp"
 
+#include <algorithm>
+
 namespace owl::workloads {
 
-namespace {
-
-/// Fresh machines from `image` (of `w.module`) on `inputs`, with all
-/// simulated threads spawned.
-interp::MachineFactory machine_factory(
-    const Workload& w, std::shared_ptr<const interp::MachineImage> image,
-    const std::vector<interp::Word>& inputs) {
-  interp::MachineOptions options;
-  options.inputs = inputs;
-  options.max_steps = w.max_steps;
-  options.authorized_root = w.authorized_root;
-  return interp::machine_factory(w.module, std::move(image), w.entry,
-                                 std::move(options));
+std::size_t Workload::count_found(const core::PipelineResult& result) const {
+  const auto reported = [&](const ir::Instruction* site) {
+    if (detector == core::DetectorKind::kSki) {
+      return std::ranges::find(result.exploits, site,
+                               &vuln::ExploitReport::site) !=
+             result.exploits.end();
+    }
+    return std::ranges::find(result.attacks, site,
+                             [](const core::ConcurrencyAttack& attack) {
+                               return attack.exploit.site;
+                             }) != result.attacks.end();
+  };
+  return static_cast<std::size_t>(
+      std::ranges::count_if(attack_sites, reported));
 }
-
-}  // namespace
 
 std::unique_ptr<interp::Machine> Workload::make_machine(
     const std::vector<interp::Word>& inputs) const {
-  return machine_factory(
-      *this, std::make_shared<const interp::MachineImage>(*module), inputs)();
+  auto machine = std::make_unique<interp::Machine>(
+      *module, interp::MachineOptions{inputs, max_steps, authorized_root});
+  machine->start(entry);
+  return machine;
 }
 
 core::PipelineTarget Workload::target(std::uint64_t seed) const {
-  const auto image = std::make_shared<const interp::MachineImage>(*module);
-  core::PipelineTarget t;
-  t.name = name;
-  t.module = module.get();
-  t.factory = machine_factory(*this, image, testing_inputs);
-  t.exploit_factory = machine_factory(*this, image, exploit_inputs);
+  core::PipelineTarget t = core::machine_target(
+      name, module, entry, {testing_inputs, max_steps, authorized_root},
+      {exploit_inputs, max_steps, authorized_root});
   t.thread_order = thread_order;
   t.detector = detector;
   t.detection_schedules = detection_schedules;
@@ -41,7 +41,7 @@ core::PipelineTarget Workload::target(std::uint64_t seed) const {
 
 core::PipelineOptions Workload::pipeline_options() const {
   core::PipelineOptions options;
-  if (!dynamic_verifiers_supported) {
+  if (detector == core::DetectorKind::kSki) {
     // The paper could not run its LLDB-based verifiers on kernels (§8.3);
     // the same applies to our SKI-mode kernel targets for fidelity.
     options.enable_race_verifier = false;

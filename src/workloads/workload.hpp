@@ -48,27 +48,31 @@ struct Workload {
   std::uint64_t max_steps = 400'000;
 
   // --- pipeline wiring ---
+  /// kSki marks the kernel model, which runs without the LLDB-based
+  /// dynamic verifiers (§8.3).
   core::DetectorKind detector = core::DetectorKind::kTsan;
   unsigned detection_schedules = 4;
   std::vector<interp::ThreadId> thread_order;  ///< verifier ordering hint
-  /// Kernel targets run without the LLDB-based dynamic verifiers (§8.3).
-  bool dynamic_verifiers_supported = true;
 
   // --- ground truth for the evaluation harness ---
   /// Attacks this workload models (>= 1 except memcached).
   std::size_t known_attacks = 0;
+  /// The vulnerable-site instructions the model plants, one per modelled
+  /// attack, recorded at the builder call that creates each. They match by
+  /// identity, so noise on the same opcode or line never counts.
+  std::vector<const ir::Instruction*> attack_sites;
   /// Predicate over a finished machine: did the exploit succeed?
   std::function<bool(const interp::Machine&)> attack_succeeded;
-  /// Predicate over a pipeline result: did OWL detect the attack(s)?
-  std::function<bool(const core::PipelineResult&)> attack_detected;
-  /// Fine-grained count for Table 2's "# atks found" (workloads modelling
-  /// several attacks set this; otherwise attack_detected * known_attacks).
-  std::function<std::size_t(const core::PipelineResult&)> attacks_found;
 
-  /// Resolves attacks_found with the attack_detected fallback.
-  std::size_t count_found(const core::PipelineResult& result) const {
-    if (attacks_found) return attacks_found(result);
-    return attack_detected && attack_detected(result) ? known_attacks : 0;
+  /// Table 2's "# found": the recorded sites that are the site of some
+  /// attack in `result` (reached by the vulnerability verifier). The SKI
+  /// kernel model has no dynamic verifiers, so there a site counts once
+  /// the static analyzer reports an exploit at it.
+  std::size_t count_found(const core::PipelineResult& result) const;
+
+  /// Did OWL detect every modelled attack? False for a model with none.
+  bool attack_detected(const core::PipelineResult& result) const {
+    return !attack_sites.empty() && count_found(result) == attack_sites.size();
   }
 
   /// Fresh machine on the given inputs with all simulated threads spawned.
@@ -76,8 +80,8 @@ struct Workload {
       const std::vector<interp::Word>& inputs) const;
 
   /// Pipeline target (detection on testing inputs, verification on exploit
-  /// inputs — the "directed" part of directed detection). Both factories
-  /// share one image of the module.
+  /// inputs — the "directed" part of directed detection), built by
+  /// core::machine_target.
   core::PipelineTarget target(std::uint64_t seed = 1) const;
 
   /// Pipeline options appropriate for this workload (kernel => no dynamic

@@ -16,14 +16,13 @@ namespace {
 /// Builds a module containing only the given noise plus a main spawning it.
 std::shared_ptr<ir::Module> noise_module(const NoiseSpec& spec) {
   auto module = std::make_shared<ir::Module>("noise_only");
-  const std::vector<const ir::Function*> entries = add_noise(*module, spec);
+  const std::vector<ir::Function*> entries = add_noise(*module, spec);
   ir::IRBuilder b(module.get());
   ir::Function* main_fn = module->add_function("main", ir::Type::void_type());
   b.set_insert_point(main_fn->add_block("entry"));
   std::vector<ir::Instruction*> tids;
-  for (const ir::Function* entry : entries) {
-    tids.push_back(
-        b.thread_create(const_cast<ir::Function*>(entry), b.i64(0)));
+  for (ir::Function* entry : entries) {
+    tids.push_back(b.thread_create(entry, b.i64(0)));
   }
   for (ir::Instruction* tid : tids) b.thread_join(tid);
   b.ret();

@@ -8,6 +8,7 @@
 
 #include "ir/verifier.hpp"
 #include "support/metrics.hpp"
+#include "vuln/sites.hpp"
 #include "workloads/registry.hpp"
 
 namespace owl::workloads {
@@ -59,6 +60,15 @@ TEST_P(WorkloadSuite, TestingRunTerminates) {
 TEST_P(WorkloadSuite, PipelineDetectsTheAttacks) {
   const Workload w = make_by_name(GetParam(), test_profile());
   const core::PipelineResult result = run_pipeline(w);
+  // One recorded site per modelled attack, each a §3.2 vulnerable site;
+  // Table 2's "# found" counts every one of them.
+  EXPECT_EQ(w.attack_sites.size(), w.known_attacks);
+  for (const ir::Instruction* site : w.attack_sites) {
+    ASSERT_NE(site, nullptr);
+    EXPECT_TRUE(vuln::classify_site(*site).has_value())
+        << site->loc().to_string();
+  }
+  EXPECT_EQ(w.count_found(result), w.known_attacks);
   if (w.known_attacks == 0) {
     EXPECT_FALSE(w.attack_detected(result));
     return;
