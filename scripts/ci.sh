@@ -9,7 +9,7 @@
 #   asan          unit tests under ASan+UBSan (own tree: build-asan)
 #   tsan          concurrency tests under TSan (own tree: build-tsan)
 #   differential  jobs/manifest differential gates on the examples, plus
-#                 the Table 2/3 Total rows at noise scale 1
+#                 the Table 2/3 Total rows at noise scales 1 and 2
 #   serve         owl_served robustness + differential gate under
 #                 ASan+UBSan (shares the asan tree)
 #   repair        automated race repair gate: every confirmed-race example
@@ -498,6 +498,20 @@ EOF
     > build/table3.txt
   grep -qE "^Total +\| +3,348 \| +22 \| +753 \| +261 \|" build/table3.txt \
     || { echo "ci.sh: Table 3 Total row is not 3,348 / 22 / 753 / 261" >&2
+         exit 1; }
+
+  # The same rows at noise scale 2, the scale perfbench's sweeps run.
+  current_step="paper tables at noise scale 2 (Tables 2 and 3)"
+  OWL_BENCH_SCALE=2 OWL_BENCH_JOBS=2 ./build/bench/table2_detection \
+    > build/table2-scale2.txt
+  grep -qE "^Total +\| +[^|]+ \| +10 \| +10 \| +60 \|" build/table2-scale2.txt \
+    || { echo "ci.sh: scale-2 Table 2 Total row is not 10 / 10 / 60" >&2
+         exit 1; }
+  OWL_BENCH_SCALE=2 OWL_BENCH_JOBS=2 ./build/bench/table3_reduction \
+    > build/table3-scale2.txt
+  grep -qE "^Total +\| +6,639 \| +22 \| +1,511 \| +496 \|" \
+    build/table3-scale2.txt \
+    || { echo "ci.sh: scale-2 Table 3 Total row is not 6,639 / 22 / 1,511 / 496" >&2
          exit 1; }
 }
 

@@ -228,18 +228,10 @@ void LockFacts::compute_locksets() {
     for (const auto& bb : f->blocks()) {
       LockSet cur = in[bb.get()].value_or(LockSet{});
       for (const auto& instr : bb->instructions()) {
-        switch (instr->opcode()) {
-          case ir::Opcode::kLoad:
-          case ir::Opcode::kStore:
-          case ir::Opcode::kAtomicRMWAdd:
-          case ir::Opcode::kStrCpy:
-          case ir::Opcode::kMemCopy:
-          case ir::Opcode::kLock:
-          case ir::Opcode::kUnlock:
-            must_before_[instr.get()] = cur;
-            break;
-          default:
-            break;
+        const ir::Opcode op = instr->opcode();
+        if (instr->accesses_memory() || op == ir::Opcode::kLock ||
+            op == ir::Opcode::kUnlock) {
+          must_before_[instr.get()] = cur;
         }
         transfer(cur, *instr);
       }

@@ -21,25 +21,6 @@ std::int64_t sat_add(std::int64_t a, std::int64_t b) {
   return r;
 }
 
-bool is_arith(ir::Opcode op) {
-  switch (op) {
-    case ir::Opcode::kAdd:
-    case ir::Opcode::kSub:
-    case ir::Opcode::kMul:
-    case ir::Opcode::kUDiv:
-    case ir::Opcode::kSDiv:
-    case ir::Opcode::kAnd:
-    case ir::Opcode::kOr:
-    case ir::Opcode::kXor:
-    case ir::Opcode::kShl:
-    case ir::Opcode::kLShr:
-    case ir::Opcode::kICmp:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 const std::vector<PointsTo::ObjectId> PointsTo::kEmptySet;
@@ -163,7 +144,7 @@ void PointsTo::seed_constraints() {
 void PointsTo::seed_instruction(const ir::Instruction& instr) {
   using ir::Opcode;
   const Opcode op = instr.opcode();
-  if (is_arith(op)) {
+  if (instr.info().scalar) {
     const NodeId result = node_of(&instr);
     for (const ir::Value* v : instr.operands()) {
       add_arith_edge(node_of(v), result);

@@ -4,46 +4,6 @@
 
 namespace owl::analysis {
 
-namespace {
-
-/// Pointer operands whose dynamic address produces detector events:
-/// load/store (plain candidates), atomic-rmw, and both strcpy/memcopy
-/// endpoints (the interpreter emits a read at src and a write at dst).
-struct EventPointers {
-  const ir::Value* ptrs[2] = {nullptr, nullptr};
-  int count = 0;
-  bool plain = false;
-};
-
-EventPointers event_pointers(const ir::Instruction& instr) {
-  EventPointers out;
-  switch (instr.opcode()) {
-    case ir::Opcode::kLoad:
-      out.ptrs[out.count++] = instr.operand(0);
-      out.plain = true;
-      break;
-    case ir::Opcode::kStore:
-      out.ptrs[out.count++] = instr.operand(1);
-      out.plain = true;
-      break;
-    case ir::Opcode::kAtomicRMWAdd:
-      out.ptrs[out.count++] = instr.operand(0);
-      break;
-    case ir::Opcode::kStrCpy:
-    case ir::Opcode::kMemCopy:
-      if (instr.operand_count() >= 2) {
-        out.ptrs[out.count++] = instr.operand(0);
-        out.ptrs[out.count++] = instr.operand(1);
-      }
-      break;
-    default:
-      break;
-  }
-  return out;
-}
-
-}  // namespace
-
 Prescreen::Prescreen(const ir::Module& module, const PointsTo& pt,
                      const ir::IndirectCallMap& resolved)
     : module_(module),
@@ -111,10 +71,10 @@ void Prescreen::scan_accesses() {
   for (const auto& f : module_.functions()) {
     for (const auto& bb : f->blocks()) {
       for (const auto& instr : bb->instructions()) {
-        const EventPointers eps = event_pointers(*instr);
-        if (eps.plain) ++considered_;
-        for (int i = 0; i < eps.count; ++i) {
-          if (classify_pointer(eps.ptrs[i]) == PtrClass::kWild) {
+        if (instr->plain_address() != nullptr) ++considered_;
+        for (const bool write : {false, true}) {
+          const ir::Value* ptr = instr->accessed_address(write);
+          if (ptr != nullptr && classify_pointer(ptr) == PtrClass::kWild) {
             ++wild_accesses_;
             disable("wild access at " + instr->loc().to_string() +
                     " could alias any object");
@@ -168,11 +128,14 @@ void Prescreen::compute_lock_discipline_and_common() {
   for (const auto& f : module_.functions()) {
     for (const auto& bb : f->blocks()) {
       for (const auto& instr : bb->instructions()) {
-        const EventPointers eps = event_pointers(*instr);
-        for (int i = 0; i < eps.count; ++i) {
-          if (classify_pointer(eps.ptrs[i]) != PtrClass::kTame) continue;
-          for (const PointsTo::ObjectId o : pt_.points_to(eps.ptrs[i])) {
-            if (!eps.plain) {
+        const bool plain = instr->plain_address() != nullptr;
+        for (const bool write : {false, true}) {
+          const ir::Value* ptr = instr->accessed_address(write);
+          if (ptr == nullptr || classify_pointer(ptr) != PtrClass::kTame) {
+            continue;
+          }
+          for (const PointsTo::ObjectId o : pt_.points_to(ptr)) {
+            if (!plain) {
               lockable_[o] = 0;
               continue;
             }
@@ -204,9 +167,9 @@ void Prescreen::compute_verdicts() {
   for (const auto& f : module_.functions()) {
     for (const auto& bb : f->blocks()) {
       for (const auto& instr : bb->instructions()) {
-        const EventPointers eps = event_pointers(*instr);
-        if (!eps.plain) continue;
-        const PtrClass cls = classify_pointer(eps.ptrs[0]);
+        const ir::Value* ptr = instr->plain_address();
+        if (ptr == nullptr) continue;
+        const PtrClass cls = classify_pointer(ptr);
         if (cls == PtrClass::kSubGuard) {
           // Can only fault into the guard page; the detector's dynamic
           // address check already ignores sub-guard events.
@@ -214,7 +177,7 @@ void Prescreen::compute_verdicts() {
           continue;
         }
         bool safe = true;
-        for (const PointsTo::ObjectId o : pt_.points_to(eps.ptrs[0])) {
+        for (const PointsTo::ObjectId o : pt_.points_to(ptr)) {
           if (escaped_[o] != 0 && consistently_locked_[o] == 0) {
             safe = false;
             break;

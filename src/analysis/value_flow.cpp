@@ -54,35 +54,6 @@ std::vector<const ir::Value*> actual_args(const ir::Instruction& instr) {
   return args;
 }
 
-/// Pointer operand whose points-to set a memory write goes through, or
-/// nullptr when `instr` writes no memory. kStrCpy/kMemCopy write their
-/// destination region — the same classification the interpreter's
-/// Observer::Access write events use.
-const ir::Value* written_pointer(const ir::Instruction& instr) {
-  switch (instr.opcode()) {
-    case ir::Opcode::kStore: return instr.operand(1);
-    case ir::Opcode::kAtomicRMWAdd: return instr.operand(0);
-    case ir::Opcode::kStrCpy:
-    case ir::Opcode::kMemCopy: return instr.operand(0);
-    default: return nullptr;
-  }
-}
-
-/// Pointer operand a memory read goes through, or nullptr. kAtomicRMWAdd
-/// is deliberately absent: the interpreter emits only a write Access for
-/// it, so runtime evidence can never pair it as a reader; its result is
-/// instead fed by mem edges *into* it being unnecessary — corruption of
-/// the cell it increments reaches later kLoads of the same object
-/// directly from the original writer.
-const ir::Value* read_pointer(const ir::Instruction& instr) {
-  switch (instr.opcode()) {
-    case ir::Opcode::kLoad: return instr.operand(0);
-    case ir::Opcode::kStrCpy:
-    case ir::Opcode::kMemCopy: return instr.operand(1);
-    default: return nullptr;
-  }
-}
-
 }  // namespace
 
 const std::vector<const ir::Instruction*> ValueFlowGraph::kEmptyList;
@@ -210,13 +181,15 @@ void ValueFlowGraph::add_mem_edges(const PointsTo& pt) {
   std::map<PointsTo::ObjectId, std::vector<const ir::Instruction*>> writers;
   std::map<PointsTo::ObjectId, std::vector<const ir::Instruction*>> readers;
   for (const ir::Instruction* instr : nodes_) {
-    if (const ir::Value* ptr = written_pointer(*instr)) {
+    // The accesses the interpreter reports, so mem edges pair exactly what
+    // runtime evidence can pair.
+    if (const ir::Value* ptr = instr->accessed_address(/*write=*/true)) {
       if (pt.is_unknown(ptr)) unknown_writes_.insert(instr);
       for (const PointsTo::ObjectId o : pt.points_to(ptr)) {
         writers[o].push_back(instr);
       }
     }
-    if (const ir::Value* ptr = read_pointer(*instr)) {
+    if (const ir::Value* ptr = instr->accessed_address(/*write=*/false)) {
       if (pt.is_unknown(ptr)) unknown_reads_.insert(instr);
       for (const PointsTo::ObjectId o : pt.points_to(ptr)) {
         readers[o].push_back(instr);

@@ -35,21 +35,7 @@ std::unordered_map<ObjectId, std::vector<const ir::Function*>> build_writers(
   for (const auto& f : ctx.module.functions()) {
     for (const auto& bb : f->blocks()) {
       for (const auto& instr : bb->instructions()) {
-        const ir::Value* ptr = nullptr;
-        switch (instr->opcode()) {
-          case ir::Opcode::kStore:
-            ptr = instr->operand(1);
-            break;
-          case ir::Opcode::kAtomicRMWAdd:
-            ptr = instr->operand(0);
-            break;
-          case ir::Opcode::kStrCpy:
-          case ir::Opcode::kMemCopy:
-            if (instr->operand_count() >= 1) ptr = instr->operand(0);
-            break;
-          default:
-            break;
-        }
+        const ir::Value* ptr = instr->accessed_address(/*write=*/true);
         if (ptr == nullptr) continue;
         for (const ObjectId o : pt.points_to(ptr)) {
           auto& fns = writers[o];

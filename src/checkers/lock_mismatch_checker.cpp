@@ -61,14 +61,8 @@ void LockMismatchChecker::run(const AnalysisContext& ctx, BugReportMgr& mgr) {
   for (const auto& f : ctx.module.functions()) {
     for (const auto& bb : f->blocks()) {
       for (const auto& instr : bb->instructions()) {
-        const ir::Value* ptr = nullptr;
-        if (instr->opcode() == ir::Opcode::kLoad) {
-          ptr = instr->operand(0);
-        } else if (instr->opcode() == ir::Opcode::kStore) {
-          ptr = instr->operand(1);
-        } else {
-          continue;
-        }
+        const ir::Value* ptr = instr->plain_address();
+        if (ptr == nullptr) continue;
         bool guarded = false;
         for (const ObjectId t : facts.must_held_before(instr.get())) {
           if (facts.well_formed(t)) {

@@ -410,7 +410,6 @@ void Machine::emit_event(SecurityEventKind kind, Thread& thread,
   event.kind = kind;
   event.tid = thread.id();
   event.instr = instr;
-  event.stack = thread.call_stack();
   event.detail = std::move(detail);
   security_events_.push_back(std::move(event));
 }

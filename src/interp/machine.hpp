@@ -48,7 +48,6 @@ struct SecurityEvent {
   SecurityEventKind kind;
   ThreadId tid = 0;
   const ir::Instruction* instr = nullptr;
-  CallStack stack;
   std::string detail;  ///< free-form: object names, values, overflow sizes
 
   std::string to_string() const;

@@ -114,7 +114,8 @@ class IRBuilder {
   Constant* null_ptr() { return module_->null_ptr(); }
 
  private:
-  Instruction* emit(Opcode op, Type type, std::string name,
+  /// Appends `op` with the table's result type (ir::op_info).
+  Instruction* emit(Opcode op, std::string name,
                     std::vector<Value*> operands);
   /// loop_header up to the bound: `jmp header` and the phi.
   CountedLoop enter_loop(BasicBlock* header, BasicBlock* exit);

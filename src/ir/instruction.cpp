@@ -9,55 +9,75 @@
 namespace owl::ir {
 namespace {
 
-struct OpName {
-  Opcode op;
-  std::string_view name;
-};
+using enum Opcode;
+constexpr int kNo = OpInfo::kNone;
+constexpr Type kVoid = Type::void_type();
+constexpr Type kI1 = Type::i1();
+constexpr Type kI64 = Type::i64();
+constexpr Type kPtr = Type::ptr();
 
-constexpr std::array kOpNames{
-    OpName{Opcode::kAdd, "add"},
-    OpName{Opcode::kSub, "sub"},
-    OpName{Opcode::kMul, "mul"},
-    OpName{Opcode::kUDiv, "udiv"},
-    OpName{Opcode::kSDiv, "sdiv"},
-    OpName{Opcode::kAnd, "and"},
-    OpName{Opcode::kOr, "or"},
-    OpName{Opcode::kXor, "xor"},
-    OpName{Opcode::kShl, "shl"},
-    OpName{Opcode::kLShr, "lshr"},
-    OpName{Opcode::kICmp, "icmp"},
-    OpName{Opcode::kAlloca, "alloca"},
-    OpName{Opcode::kMalloc, "malloc"},
-    OpName{Opcode::kFree, "free"},
-    OpName{Opcode::kLoad, "load"},
-    OpName{Opcode::kStore, "store"},
-    OpName{Opcode::kGep, "gep"},
-    OpName{Opcode::kBr, "br"},
-    OpName{Opcode::kJmp, "jmp"},
-    OpName{Opcode::kPhi, "phi"},
-    OpName{Opcode::kCall, "call"},
-    OpName{Opcode::kCallPtr, "callptr"},
-    OpName{Opcode::kRet, "ret"},
-    OpName{Opcode::kLock, "lock"},
-    OpName{Opcode::kUnlock, "unlock"},
-    OpName{Opcode::kThreadCreate, "thread_create"},
-    OpName{Opcode::kThreadJoin, "thread_join"},
-    OpName{Opcode::kAtomicRMWAdd, "atomic_add"},
-    OpName{Opcode::kHbRelease, "hb_release"},
-    OpName{Opcode::kHbAcquire, "hb_acquire"},
-    OpName{Opcode::kInput, "input"},
-    OpName{Opcode::kIoDelay, "io_delay"},
-    OpName{Opcode::kYield, "yield"},
-    OpName{Opcode::kPrint, "print"},
-    OpName{Opcode::kStrCpy, "strcpy"},
-    OpName{Opcode::kMemCopy, "memcpy"},
-    OpName{Opcode::kSetUid, "setuid"},
-    OpName{Opcode::kFileAccess, "file_access"},
-    OpName{Opcode::kFileOpen, "file_open"},
-    OpName{Opcode::kFileWrite, "file_write"},
-    OpName{Opcode::kFork, "fork"},
-    OpName{Opcode::kEval, "eval"},
-};
+// Rows follow Opcode order. `addrs` has bit i set when operand i must hold
+// an address; `rd`/`wr` name the operand whose address the interpreter
+// reports as read/written (docs/IR_REFERENCE.md, "Memory contract").
+// clang-format off
+constexpr std::array<OpInfo, kOpcodeCount> kOpTable{{
+  // op             mnemonic         result arity addrs rd   wr   atomic scalar
+    {kAdd,          "add",           kI64,  2,    0b00, kNo, kNo, false, true},
+    {kSub,          "sub",           kI64,  2,    0b00, kNo, kNo, false, true},
+    {kMul,          "mul",           kI64,  2,    0b00, kNo, kNo, false, true},
+    {kUDiv,         "udiv",          kI64,  2,    0b00, kNo, kNo, false, true},
+    {kSDiv,         "sdiv",          kI64,  2,    0b00, kNo, kNo, false, true},
+    {kAnd,          "and",           kI64,  2,    0b00, kNo, kNo, false, true},
+    {kOr,           "or",            kI64,  2,    0b00, kNo, kNo, false, true},
+    {kXor,          "xor",           kI64,  2,    0b00, kNo, kNo, false, true},
+    {kShl,          "shl",           kI64,  2,    0b00, kNo, kNo, false, true},
+    {kLShr,         "lshr",          kI64,  2,    0b00, kNo, kNo, false, true},
+    {kICmp,         "icmp",          kI1,   2,    0b00, kNo, kNo, false, true},
+    {kAlloca,       "alloca",        kPtr,  0,    0b00, kNo, kNo, false, false},
+    {kMalloc,       "malloc",        kPtr,  1,    0b00, kNo, kNo, false, false},
+    {kFree,         "free",          kVoid, 1,    0b01, kNo, kNo, false, false},
+    {kLoad,         "load",          kI64,  1,    0b01, 0,   kNo, false, false},
+    {kStore,        "store",         kVoid, 2,    0b10, kNo, 1,   false, false},
+    {kGep,          "gep",           kPtr,  2,    0b01, kNo, kNo, false, false},
+    {kBr,           "br",            kVoid, 1,    0b00, kNo, kNo, false, false},
+    {kJmp,          "jmp",           kVoid, 0,    0b00, kNo, kNo, false, false},
+    {kPhi,          "phi",           kI64,  0,    0b00, kNo, kNo, false, false},
+    {kCall,         "call",          kI64,  kNo,  0b00, kNo, kNo, false, false},
+    {kCallPtr,      "callptr",       kI64,  kNo,  0b00, kNo, kNo, false, false},
+    {kRet,          "ret",           kVoid, kNo,  0b00, kNo, kNo, false, false},
+    {kLock,         "lock",          kVoid, 1,    0b01, kNo, kNo, false, false},
+    {kUnlock,       "unlock",        kVoid, 1,    0b01, kNo, kNo, false, false},
+    {kThreadCreate, "thread_create", kI64,  1,    0b00, kNo, kNo, false, false},
+    {kThreadJoin,   "thread_join",   kVoid, 1,    0b00, kNo, kNo, false, false},
+    // No read: the interpreter reports the fetch-add as one atomic write,
+    // so runtime evidence never pairs it as a reader.
+    {kAtomicRMWAdd, "atomic_add",    kI64,  2,    0b01, kNo, 0,   true,  false},
+    {kHbRelease,    "hb_release",    kVoid, 1,    0b01, kNo, kNo, false, false},
+    {kHbAcquire,    "hb_acquire",    kVoid, 1,    0b01, kNo, kNo, false, false},
+    {kInput,        "input",         kI64,  1,    0b00, kNo, kNo, false, false},
+    {kIoDelay,      "io_delay",      kVoid, 1,    0b00, kNo, kNo, false, false},
+    {kYield,        "yield",         kVoid, 0,    0b00, kNo, kNo, false, false},
+    {kPrint,        "print",         kVoid, 1,    0b00, kNo, kNo, false, false},
+    // Bulk copies report one read at the source base and one write at the
+    // destination base, not one access per cell.
+    {kStrCpy,       "strcpy",        kVoid, 2,    0b11, 1,   0,   false, false},
+    {kMemCopy,      "memcpy",        kVoid, 3,    0b11, 1,   0,   false, false},
+    {kSetUid,       "setuid",        kVoid, 1,    0b00, kNo, kNo, false, false},
+    {kFileAccess,   "file_access",   kI64,  1,    0b00, kNo, kNo, false, false},
+    {kFileOpen,     "file_open",     kI64,  1,    0b00, kNo, kNo, false, false},
+    {kFileWrite,    "file_write",    kVoid, 3,    0b00, kNo, kNo, false, false},
+    {kFork,         "fork",          kI64,  0,    0b00, kNo, kNo, false, false},
+    {kEval,         "eval",          kVoid, 1,    0b00, kNo, kNo, false, false},
+}};
+// clang-format on
+
+constexpr bool rows_in_opcode_order() {
+  for (std::size_t i = 0; i < kOpTable.size(); ++i) {
+    if (static_cast<std::size_t>(kOpTable[i].op) != i) return false;
+  }
+  return true;
+}
+static_assert(rows_in_opcode_order(), "kOpTable rows must follow Opcode");
 
 struct PredName {
   CmpPredicate pred;
@@ -74,17 +94,14 @@ constexpr std::array kPredNames{
 
 }  // namespace
 
-std::string_view opcode_name(Opcode op) noexcept {
-  for (const OpName& entry : kOpNames) {
-    if (entry.op == op) return entry.name;
-  }
-  return "?";
+const OpInfo& op_info(Opcode op) noexcept {
+  return kOpTable[static_cast<std::size_t>(op)];
 }
 
 bool parse_opcode(std::string_view text, Opcode& out) noexcept {
-  for (const OpName& entry : kOpNames) {
-    if (entry.name == text) {
-      out = entry.op;
+  for (const OpInfo& row : kOpTable) {
+    if (row.name == text) {
+      out = row.op;
       return true;
     }
   }
@@ -110,6 +127,22 @@ bool parse_predicate(std::string_view text, CmpPredicate& out) noexcept {
 
 Function* Instruction::function() const noexcept {
   return parent_ != nullptr ? parent_->parent() : nullptr;
+}
+
+const Value* Instruction::accessed_address(bool write) const noexcept {
+  const int index = write ? info().written : info().read;
+  if (index == OpInfo::kNone ||
+      static_cast<std::size_t>(index) >= operands_.size()) {
+    return nullptr;
+  }
+  return operands_[static_cast<std::size_t>(index)];
+}
+
+const Value* Instruction::plain_address() const noexcept {
+  const OpInfo& row = info();
+  const bool reads = row.read != OpInfo::kNone;
+  if (row.atomic || reads == (row.written != OpInfo::kNone)) return nullptr;
+  return accessed_address(!reads);
 }
 
 std::string Instruction::summary() const {

@@ -9,8 +9,10 @@
 // dereferences, privilege operations, file operations and process forking.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/value.hpp"
@@ -77,8 +79,39 @@ enum class Opcode {
   kEval,        ///< operand 0 = command id; shell-style evaluation
 };
 
+/// Number of opcodes; kEval is the last.
+inline constexpr std::size_t kOpcodeCount =
+    static_cast<std::size_t>(Opcode::kEval) + 1;
+
+/// MiniIR's per-opcode facts, one row per opcode. Every layer reads them
+/// here instead of switching on opcodes itself; docs/IR_REFERENCE.md states
+/// the memory contract the `read`/`written` columns encode.
+struct OpInfo {
+  /// An operand index or count that does not exist or is not fixed.
+  static constexpr int kNone = -1;
+
+  Opcode op;
+  std::string_view name;  ///< textual mnemonic ("add", "strcpy", ...)
+  /// Result type. A call takes its callee's return type instead, and a phi
+  /// the type its builder caller gives (i64 when parsed).
+  Type result;
+  /// Fixed operand count, or kNone when it varies. Phi incoming values and
+  /// branch targets are not operands.
+  int arity;
+  unsigned addresses;  ///< bit i set: operand i must hold an address
+  /// The operands whose addresses the interpreter reports as read and as
+  /// written (Observer::Access), or kNone.
+  int read;
+  int written;
+  bool atomic;  ///< the interpreter reports its access as atomic
+  bool scalar;  ///< pure scalar computation: the ten binary ops and icmp
+};
+
+const OpInfo& op_info(Opcode op) noexcept;
 /// Textual mnemonic of an opcode ("add", "strcpy", ...).
-std::string_view opcode_name(Opcode op) noexcept;
+inline std::string_view opcode_name(Opcode op) noexcept {
+  return op_info(op).name;
+}
 /// Inverse of opcode_name; returns false if `text` names no opcode.
 bool parse_opcode(std::string_view text, Opcode& out) noexcept;
 
@@ -103,10 +136,13 @@ struct SourceLoc {
 /// One MiniIR instruction. Owned by its BasicBlock.
 class Instruction final : public Value {
  public:
-  Instruction(Opcode op, Type type, std::string name)
-      : Value(ValueKind::kInstruction, type, std::move(name)), op_(op) {}
+  /// A fresh instruction of the table's result type for `op`.
+  Instruction(Opcode op, std::string name)
+      : Value(ValueKind::kInstruction, op_info(op).result, std::move(name)),
+        op_(op) {}
 
   Opcode opcode() const noexcept { return op_; }
+  const OpInfo& info() const noexcept { return op_info(op_); }
 
   // --- operands (non-owning; owned by the Module/Function) ---
   const std::vector<Value*>& operands() const noexcept { return operands_; }
@@ -161,24 +197,16 @@ class Instruction final : public Value {
   bool is_call() const noexcept {
     return op_ == Opcode::kCall || op_ == Opcode::kCallPtr;
   }
-  /// Reads shared/heap/stack memory through a pointer.
-  bool is_memory_read() const noexcept {
-    return op_ == Opcode::kLoad || op_ == Opcode::kAtomicRMWAdd;
+  /// The operand holding the address the interpreter reports this
+  /// instruction writing (`write`) or reading; nullptr when it reports none.
+  const Value* accessed_address(bool write) const noexcept;
+  /// True when the interpreter reports a memory access for it.
+  bool accesses_memory() const noexcept {
+    return info().read != OpInfo::kNone || info().written != OpInfo::kNone;
   }
-  /// Writes memory through a pointer.
-  bool is_memory_write() const noexcept {
-    return op_ == Opcode::kStore || op_ == Opcode::kAtomicRMWAdd;
-  }
-  bool is_memory_access() const noexcept {
-    return is_memory_read() || is_memory_write();
-  }
-  /// Instructions whose executed effect the interpreter treats atomically
-  /// with respect to race detection (locks, annotations, atomics).
-  bool is_synchronization() const noexcept {
-    return op_ == Opcode::kLock || op_ == Opcode::kUnlock ||
-           op_ == Opcode::kHbRelease || op_ == Opcode::kHbAcquire ||
-           op_ == Opcode::kAtomicRMWAdd;
-  }
+  /// The one address a plain access (a non-atomic load or store) touches;
+  /// nullptr for every other instruction.
+  const Value* plain_address() const noexcept;
 
   /// Pretty one-line rendering for reports; includes name, opcode, loc.
   std::string summary() const;

@@ -353,8 +353,7 @@ class ModuleParser {
       return err("unknown opcode '" + mnemonic + "'");
     }
 
-    auto instr = std::make_unique<Instruction>(op, result_type(op),
-                                               result_name);
+    auto instr = std::make_unique<Instruction>(op, result_name);
     instr->set_loc(loc);
     instr->set_id(module_->next_value_id());
     Instruction* raw = instr.get();
@@ -369,38 +368,6 @@ class ModuleParser {
       values_[result_name] = raw;
     }
     return Status::ok();
-  }
-
-  static Type result_type(Opcode op) {
-    switch (op) {
-      case Opcode::kICmp:
-        return Type::i1();
-      case Opcode::kAlloca:
-      case Opcode::kMalloc:
-      case Opcode::kGep:
-        return Type::ptr();
-      case Opcode::kStore:
-      case Opcode::kFree:
-      case Opcode::kBr:
-      case Opcode::kJmp:
-      case Opcode::kRet:
-      case Opcode::kLock:
-      case Opcode::kUnlock:
-      case Opcode::kThreadJoin:
-      case Opcode::kHbRelease:
-      case Opcode::kHbAcquire:
-      case Opcode::kIoDelay:
-      case Opcode::kYield:
-      case Opcode::kPrint:
-      case Opcode::kStrCpy:
-      case Opcode::kMemCopy:
-      case Opcode::kSetUid:
-      case Opcode::kFileWrite:
-      case Opcode::kEval:
-        return Type::void_type();
-      default:
-        return Type::i64();
-    }
   }
 
   /// Parses one operand reference; records forward refs for later patching.
@@ -497,8 +464,7 @@ class ModuleParser {
         while (true) {
           if (!cur.consume('[')) return err("'[' expected in phi");
           // Incoming value: parse like an operand but store in phi lists.
-          auto keeper = std::make_unique<Instruction>(Opcode::kPhi,
-                                                      Type::i64(), "");
+          auto keeper = std::make_unique<Instruction>(Opcode::kPhi, "");
           if (Status s = parse_operand(cur, keeper.get()); !s.is_ok()) {
             return s;
           }
@@ -568,65 +534,21 @@ class ModuleParser {
         return parse_operand(cur, instr);
       default: {
         // Uniform comma-separated operand list.
+        const int want = instr->info().arity;
         if (cur.at_end()) {
-          return expected_operands(instr->opcode()) == 0
-                     ? Status::ok()
-                     : err("operands expected");
+          return want == 0 ? Status::ok() : err("operands expected");
         }
         while (true) {
           if (Status s = parse_operand(cur, instr); !s.is_ok()) return s;
           if (!cur.consume(',')) break;
         }
-        const std::size_t want = expected_operands(instr->opcode());
-        if (want != SIZE_MAX && instr->operand_count() != want) {
+        if (want != OpInfo::kNone &&
+            instr->operand_count() != static_cast<std::size_t>(want)) {
           return err("wrong operand count for " +
                      std::string(opcode_name(instr->opcode())));
         }
         return Status::ok();
       }
-    }
-  }
-
-  static std::size_t expected_operands(Opcode op) {
-    switch (op) {
-      case Opcode::kAdd:
-      case Opcode::kSub:
-      case Opcode::kMul:
-      case Opcode::kUDiv:
-      case Opcode::kSDiv:
-      case Opcode::kAnd:
-      case Opcode::kOr:
-      case Opcode::kXor:
-      case Opcode::kShl:
-      case Opcode::kLShr:
-      case Opcode::kGep:
-      case Opcode::kStore:
-      case Opcode::kAtomicRMWAdd:
-      case Opcode::kStrCpy:
-        return 2;
-      case Opcode::kLoad:
-      case Opcode::kFree:
-      case Opcode::kMalloc:
-      case Opcode::kLock:
-      case Opcode::kUnlock:
-      case Opcode::kThreadJoin:
-      case Opcode::kHbRelease:
-      case Opcode::kHbAcquire:
-      case Opcode::kInput:
-      case Opcode::kIoDelay:
-      case Opcode::kPrint:
-      case Opcode::kSetUid:
-      case Opcode::kFileAccess:
-      case Opcode::kFileOpen:
-      case Opcode::kEval:
-        return 1;
-      case Opcode::kMemCopy:
-      case Opcode::kFileWrite:
-        return 3;
-      case Opcode::kYield:
-        return 0;
-      default:
-        return SIZE_MAX;  // variable arity
     }
   }
 

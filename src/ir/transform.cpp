@@ -45,7 +45,7 @@ namespace {
 /// without a SourceLoc (the printer then omits the `!loc` suffix).
 std::unique_ptr<Instruction> make_lock_op(Module& module, Opcode op,
                                           GlobalVariable* mutex) {
-  auto instr = std::make_unique<Instruction>(op, Type::void_type(), "");
+  auto instr = std::make_unique<Instruction>(op, "");
   instr->add_operand(mutex);
   instr->set_id(module.next_value_id());
   return instr;

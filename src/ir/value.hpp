@@ -37,8 +37,8 @@ class Value {
 
   ValueKind kind() const noexcept { return kind_; }
   Type type() const noexcept { return type_; }
-  /// Retypes the value; only the parser uses this, to fix up a call's result
-  /// type once the callee is known.
+  /// Retypes the value: a call takes its callee's return type and a built
+  /// phi its caller's, not the opcode table's result type.
   void set_type(Type type) noexcept { type_ = type; }
   const std::string& name() const noexcept { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }

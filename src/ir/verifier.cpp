@@ -158,27 +158,6 @@ class Verifier {
         }
         break;
       }
-      case Opcode::kLoad:
-      case Opcode::kFree:
-      case Opcode::kLock:
-      case Opcode::kUnlock:
-      case Opcode::kHbRelease:
-      case Opcode::kHbAcquire:
-        check_pointer_operand(f, instr, 0);
-        break;
-      case Opcode::kStore:
-        check_pointer_operand(f, instr, 1);
-        break;
-      case Opcode::kGep:
-      case Opcode::kAtomicRMWAdd:
-      case Opcode::kStrCpy:
-      case Opcode::kMemCopy:
-        check_pointer_operand(f, instr, 0);
-        if (instr.opcode() == Opcode::kStrCpy ||
-            instr.opcode() == Opcode::kMemCopy) {
-          check_pointer_operand(f, instr, 1);
-        }
-        break;
       case Opcode::kRet: {
         const bool returns_value = instr.operand_count() == 1;
         if (f.return_type().is_void() && returns_value) {
@@ -191,6 +170,10 @@ class Verifier {
       }
       default:
         break;
+    }
+    for (unsigned i = 0, bits = instr.info().addresses; bits != 0;
+         ++i, bits >>= 1) {
+      if ((bits & 1u) != 0) check_pointer_operand(f, instr, i);
     }
   }
 

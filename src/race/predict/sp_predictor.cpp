@@ -26,26 +26,18 @@ std::unordered_set<const ir::Instruction*> steering_loads(
     // anything crossing a call/intrinsic boundary.
     for (const auto& block : function->blocks()) {
       for (const auto& instr : block->instructions()) {
-        switch (instr->opcode()) {
-          case ir::Opcode::kAdd: case ir::Opcode::kSub: case ir::Opcode::kMul:
-          case ir::Opcode::kUDiv: case ir::Opcode::kSDiv:
-          case ir::Opcode::kAnd: case ir::Opcode::kOr: case ir::Opcode::kXor:
-          case ir::Opcode::kShl: case ir::Opcode::kLShr:
-          case ir::Opcode::kICmp: case ir::Opcode::kPhi:
-          case ir::Opcode::kPrint:
-            break;  // pure data flow (or output-only): no seed
-          case ir::Opcode::kStore:
-            marked.insert(instr->operand(1));  // address, not stored value
-            break;
-          case ir::Opcode::kLoad:
-            marked.insert(instr->operand(0));
-            break;
-          default:
-            // Conservative: br conditions, gep bases/offsets, lock/call/
-            // intrinsic operands, ret values — all steering.
-            for (const ir::Value* v : instr->operands()) marked.insert(v);
-            break;
+        const ir::Opcode op = instr->opcode();
+        if (instr->info().scalar || op == ir::Opcode::kPhi ||
+            op == ir::Opcode::kPrint) {
+          continue;  // pure data flow (or output-only): no seed
         }
+        if (const ir::Value* ptr = instr->plain_address()) {
+          marked.insert(ptr);  // a store's address, not its stored value
+          continue;
+        }
+        // Conservative: br conditions, gep bases/offsets, lock/call/
+        // intrinsic operands, ret values — all steering.
+        for (const ir::Value* v : instr->operands()) marked.insert(v);
       }
     }
     // Propagate backward through pure data producers until stable; memory

@@ -61,23 +61,7 @@ bool objects_overlap(const SiteObjects& a, const SiteObjects& b) {
 /// preserving; everything else (memory, sync, calls, I/O) keeps clusters
 /// joined — the conservative direction is the pre-narrowing whole-span.
 bool thread_invisible(const ir::Instruction& instr) {
-  switch (instr.opcode()) {
-    case ir::Opcode::kAdd:
-    case ir::Opcode::kSub:
-    case ir::Opcode::kMul:
-    case ir::Opcode::kUDiv:
-    case ir::Opcode::kSDiv:
-    case ir::Opcode::kAnd:
-    case ir::Opcode::kOr:
-    case ir::Opcode::kXor:
-    case ir::Opcode::kShl:
-    case ir::Opcode::kLShr:
-    case ir::Opcode::kICmp:
-    case ir::Opcode::kGep:
-      return true;
-    default:
-      return false;
-  }
+  return instr.info().scalar || instr.opcode() == ir::Opcode::kGep;
 }
 
 /// Racy sites folded into per-(function, block) guard spans, emitted in
@@ -182,7 +166,7 @@ std::vector<GuardSpan> guard_spans(
 
 /// True when `instr` directly accesses the global named `object`.
 bool accesses_global(const ir::Instruction& instr, const std::string& object) {
-  if (!instr.is_memory_access()) return false;
+  if (!instr.accesses_memory()) return false;
   for (const ir::Value* operand : instr.operands()) {
     if (operand->kind() == ir::ValueKind::kGlobalVariable &&
         operand->name() == object) {

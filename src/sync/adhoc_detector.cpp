@@ -102,20 +102,10 @@ AdhocSyncResult AdhocSyncDetector::classify(
   // attack (Fig. 6) and must stay in the report stream.
   for (const ir::BasicBlock* bb : loop->blocks) {
     for (const auto& instr : bb->instructions()) {
+      if (instr->info().scalar) continue;
       switch (instr->opcode()) {
         case ir::Opcode::kLoad:
         case ir::Opcode::kGep:
-        case ir::Opcode::kAdd:
-        case ir::Opcode::kSub:
-        case ir::Opcode::kMul:
-        case ir::Opcode::kUDiv:
-        case ir::Opcode::kSDiv:
-        case ir::Opcode::kAnd:
-        case ir::Opcode::kOr:
-        case ir::Opcode::kXor:
-        case ir::Opcode::kShl:
-        case ir::Opcode::kLShr:
-        case ir::Opcode::kICmp:
         case ir::Opcode::kBr:
         case ir::Opcode::kJmp:
         case ir::Opcode::kPhi:

@@ -21,22 +21,6 @@ constexpr std::uint64_t kLivelockReleases = 1;
 /// cycles that never reach the release rule).
 constexpr std::uint64_t kWatchdogIterations = 4096;
 
-/// Operand index holding the memory address a racing instruction is about
-/// to touch; SIZE_MAX for instructions without one.
-std::size_t address_operand(const ir::Instruction* instr) noexcept {
-  switch (instr->opcode()) {
-    case ir::Opcode::kLoad:
-    case ir::Opcode::kAtomicRMWAdd:
-    case ir::Opcode::kStrCpy:
-    case ir::Opcode::kMemCopy:
-      return 0;
-    case ir::Opcode::kStore:
-      return 1;
-    default:
-      return SIZE_MAX;
-  }
-}
-
 }  // namespace
 
 RaceVerifyResult RaceVerifier::explore(
@@ -152,16 +136,18 @@ RaceVerifier::AttemptOutcome RaceVerifier::run_attempt(
         if (run.break_id == bp_b) suspended_b = true;
         if (suspended_a && suspended_b) {
           // Both threads parked: are they about to touch the same cell?
-          const std::size_t ia = address_operand(a.instr);
-          const std::size_t ib = address_operand(b.instr);
-          if (ia == SIZE_MAX || ib == SIZE_MAX) {
+          // Each side's address is the operand it accesses on the side of
+          // the report (a bulk copy reads its source, writes its dest).
+          const ir::Value* ptr_a = a.instr->accessed_address(a.is_write);
+          const ir::Value* ptr_b = b.instr->accessed_address(b.is_write);
+          if (ptr_a == nullptr || ptr_b == nullptr) {
             done = true;
             break;
           }
           const auto addr_a = static_cast<interp::Address>(
-              machine->eval_in_thread(a.tid, a.instr->operand(ia)));
+              machine->eval_in_thread(a.tid, ptr_a));
           const auto addr_b = static_cast<interp::Address>(
-              machine->eval_in_thread(b.tid, b.instr->operand(ib)));
+              machine->eval_in_thread(b.tid, ptr_b));
           if (addr_a == addr_b && addr_a != 0) {
             // The racing moment. Extract §5.2 security hints.
             out.verified = true;

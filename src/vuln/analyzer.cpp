@@ -182,9 +182,8 @@ class Walker {
         grew |= report(instr, *type, DepKind::kData, function, controlling,
                        &cd, &local_brs);
       }
-      const std::size_t ptr_idx = pointer_operand_index(*instr);
-      if (ptr_idx != SIZE_MAX && ptr_idx < instr->operand_count() &&
-          is_corrupted(instr->operand(ptr_idx))) {
+      if (const ir::Value* ptr = instr->plain_address();
+          ptr != nullptr && is_corrupted(ptr)) {
         if (auto type = classify_pointer_deref(*instr, true)) {
           grew |= report(instr, *type, DepKind::kData, function, controlling,
                          &cd, &local_brs);

@@ -44,28 +44,12 @@ std::optional<SiteType> classify_site(const ir::Instruction& instr) noexcept {
   }
 }
 
-std::size_t pointer_operand_index(const ir::Instruction& instr) noexcept {
-  switch (instr.opcode()) {
-    case ir::Opcode::kLoad:
-    case ir::Opcode::kCallPtr:
-      return 0;
-    case ir::Opcode::kStore:
-      return 1;
-    default:
-      return SIZE_MAX;
-  }
-}
-
 std::optional<SiteType> classify_pointer_deref(
     const ir::Instruction& instr, bool pointer_operand_corrupted) noexcept {
-  if (!pointer_operand_corrupted) return std::nullopt;
-  switch (instr.opcode()) {
-    case ir::Opcode::kLoad:
-    case ir::Opcode::kStore:
-      return SiteType::kNullPtrDeref;
-    default:
-      return std::nullopt;
+  if (!pointer_operand_corrupted || instr.plain_address() == nullptr) {
+    return std::nullopt;
   }
+  return SiteType::kNullPtrDeref;
 }
 
 }  // namespace owl::vuln

@@ -41,8 +41,4 @@ std::optional<SiteType> classify_site(const ir::Instruction& instr) noexcept;
 std::optional<SiteType> classify_pointer_deref(
     const ir::Instruction& instr, bool pointer_operand_corrupted) noexcept;
 
-/// Index of the pointer operand for deref classification (load: 0,
-/// store: 1, callptr: 0); SIZE_MAX when not a dereference.
-std::size_t pointer_operand_index(const ir::Instruction& instr) noexcept;
-
 }  // namespace owl::vuln

@@ -188,18 +188,8 @@ TEST(InstructionTest, ClassificationHelpers) {
   Function* f = m.add_function("f", Type::void_type());
   b.set_insert_point(f->add_block("entry"));
   Instruction* ld = b.load(g);
-  Instruction* st = b.store(b.i64(1), g);
-  Instruction* at = b.atomic_add(g, b.i64(1));
-  Instruction* lk = b.lock(g);
   Instruction* rt = b.ret();
 
-  EXPECT_TRUE(ld->is_memory_read());
-  EXPECT_FALSE(ld->is_memory_write());
-  EXPECT_TRUE(st->is_memory_write());
-  EXPECT_TRUE(at->is_memory_read());
-  EXPECT_TRUE(at->is_memory_write());
-  EXPECT_TRUE(at->is_synchronization());
-  EXPECT_TRUE(lk->is_synchronization());
   EXPECT_TRUE(rt->is_terminator());
   EXPECT_FALSE(ld->is_terminator());
 }

@@ -115,6 +115,40 @@ entry:
       << reports.front().security_hint;
 }
 
+TEST(RaceVerifierTest, VerifiesRaceOnBulkCopySource) {
+  // The copy's side of this race is its read of @src, so both parked
+  // threads are about to touch @src, not the copy's destination.
+  auto m = parse_ok(R"(module bulk
+global @src [2]
+global @dst [2]
+func @copier() {
+entry:
+  memcpy @dst, @src, 2
+  ret
+}
+func @writer() {
+entry:
+  store 7, @src
+  ret
+}
+func @main() {
+entry:
+  %a = thread_create @copier, 0
+  %b = thread_create @writer, 0
+  thread_join %a
+  thread_join %b
+  ret
+}
+)");
+  auto reports = detect(*m);
+  ASSERT_EQ(reports.size(), 1u);
+  const RaceVerifier verifier;
+  EXPECT_TRUE(verifier.verify(reports.front(), factory_for(*m)).verified);
+  EXPECT_NE(reports.front().security_hint.find("verified on src"),
+            std::string::npos)
+      << reports.front().security_hint;
+}
+
 TEST(RaceVerifierTest, PublicationRaceCannotBeRecaught) {
   // The R.V.E. mechanism: the reader only touches @data behind a gate the
   // parked writer never opens, so the race cannot be caught in the racing

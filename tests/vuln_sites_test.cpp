@@ -69,16 +69,6 @@ TEST_F(SitesTest, PointerDerefNeedsCorruptedPointer) {
   EXPECT_FALSE(classify_pointer_deref(*add, true).has_value());
 }
 
-TEST_F(SitesTest, PointerOperandIndex) {
-  ir::Instruction* ld = b_.load(g_);
-  EXPECT_EQ(pointer_operand_index(*ld), 0u);
-  ir::Instruction* st = b_.store(b_.i64(1), g_);
-  EXPECT_EQ(pointer_operand_index(*st), 1u);
-  ir::Instruction* cp = b_.callptr(ld, {});
-  EXPECT_EQ(pointer_operand_index(*cp), 0u);
-  EXPECT_EQ(pointer_operand_index(*b_.add(ld, ld)), SIZE_MAX);
-}
-
 TEST_F(SitesTest, AllTypeNamesDistinct) {
   const SiteType all[] = {
       SiteType::kMemoryOp,      SiteType::kNullPtrDeref,
