@@ -113,8 +113,9 @@ void BM_TsanDetectionOverhead(benchmark::State& state) {
 BENCHMARK(BM_TsanDetectionOverhead);
 
 // --- interpreter on the workload models (BENCH_interp.json) ----------------
-// Run with --benchmark_filter='MachineFromImage|ModelRunUnsteered'. The
-// `model` argument picks a model at noise scale 1: 0 = memcached (the
+// Run with --benchmark_filter=
+// 'InterpreterThroughput|MachineFromImage|ModelRunUnsteered' (the baseline
+// also gates BM_InterpreterThroughput above). The `model` argument picks a model at noise scale 1: 0 = memcached (the
 // race verifier's largest customer), 1 = linux (the largest image). Both
 // go through the target's exploit factory, so they time what one race-
 // verifier attempt pays: a machine from the target's shared image, then a

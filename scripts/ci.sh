@@ -744,7 +744,7 @@ stage_bench() {
 
   current_step="record fresh interpreter benchmarks"
   ./build-release/bench/micro_perf \
-    --benchmark_filter='MachineFromImage|ModelRunUnsteered' \
+    --benchmark_filter='InterpreterThroughput|MachineFromImage|ModelRunUnsteered' \
     --benchmark_repetitions=3 \
     --benchmark_out=build-release/BENCH_interp.json \
     --benchmark_out_format=json > /dev/null

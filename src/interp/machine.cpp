@@ -44,19 +44,14 @@ std::string SecurityEvent::to_string() const {
 }
 
 MachineImage::MachineImage(const ir::Module& module) : module_(&module) {
+  global_addr_.reserve(module.globals().size());
   for (const auto& g : module.globals()) {
-    global_addr_[g.get()] = memory_.allocate(
-        ObjectKind::kGlobal, g->cell_count(), g->initial_value(), g->name());
+    global_addr_.push_back(memory_.allocate(
+        ObjectKind::kGlobal, g->cell_count(), g->initial_value(), g->name()));
   }
   for (const auto& f : module.functions()) {
     functions_by_id_[f->id()] = f.get();
   }
-}
-
-Address MachineImage::global_address(const ir::GlobalVariable* global) const {
-  auto it = global_addr_.find(global);
-  assert(it != global_addr_.end());
-  return it->second;
 }
 
 const ir::Function* MachineImage::resolve_function(Word value) const {
@@ -94,33 +89,44 @@ ThreadId Machine::start(const ir::Function* entry) {
 ThreadId Machine::spawn(const ir::Function* entry, Word arg) {
   assert(entry != nullptr && entry->has_body());
   const ThreadId tid = static_cast<ThreadId>(threads_.size());
-  threads_.push_back(std::make_unique<Thread>(tid, entry));
-  Thread& thread = *threads_.back();
-
-  std::vector<Word> args;
-  if (!entry->arguments().empty()) args.push_back(arg);
-  enter_function(thread, entry, args, /*call_site=*/nullptr);
+  Thread& thread = threads_.emplace_back(tid, entry);
+  Frame& frame = enter_function(thread, entry, /*call_site=*/nullptr);
+  if (!entry->arguments().empty()) {
+    thread.registers(frame)[entry->argument(0)->slot()] = arg;
+  }
   unannounced_.push_back(tid);
+  runnable_stale_ = true;
   return tid;
 }
 
 Thread* Machine::thread(ThreadId tid) {
-  return tid < threads_.size() ? threads_[tid].get() : nullptr;
+  return tid < threads_.size() ? &threads_[tid] : nullptr;
 }
 const Thread* Machine::thread(ThreadId tid) const {
-  return tid < threads_.size() ? threads_[tid].get() : nullptr;
+  return tid < threads_.size() ? &threads_[tid] : nullptr;
 }
 
 void Machine::collect_runnable() {
+  if (!runnable_stale_ && tick_ < next_wake_) return;
+  runnable_stale_ = false;
+  next_wake_ = UINT64_MAX;
   runnable_.clear();
-  for (const auto& t : threads_) {
-    if (t->state() == ThreadState::kRunnable) {
-      runnable_.push_back(t->id());
-    } else if (t->state() == ThreadState::kSleeping &&
-               t->wake_tick <= tick_) {
-      runnable_.push_back(t->id());
+  for (const Thread& t : threads_) {
+    if (t.state() == ThreadState::kRunnable) {
+      runnable_.push_back(t.id());
+    } else if (t.state() == ThreadState::kSleeping) {
+      if (t.wake_tick <= tick_) {
+        runnable_.push_back(t.id());
+      } else {
+        next_wake_ = std::min(next_wake_, t.wake_tick);
+      }
     }
   }
+}
+
+void Machine::set_state(Thread& thread, ThreadState state) {
+  thread.set_state(state);
+  runnable_stale_ = true;
 }
 
 Address Machine::global_address(const ir::GlobalVariable* global) const {
@@ -140,7 +146,19 @@ Word Machine::read_global(std::string_view name) const {
 Word Machine::eval_in_thread(ThreadId tid, const ir::Value* value) const {
   const Thread* t = thread(tid);
   if (t == nullptr || t->frames().empty()) return 0;
-  return value_of(t->frames().back(), value);
+  const Frame& frame = t->top();
+  // A register of another function has no slot in this frame: it reads 0,
+  // as a def that never executed here does.
+  if (value->kind() == ir::ValueKind::kArgument &&
+      static_cast<const ir::Argument*>(value)->parent() != frame.function) {
+    return 0;
+  }
+  if (value->kind() == ir::ValueKind::kInstruction &&
+      static_cast<const ir::Instruction*>(value)->function() !=
+          frame.function) {
+    return 0;
+  }
+  return value_of(t->registers(frame), value);
 }
 
 const ir::Function* Machine::resolve_function(Word value) const {
@@ -180,13 +198,13 @@ RunResult Machine::run(Scheduler& scheduler) {
       bool any_sleeping = false;
       bool any_suspended = false;
       std::uint64_t min_wake = UINT64_MAX;
-      for (const auto& t : threads_) {
-        if (t->finished()) continue;
+      for (const Thread& t : threads_) {
+        if (t.finished()) continue;
         all_finished = false;
-        if (t->state() == ThreadState::kSleeping) {
+        if (t.state() == ThreadState::kSleeping) {
           any_sleeping = true;
-          min_wake = std::min(min_wake, t->wake_tick);
-        } else if (t->state() == ThreadState::kSuspended) {
+          min_wake = std::min(min_wake, t.wake_tick);
+        } else if (t.state() == ThreadState::kSuspended) {
           any_suspended = true;
         }
       }
@@ -201,9 +219,9 @@ RunResult Machine::run(Scheduler& scheduler) {
         return {StopReason::kAllSuspended, steps_, std::nullopt, 0};
       }
       // Every live thread is blocked on a lock or join: true deadlock.
-      for (const auto& t : threads_) {
-        if (!t->finished()) {
-          emit_event(SecurityEventKind::kDeadlock, *t, t->next_instruction(),
+      for (Thread& t : threads_) {
+        if (!t.finished()) {
+          emit_event(SecurityEventKind::kDeadlock, t, t.next_instruction(),
                      "no runnable thread");
           break;
         }
@@ -212,8 +230,9 @@ RunResult Machine::run(Scheduler& scheduler) {
     }
 
     const ThreadId tid = scheduler.pick(runnable_, steps_);
-    Thread& t = *threads_[tid];
+    Thread& t = threads_[tid];
     if (t.state() == ThreadState::kSleeping) {
+      // It woke up, so it is in runnable_ already.
       t.set_state(ThreadState::kRunnable);
     }
 
@@ -232,7 +251,7 @@ RunResult Machine::run(Scheduler& scheduler) {
         // With an injected breakpoint livelock the skip-once release is
         // ignored: the thread re-suspends with zero progress, which is the
         // verifier-session livelock the stage watchdogs must break.
-        t.set_state(ThreadState::kSuspended);
+        set_state(t, ThreadState::kSuspended);
         return {StopReason::kBreakpoint, steps_, tid, bp->id};
       }
     }
@@ -249,7 +268,7 @@ Status Machine::resume_thread(ThreadId tid, bool skip_breakpoint_once) {
   if (t->state() != ThreadState::kSuspended) {
     return failed_precondition_error("thread is not suspended");
   }
-  t->set_state(ThreadState::kRunnable);
+  set_state(*t, ThreadState::kRunnable);
   t->skip_breakpoint_once = skip_breakpoint_once;
   return Status::ok();
 }
@@ -258,101 +277,105 @@ Status Machine::resume_thread(ThreadId tid, bool skip_breakpoint_once) {
 // Core interpreter
 // --------------------------------------------------------------------------
 
-Word Machine::value_of(const Frame& frame, const ir::Value* value) const {
+Word Machine::value_of(const Word* regs, const ir::Value* value) const {
   switch (value->kind()) {
     case ir::ValueKind::kConstant:
       return static_cast<const ir::Constant*>(value)->value();
     case ir::ValueKind::kGlobalVariable:
-      return static_cast<Word>(global_address(
+      return static_cast<Word>(image_->global_address(
           static_cast<const ir::GlobalVariable*>(value)));
     case ir::ValueKind::kFunction:
       return function_value(static_cast<const ir::Function*>(value));
     case ir::ValueKind::kArgument:
-    case ir::ValueKind::kInstruction: {
-      auto it = frame.regs.find(value);
-      if (it == frame.regs.end()) {
-        // Use of a value whose def never executed on this path. MiniIR is
-        // not strictly SSA-verified for dominance; reading 0 mirrors the
-        // "uninitialized data" hint the dynamic race verifier reports.
-        return 0;
-      }
-      return it->second;
-    }
+    case ir::ValueKind::kInstruction:
+      // A value whose def never executed in this frame reads 0. MiniIR is
+      // not strictly SSA-verified for dominance; reading 0 mirrors the
+      // "uninitialized data" hint the dynamic race verifier reports.
+      return regs[value->slot()];
   }
   return 0;
 }
 
-void Machine::set_result(Frame& frame, const ir::Instruction* instr,
+void Machine::set_result(Word* regs, const ir::Instruction* instr,
                          Word value) {
-  if (!instr->type().is_void()) frame.regs[instr] = value;
+  if (!instr->type().is_void()) regs[instr->slot()] = value;
 }
 
-void Machine::enter_function(Thread& thread, const ir::Function* callee,
-                             const std::vector<Word>& args,
-                             const ir::Instruction* call_site) {
+Frame& Machine::enter_function(Thread& thread, const ir::Function* callee,
+                               const ir::Instruction* call_site) {
   Frame frame;
   frame.function = callee;
   frame.block = callee->entry();
-  frame.index = 0;
   frame.call_site = call_site;
   frame.serial = next_frame_serial_++;
   frame.ctx = contexts_.push(
       thread.frames().empty() ? kNoContext : thread.top().ctx, callee,
       call_site);
-  for (std::size_t i = 0; i < callee->arguments().size(); ++i) {
-    frame.regs[callee->argument(i)] = i < args.size() ? args[i] : 0;
+  return thread.push_frame(frame, callee->slot_count());
+}
+
+void Machine::call(Thread& thread, const ir::Function* callee,
+                   const ir::Instruction* call_site, std::size_t first) {
+  Frame& frame = enter_function(thread, callee, call_site);
+  // The push may have moved the register stack: look both frames up anew.
+  Word* regs = thread.registers(frame);
+  const Word* caller_regs = thread.registers(thread.frames().end()[-2]);
+  const std::size_t count = std::min(callee->arguments().size(),
+                                     call_site->operand_count() - first);
+  for (std::size_t i = 0; i < count; ++i) {
+    regs[callee->argument(i)->slot()] =
+        value_of(caller_regs, call_site->operand(first + i));
   }
-  thread.frames().push_back(std::move(frame));
 }
 
 void Machine::return_from_function(Thread& thread, std::optional<Word> value) {
   const std::uint64_t serial = thread.top().serial;
   const ir::Instruction* call_site = thread.top().call_site;
   memory_.pop_frame(serial);
-  thread.frames().pop_back();
+  thread.pop_frame();
   if (thread.frames().empty()) {
     finish_thread(thread);
     return;
   }
   Frame& caller = thread.top();
   if (call_site != nullptr && value.has_value()) {
-    set_result(caller, call_site, *value);
+    set_result(thread.registers(caller), call_site, *value);
   }
   ++caller.index;  // move past the call site
 }
 
-void Machine::jump(Frame& frame, const ir::BasicBlock* target) {
+void Machine::jump(Word* regs, Frame& frame, const ir::BasicBlock* target) {
   frame.prev_block = frame.block;
   frame.block = target;
   frame.index = 0;
   // Parallel-copy semantics for the block's leading phis: read all incoming
   // values against the old register state, then commit.
-  std::vector<std::pair<const ir::Instruction*, Word>> updates;
+  phi_values_.clear();
   for (const auto& instr : target->instructions()) {
     if (instr->opcode() != ir::Opcode::kPhi) break;
     Word chosen = 0;
     for (std::size_t i = 0; i < instr->phi_blocks().size(); ++i) {
       if (instr->phi_blocks()[i] == frame.prev_block) {
-        chosen = value_of(frame, instr->phi_values()[i]);
+        chosen = value_of(regs, instr->phi_values()[i]);
         break;
       }
     }
-    updates.emplace_back(instr.get(), chosen);
+    phi_values_.push_back(chosen);
   }
-  for (const auto& [instr, value] : updates) {
-    frame.regs[instr] = value;
+  for (std::size_t i = 0; i < phi_values_.size(); ++i) {
+    regs[target->instructions()[i]->slot()] = phi_values_[i];
   }
 }
 
 void Machine::finish_thread(Thread& thread) {
-  thread.frames().clear();
-  thread.set_state(ThreadState::kFinished);
+  thread.clear_frames();
+  set_state(thread, ThreadState::kFinished);
   notify_sync(thread.id(), Observer::SyncKind::kThreadFinish, thread.id());
   // Wake joiners.
-  for (const auto& t : threads_) {
-    if (t->state() == ThreadState::kWaitingJoin &&
-        t->join_target == thread.id()) {
-      t->set_state(ThreadState::kRunnable);
+  for (Thread& t : threads_) {
+    if (t.state() == ThreadState::kWaitingJoin &&
+        t.join_target == thread.id()) {
+      set_state(t, ThreadState::kRunnable);
     }
   }
 }
@@ -441,6 +464,7 @@ void Machine::notify_sync(ThreadId tid, Observer::SyncKind kind,
 void Machine::execute(Thread& thread) {
   thread.skip_breakpoint_once = false;
   Frame& frame = thread.top();
+  Word* regs = thread.registers(frame);
   const ir::Instruction* instr = frame.current();
   assert(instr != nullptr);
   const ThreadId tid = thread.id();
@@ -458,8 +482,8 @@ void Machine::execute(Thread& thread) {
     case Opcode::kXor:
     case Opcode::kShl:
     case Opcode::kLShr: {
-      const Word a = value_of(frame, instr->operand(0));
-      const Word b = value_of(frame, instr->operand(1));
+      const Word a = value_of(regs, instr->operand(0));
+      const Word b = value_of(regs, instr->operand(1));
       const auto ua = static_cast<std::uint64_t>(a);
       const auto ub = static_cast<std::uint64_t>(b);
       std::uint64_t r = 0;
@@ -489,13 +513,13 @@ void Machine::execute(Thread& thread) {
         case Opcode::kLShr: r = ub >= 64 ? 0 : ua >> ub; break;
         default: break;
       }
-      set_result(frame, instr, static_cast<Word>(r));
+      set_result(regs, instr, static_cast<Word>(r));
       ++frame.index;
       break;
     }
     case Opcode::kICmp: {
-      const Word a = value_of(frame, instr->operand(0));
-      const Word b = value_of(frame, instr->operand(1));
+      const Word a = value_of(regs, instr->operand(0));
+      const Word b = value_of(regs, instr->operand(1));
       const auto ua = static_cast<std::uint64_t>(a);
       const auto ub = static_cast<std::uint64_t>(b);
       bool r = false;
@@ -511,7 +535,7 @@ void Machine::execute(Thread& thread) {
         case ir::CmpPredicate::kUGt: r = ua > ub; break;
         case ir::CmpPredicate::kUGe: r = ua >= ub; break;
       }
-      set_result(frame, instr, r ? 1 : 0);
+      set_result(regs, instr, r ? 1 : 0);
       ++frame.index;
       break;
     }
@@ -522,23 +546,23 @@ void Machine::execute(Thread& thread) {
           memory_.allocate(ObjectKind::kStack,
                            static_cast<std::uint64_t>(instr->imm()), 0,
                            instr->name(), frame.serial);
-      set_result(frame, instr, static_cast<Word>(base));
+      set_result(regs, instr, static_cast<Word>(base));
       ++frame.index;
       break;
     }
     case Opcode::kMalloc: {
-      Word cells = value_of(frame, instr->operand(0));
+      Word cells = value_of(regs, instr->operand(0));
       if (cells <= 0) cells = 1;
       const Address base = memory_.allocate(
           ObjectKind::kHeap, static_cast<std::uint64_t>(cells), 0,
           instr->name());
-      set_result(frame, instr, static_cast<Word>(base));
+      set_result(regs, instr, static_cast<Word>(base));
       ++frame.index;
       break;
     }
     case Opcode::kFree: {
       const Address addr =
-          static_cast<Address>(value_of(frame, instr->operand(0)));
+          static_cast<Address>(value_of(regs, instr->operand(0)));
       const MemFault fault = memory_.free_heap(addr);
       if (fault != MemFault::kNone) report_fault(thread, instr, fault, addr);
       ++frame.index;
@@ -546,18 +570,18 @@ void Machine::execute(Thread& thread) {
     }
     case Opcode::kLoad: {
       const Address addr =
-          static_cast<Address>(value_of(frame, instr->operand(0)));
+          static_cast<Address>(value_of(regs, instr->operand(0)));
       const Word value = do_load(thread, instr, addr);
-      set_result(frame, instr, value);
+      set_result(regs, instr, value);
       notify_access({tid, instr, addr, value, /*is_write=*/false,
                      /*is_atomic=*/false});
       ++frame.index;
       break;
     }
     case Opcode::kStore: {
-      const Word value = value_of(frame, instr->operand(0));
+      const Word value = value_of(regs, instr->operand(0));
       const Address addr =
-          static_cast<Address>(value_of(frame, instr->operand(1)));
+          static_cast<Address>(value_of(regs, instr->operand(1)));
       do_store(thread, instr, addr, value);
       notify_access({tid, instr, addr, value, /*is_write=*/true,
                      /*is_atomic=*/false});
@@ -565,21 +589,21 @@ void Machine::execute(Thread& thread) {
       break;
     }
     case Opcode::kGep: {
-      const Word base = value_of(frame, instr->operand(0));
-      const Word offset = value_of(frame, instr->operand(1));
-      set_result(frame, instr, base + offset * 8);
+      const Word base = value_of(regs, instr->operand(0));
+      const Word offset = value_of(regs, instr->operand(1));
+      set_result(regs, instr, base + offset * 8);
       ++frame.index;
       break;
     }
 
     // --- control flow ---
     case Opcode::kBr: {
-      const Word cond = value_of(frame, instr->operand(0));
-      jump(frame, cond != 0 ? instr->targets()[0] : instr->targets()[1]);
+      const Word cond = value_of(regs, instr->operand(0));
+      jump(regs, frame, cond != 0 ? instr->targets()[0] : instr->targets()[1]);
       break;
     }
     case Opcode::kJmp:
-      jump(frame, instr->targets()[0]);
+      jump(regs, frame, instr->targets()[0]);
       break;
     case Opcode::kPhi:
       // Value was committed by jump(); the phi itself is a no-op step.
@@ -589,24 +613,19 @@ void Machine::execute(Thread& thread) {
       const ir::Function* callee = instr->callee();
       if (!callee->has_body()) {
         // External function: opaque, returns 0.
-        set_result(frame, instr, 0);
+        set_result(regs, instr, 0);
         ++frame.index;
         break;
       }
-      std::vector<Word> args;
-      args.reserve(instr->operand_count());
-      for (const ir::Value* op : instr->operands()) {
-        args.push_back(value_of(frame, op));
-      }
-      enter_function(thread, callee, args, instr);
+      call(thread, callee, instr, /*first=*/0);
       break;
     }
     case Opcode::kCallPtr: {
-      const Word target = value_of(frame, instr->operand(0));
+      const Word target = value_of(regs, instr->operand(0));
       if (target == 0) {
         emit_event(SecurityEventKind::kNullFuncPtrDeref, thread, instr,
                    "indirect call through NULL function pointer");
-        set_result(frame, instr, 0);
+        set_result(regs, instr, 0);
         ++frame.index;
         break;
       }
@@ -615,21 +634,17 @@ void Machine::execute(Thread& thread) {
         emit_event(SecurityEventKind::kArbitraryCodeExec, thread, instr,
                    "indirect call to non-function value " +
                        std::to_string(target));
-        set_result(frame, instr, 0);
+        set_result(regs, instr, 0);
         ++frame.index;
         break;
       }
-      std::vector<Word> args;
-      for (std::size_t i = 1; i < instr->operand_count(); ++i) {
-        args.push_back(value_of(frame, instr->operand(i)));
-      }
-      enter_function(thread, callee, args, instr);
+      call(thread, callee, instr, /*first=*/1);
       break;
     }
     case Opcode::kRet: {
       std::optional<Word> value;
       if (instr->operand_count() == 1) {
-        value = value_of(frame, instr->operand(0));
+        value = value_of(regs, instr->operand(0));
       }
       return_from_function(thread, value);
       break;
@@ -638,10 +653,10 @@ void Machine::execute(Thread& thread) {
     // --- concurrency ---
     case Opcode::kLock: {
       const Address addr =
-          static_cast<Address>(value_of(frame, instr->operand(0)));
+          static_cast<Address>(value_of(regs, instr->operand(0)));
       MutexState& mutex = mutexes_[addr];
       if (mutex.held) {
-        thread.set_state(ThreadState::kBlockedOnLock);
+        set_state(thread, ThreadState::kBlockedOnLock);
         thread.blocked_mutex = addr;
         mutex.waiters.push_back(tid);
         // Do not advance: the instruction re-executes after wakeup.
@@ -655,15 +670,15 @@ void Machine::execute(Thread& thread) {
     }
     case Opcode::kUnlock: {
       const Address addr =
-          static_cast<Address>(value_of(frame, instr->operand(0)));
+          static_cast<Address>(value_of(regs, instr->operand(0)));
       MutexState& mutex = mutexes_[addr];
       mutex.held = false;
       mutex.owner = 0;
       notify_sync(tid, Observer::SyncKind::kLockRelease, addr);
       for (ThreadId waiter : mutex.waiters) {
         if (waiter < threads_.size() &&
-            threads_[waiter]->state() == ThreadState::kBlockedOnLock) {
-          threads_[waiter]->set_state(ThreadState::kRunnable);
+            threads_[waiter].state() == ThreadState::kBlockedOnLock) {
+          set_state(threads_[waiter], ThreadState::kRunnable);
         }
       }
       mutex.waiters.clear();
@@ -671,34 +686,36 @@ void Machine::execute(Thread& thread) {
       break;
     }
     case Opcode::kThreadCreate: {
-      const Word arg = value_of(frame, instr->operand(0));
+      const Word arg = value_of(regs, instr->operand(0));
       const ThreadId child = spawn(instr->callee(), arg);
-      set_result(frame, instr, static_cast<Word>(child));
+      // spawn may have moved every thread: `thread`, `frame` and `regs`
+      // are stale, so look this thread up again.
+      Thread& self = threads_[tid];
+      set_result(self.registers(self.top()), instr, static_cast<Word>(child));
       notify_sync(tid, Observer::SyncKind::kThreadCreate, child);
-      ++frame.index;
+      ++self.top().index;
       break;
     }
     case Opcode::kThreadJoin: {
       const auto target =
-          static_cast<ThreadId>(value_of(frame, instr->operand(0)));
-      const Thread* joined =
-          target < threads_.size() ? threads_[target].get() : nullptr;
+          static_cast<ThreadId>(value_of(regs, instr->operand(0)));
+      const Thread* joined = this->thread(target);
       if (joined == nullptr || joined->finished()) {
         notify_sync(tid, Observer::SyncKind::kThreadJoin, target);
         ++frame.index;
         break;
       }
-      thread.set_state(ThreadState::kWaitingJoin);
+      set_state(thread, ThreadState::kWaitingJoin);
       thread.join_target = target;
       break;  // re-executes after the target finishes
     }
     case Opcode::kAtomicRMWAdd: {
       const Address addr =
-          static_cast<Address>(value_of(frame, instr->operand(0)));
-      const Word delta = value_of(frame, instr->operand(1));
+          static_cast<Address>(value_of(regs, instr->operand(0)));
+      const Word delta = value_of(regs, instr->operand(1));
       const Word old = do_load(thread, instr, addr);
       do_store(thread, instr, addr, old + delta);
-      set_result(frame, instr, old);
+      set_result(regs, instr, old);
       notify_access({tid, instr, addr, old + delta, /*is_write=*/true,
                      /*is_atomic=*/true});
       ++frame.index;
@@ -706,14 +723,14 @@ void Machine::execute(Thread& thread) {
     }
     case Opcode::kHbRelease: {
       const Address addr =
-          static_cast<Address>(value_of(frame, instr->operand(0)));
+          static_cast<Address>(value_of(regs, instr->operand(0)));
       notify_sync(tid, Observer::SyncKind::kHbRelease, addr);
       ++frame.index;
       break;
     }
     case Opcode::kHbAcquire: {
       const Address addr =
-          static_cast<Address>(value_of(frame, instr->operand(0)));
+          static_cast<Address>(value_of(regs, instr->operand(0)));
       notify_sync(tid, Observer::SyncKind::kHbAcquire, addr);
       ++frame.index;
       break;
@@ -721,21 +738,21 @@ void Machine::execute(Thread& thread) {
 
     // --- environment ---
     case Opcode::kInput: {
-      const Word index = value_of(frame, instr->operand(0));
+      const Word index = value_of(regs, instr->operand(0));
       Word value = 0;
       if (index >= 0 &&
           static_cast<std::size_t>(index) < options_.inputs.size()) {
         value = options_.inputs[static_cast<std::size_t>(index)];
       }
-      set_result(frame, instr, value);
+      set_result(regs, instr, value);
       ++frame.index;
       break;
     }
     case Opcode::kIoDelay: {
-      const Word ticks = value_of(frame, instr->operand(0));
+      const Word ticks = value_of(regs, instr->operand(0));
       if (ticks > 0) {
         thread.wake_tick = tick_ + static_cast<std::uint64_t>(ticks);
-        thread.set_state(ThreadState::kSleeping);
+        set_state(thread, ThreadState::kSleeping);
       }
       ++frame.index;
       break;
@@ -744,16 +761,16 @@ void Machine::execute(Thread& thread) {
       ++frame.index;
       break;
     case Opcode::kPrint:
-      prints_.push_back(value_of(frame, instr->operand(0)));
+      prints_.push_back(value_of(regs, instr->operand(0)));
       ++frame.index;
       break;
 
     // --- vulnerable-site intrinsics ---
     case Opcode::kStrCpy: {
       const Address dst =
-          static_cast<Address>(value_of(frame, instr->operand(0)));
+          static_cast<Address>(value_of(regs, instr->operand(0)));
       const Address src =
-          static_cast<Address>(value_of(frame, instr->operand(1)));
+          static_cast<Address>(value_of(regs, instr->operand(1)));
       // Measure the source string (cells until a 0 cell).
       std::uint64_t len = 0;
       while (len < kStrCpyCap && memory_.load_raw(src + len * 8) != 0) {
@@ -785,10 +802,10 @@ void Machine::execute(Thread& thread) {
     }
     case Opcode::kMemCopy: {
       const Address dst =
-          static_cast<Address>(value_of(frame, instr->operand(0)));
+          static_cast<Address>(value_of(regs, instr->operand(0)));
       const Address src =
-          static_cast<Address>(value_of(frame, instr->operand(1)));
-      Word len = value_of(frame, instr->operand(2));
+          static_cast<Address>(value_of(regs, instr->operand(1)));
+      Word len = value_of(regs, instr->operand(2));
       if (len < 0) len = 0;
       if (static_cast<std::uint64_t>(len) > kStrCpyCap) {
         len = static_cast<Word>(kStrCpyCap);
@@ -812,7 +829,7 @@ void Machine::execute(Thread& thread) {
       break;
     }
     case Opcode::kSetUid: {
-      const Word uid = value_of(frame, instr->operand(0));
+      const Word uid = value_of(regs, instr->operand(0));
       setuids_.push_back({tid, uid});
       if (uid == 0 && !options_.authorized_root) {
         emit_event(SecurityEventKind::kPrivilegeEscalation, thread, instr,
@@ -824,20 +841,20 @@ void Machine::execute(Thread& thread) {
     case Opcode::kFileAccess: {
       // The access(2)-style check always reports "permitted"; the TOCTOU
       // window is modelled by what happens between this and file_open.
-      set_result(frame, instr, 1);
+      set_result(regs, instr, 1);
       ++frame.index;
       break;
     }
     case Opcode::kFileOpen: {
-      const Word path_id = value_of(frame, instr->operand(0));
+      const Word path_id = value_of(regs, instr->operand(0));
       const Word fd = next_fd_++;
       file_opens_.push_back({tid, path_id, fd});
-      set_result(frame, instr, fd);
+      set_result(regs, instr, fd);
       ++frame.index;
       break;
     }
     case Opcode::kFileWrite: {
-      const Word fd = value_of(frame, instr->operand(0));
+      const Word fd = value_of(regs, instr->operand(0));
       // Descriptor-stability monitor: a write site that always used one
       // descriptor suddenly using another means the fd cell was corrupted —
       // the Apache-25520 HTML-integrity signature (§8.4, Fig. 7).
@@ -849,8 +866,8 @@ void Machine::execute(Thread& thread) {
                               static_cast<long long>(fd)));
       }
       const Address payload =
-          static_cast<Address>(value_of(frame, instr->operand(1)));
-      Word len = value_of(frame, instr->operand(2));
+          static_cast<Address>(value_of(regs, instr->operand(1)));
+      Word len = value_of(regs, instr->operand(2));
       if (len < 0) len = 0;
       if (len > 4096) len = 4096;
       FileWriteRecord record;
@@ -866,12 +883,12 @@ void Machine::execute(Thread& thread) {
       break;
     }
     case Opcode::kFork: {
-      set_result(frame, instr, next_pid_++);
+      set_result(regs, instr, next_pid_++);
       ++frame.index;
       break;
     }
     case Opcode::kEval: {
-      evals_.push_back({tid, value_of(frame, instr->operand(0))});
+      evals_.push_back({tid, value_of(regs, instr->operand(0))});
       ++frame.index;
       break;
     }

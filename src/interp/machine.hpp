@@ -7,6 +7,7 @@
 // one scheduler with one input vector.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -138,8 +139,9 @@ struct RunResult {
 
 /// A module's starting machine state, built once and shared read-only by
 /// every machine on the module: the globals laid out and initialised in
-/// module order, the global address table and the function-id index. The
-/// module must outlive the image and pass ir::verify_module.
+/// module order, one address per global number (ir::Value::slot) and the
+/// function-id index. The module must outlive the image and pass
+/// ir::verify_module.
 class MachineImage {
  public:
   explicit MachineImage(const ir::Module& module);
@@ -147,17 +149,28 @@ class MachineImage {
   const ir::Module& module() const noexcept { return *module_; }
   /// The address space holding the globals at their initial values.
   const Memory& memory() const noexcept { return memory_; }
-  Address global_address(const ir::GlobalVariable* global) const;
+  /// Base address of one of the module's globals.
+  Address global_address(const ir::GlobalVariable* global) const {
+    assert(global->slot() < global_addr_.size() &&
+           module_->globals()[global->slot()].get() == global);
+    return global_addr_[global->slot()];
+  }
   /// The function whose value id is `value`, or nullptr.
   const ir::Function* resolve_function(Word value) const;
 
  private:
   const ir::Module* module_;
   Memory memory_;
-  std::unordered_map<const ir::GlobalVariable*, Address> global_addr_;
+  std::vector<Address> global_addr_;  ///< by global number
   std::unordered_map<std::uint64_t, const ir::Function*> functions_by_id_;
 };
 
+/// One program execution. A machine is a value: its copy continues exactly
+/// as the original would. Copying copies memory, threads with their frames
+/// and registers, locks, logs and contexts, and shares only the read-only
+/// image. The observer, debugger and fault-injector pointers are copied as
+/// they are, so the copy reports to and consults the same objects as the
+/// original until set_debugger or set_fault_injector gives it others.
 class Machine {
  public:
   /// Starts from a copy of `image`'s memory; the image's module must
@@ -196,9 +209,7 @@ class Machine {
   Memory& memory() noexcept { return memory_; }
   const Memory& memory() const noexcept { return memory_; }
 
-  const std::vector<std::unique_ptr<Thread>>& threads() const noexcept {
-    return threads_;
-  }
+  const std::vector<Thread>& threads() const noexcept { return threads_; }
   Thread* thread(ThreadId tid);
   const Thread* thread(ThreadId tid) const;
 
@@ -251,18 +262,29 @@ class Machine {
     std::vector<ThreadId> waiters;
   };
 
-  /// Refills runnable_ with the threads that may step now, in id order.
+  /// Leaves runnable_ as the threads that may step now, in id order. It
+  /// rebuilds the set only when a thread changed state or was spawned, or
+  /// when the earliest sleeper's wake tick has come.
   void collect_runnable();
+  /// Every state change goes through here, so collect_runnable sees it.
+  void set_state(Thread& thread, ThreadState state);
 
-  // Core interpreter: executes one instruction of `thread`.
+  // Core interpreter: executes one instruction of `thread`. `regs` are the
+  // registers of the frame a value is evaluated in (Thread::registers).
   void execute(Thread& thread);
-  Word value_of(const Frame& frame, const ir::Value* value) const;
-  void set_result(Frame& frame, const ir::Instruction* instr, Word value);
-  void enter_function(Thread& thread, const ir::Function* callee,
-                      const std::vector<Word>& args,
-                      const ir::Instruction* call_site);
+  Word value_of(const Word* regs, const ir::Value* value) const;
+  static void set_result(Word* regs, const ir::Instruction* instr,
+                         Word value);
+  /// Pushes a frame for `callee` with every register 0 and returns it.
+  Frame& enter_function(Thread& thread, const ir::Function* callee,
+                        const ir::Instruction* call_site);
+  /// Calls `callee` from the top frame at `call_site`: its operands from
+  /// index `first` on become the callee's arguments (missing ones read 0,
+  /// extra ones are dropped).
+  void call(Thread& thread, const ir::Function* callee,
+            const ir::Instruction* call_site, std::size_t first);
   void return_from_function(Thread& thread, std::optional<Word> value);
-  void jump(Frame& frame, const ir::BasicBlock* target);
+  void jump(Word* regs, Frame& frame, const ir::BasicBlock* target);
   void finish_thread(Thread& thread);
 
   // Memory access with fault-to-event translation.
@@ -281,13 +303,17 @@ class Machine {
   MachineOptions options_;
   Memory memory_;
   ContextTree contexts_;
-  std::vector<std::unique_ptr<Thread>> threads_;
+  std::vector<Thread> threads_;
   std::vector<Observer*> observers_;
   Debugger* debugger_ = nullptr;
   support::FaultInjector* fault_injector_ = nullptr;
 
   std::unordered_map<Address, MutexState> mutexes_;
-  std::vector<ThreadId> runnable_;  ///< run()'s per-step buffer
+  std::vector<ThreadId> runnable_;  ///< what the scheduler picks from
+  bool runnable_stale_ = true;      ///< a state changed since the last build
+  /// The earliest wake tick of a sleeper not in runnable_.
+  std::uint64_t next_wake_ = UINT64_MAX;
+  std::vector<Word> phi_values_;  ///< jump()'s parallel-copy buffer
 
   std::uint64_t tick_ = 0;
   std::uint64_t steps_ = 0;

@@ -20,6 +20,22 @@ std::string call_stack_to_string(const CallStack& stack) {
   return out;
 }
 
+Frame& Thread::push_frame(Frame frame, std::size_t slots) {
+  frame.base = registers_.size();
+  registers_.resize(frame.base + slots);  // value-initialised: all 0
+  return frames_.emplace_back(frame);
+}
+
+void Thread::pop_frame() {
+  registers_.resize(frames_.back().base);
+  frames_.pop_back();
+}
+
+void Thread::clear_frames() {
+  frames_.clear();
+  registers_.clear();
+}
+
 CallStack Thread::call_stack() const {
   CallStack stack;
   stack.reserve(frames_.size());

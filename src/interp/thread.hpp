@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/function.hpp"
@@ -37,7 +36,8 @@ using CallStack = std::vector<StackEntry>;
 /// Libsafe call-stack figure.
 std::string call_stack_to_string(const CallStack& stack);
 
-/// An activation record.
+/// An activation record. Its registers live in its thread's register
+/// stack (Thread::registers).
 struct Frame {
   const ir::Function* function = nullptr;
   const ir::BasicBlock* block = nullptr;
@@ -46,7 +46,8 @@ struct Frame {
   const ir::Instruction* call_site = nullptr;  ///< in the caller
   std::uint64_t serial = 0;                  ///< for stack-object lifetime
   ContextId ctx = kNoContext;                ///< interned calling context
-  std::unordered_map<const ir::Value*, Word> regs;
+  /// Where the frame's registers start in the thread's register stack.
+  std::size_t base = 0;
 
   const ir::Instruction* current() const {
     if (block == nullptr || index >= block->size()) return nullptr;
@@ -63,6 +64,8 @@ enum class ThreadState {
   kFinished,
 };
 
+/// A simulated thread, held by value in its Machine: copying one copies
+/// its frames and registers.
 class Thread {
  public:
   Thread(ThreadId id, const ir::Function* entry) : id_(id), entry_(entry) {}
@@ -71,13 +74,27 @@ class Thread {
   const ir::Function* entry() const noexcept { return entry_; }
 
   ThreadState state() const noexcept { return state_; }
-  void set_state(ThreadState s) noexcept { state_ = s; }
   bool finished() const noexcept { return state_ == ThreadState::kFinished; }
 
-  std::vector<Frame>& frames() noexcept { return frames_; }
   const std::vector<Frame>& frames() const noexcept { return frames_; }
   Frame& top() { return frames_.back(); }
   const Frame& top() const { return frames_.back(); }
+
+  /// The registers of `frame`, one of this thread's frames, indexed by
+  /// ir::Value::slot(). Valid until the next push_frame.
+  Word* registers(const Frame& frame) noexcept {
+    return registers_.data() + frame.base;
+  }
+  const Word* registers(const Frame& frame) const noexcept {
+    return registers_.data() + frame.base;
+  }
+
+  /// Pushes `frame` with `slots` registers, all 0, so a value whose def
+  /// has not executed in this frame reads 0. Returns the pushed frame.
+  Frame& push_frame(Frame frame, std::size_t slots);
+  /// Pops the top frame and its registers.
+  void pop_frame();
+  void clear_frames();
 
   /// The instruction this thread will execute next (nullptr if finished).
   const ir::Instruction* next_instruction() const {
@@ -103,10 +120,17 @@ class Thread {
   bool skip_breakpoint_once = false;
 
  private:
+  // Only the machine changes a thread's state, so it knows when its set of
+  // runnable threads can have changed.
+  friend class Machine;
+  void set_state(ThreadState s) noexcept { state_ = s; }
+
   ThreadId id_;
   const ir::Function* entry_;
   ThreadState state_ = ThreadState::kRunnable;
   std::vector<Frame> frames_;
+  /// Every frame's registers, outermost first: the register stack.
+  std::vector<Word> registers_;
 };
 
 }  // namespace owl::interp

@@ -2,12 +2,15 @@
 
 #include <cassert>
 
+#include "ir/function.hpp"
+
 namespace owl::ir {
 
 Instruction* BasicBlock::append(std::unique_ptr<Instruction> instr) {
   assert(instr != nullptr);
   assert(terminator() == nullptr && "appending past a terminator");
   instr->set_parent(this);
+  instr->set_slot(parent_->take_slot());
   instrs_.push_back(std::move(instr));
   return instrs_.back().get();
 }
@@ -17,6 +20,7 @@ Instruction* BasicBlock::insert(std::size_t index,
   assert(instr != nullptr);
   assert(index <= instrs_.size() && "insert position out of range");
   instr->set_parent(this);
+  instr->set_slot(parent_->take_slot());
   const auto it = instrs_.insert(
       instrs_.begin() + static_cast<std::ptrdiff_t>(index), std::move(instr));
   return it->get();

@@ -23,14 +23,16 @@ class BasicBlock {
   const std::string& label() const noexcept { return label_; }
   Function* parent() const noexcept { return parent_; }
 
-  /// Appends an instruction, taking ownership; returns the raw pointer for
-  /// wiring operands.
+  /// Appends an instruction, taking ownership and giving it the parent
+  /// function's next register slot; returns the raw pointer for wiring
+  /// operands.
   Instruction* append(std::unique_ptr<Instruction> instr);
 
   /// Inserts an instruction before position `index` (so `index == size()`
-  /// appends), taking ownership. The transform layer (ir/transform.hpp)
-  /// uses this to splice guard locks around existing accesses; callers are
-  /// responsible for not inserting past the terminator.
+  /// appends), taking ownership and giving it a new slot. The transform
+  /// layer (ir/transform.hpp) uses this to splice guard locks around
+  /// existing accesses; callers are responsible for not inserting past the
+  /// terminator.
   Instruction* insert(std::size_t index, std::unique_ptr<Instruction> instr);
 
   /// Detaches and returns the instruction at `index`. The instruction keeps

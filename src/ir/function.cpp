@@ -5,6 +5,7 @@ namespace owl::ir {
 Argument* Function::add_argument(Type type, std::string name) {
   args_.push_back(std::make_unique<Argument>(
       type, std::move(name), this, static_cast<unsigned>(args_.size())));
+  args_.back()->set_slot(take_slot());
   return args_.back().get();
 }
 

@@ -52,12 +52,21 @@ class Function final : public Value {
   /// Total instruction count across all blocks (used for LoC-style stats).
   std::size_t instruction_count() const noexcept;
 
+  /// One more than the highest register slot handed out: every argument
+  /// and every instruction ever added takes the next slot, and a slot is
+  /// never reused (an instruction moved by remove/insert takes a new one).
+  std::uint32_t slot_count() const noexcept { return next_slot_; }
+
  private:
+  friend class BasicBlock;  // numbers the instructions it takes
+  std::uint32_t take_slot() noexcept { return next_slot_++; }
+
   Type return_type_;
   Module* parent_;
   bool internal_;
   std::vector<std::unique_ptr<Argument>> args_;
   std::vector<std::unique_ptr<BasicBlock>> blocks_;
+  std::uint32_t next_slot_ = 0;
 };
 
 }  // namespace owl::ir

@@ -19,6 +19,7 @@ GlobalVariable* Module::add_global(std::string name, std::uint64_t cell_count,
                                                       initial_value));
   GlobalVariable* g = globals_.back().get();
   g->set_id(next_value_id());
+  g->set_slot(static_cast<std::uint32_t>(globals_.size() - 1));
   return g;
 }
 

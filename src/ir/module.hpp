@@ -22,6 +22,7 @@ class Module {
   const std::string& name() const noexcept { return name_; }
 
   // --- globals ---
+  /// Appends a global; its slot() is its position in globals().
   GlobalVariable* add_global(std::string name, std::uint64_t cell_count = 1,
                              std::int64_t initial_value = 0);
   GlobalVariable* find_global(std::string_view name) const noexcept;

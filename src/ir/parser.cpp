@@ -528,8 +528,6 @@ class ModuleParser {
         return Status::ok();
       }
       case Opcode::kRet:
-      case Opcode::kFork:
-      case Opcode::kYield:
         if (cur.at_end()) return Status::ok();
         return parse_operand(cur, instr);
       default: {

@@ -7,11 +7,12 @@
 // to exactly those four kinds.
 #pragma once
 
+#include <cstdint>
 #include <string_view>
 
 namespace owl::ir {
 
-enum class TypeKind {
+enum class TypeKind : std::uint8_t {
   kVoid,  ///< instruction produces no value (store, br, ret void, ...)
   kI1,    ///< boolean, result of comparisons
   kI64,   ///< 64-bit integer, the universal scalar

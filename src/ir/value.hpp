@@ -16,7 +16,7 @@ namespace owl::ir {
 
 class Function;
 
-enum class ValueKind {
+enum class ValueKind : std::uint8_t {
   kConstant,
   kArgument,
   kInstruction,
@@ -46,14 +46,25 @@ class Value {
   std::uint64_t id() const noexcept { return id_; }
   void set_id(std::uint64_t id) noexcept { id_ = id; }
 
+  /// Dense number of the value in its owner, given when it is added: an
+  /// argument's or instruction's register slot in its function (below
+  /// Function::slot_count()), or a global's position in its module. 0 for
+  /// constants and functions. The interpreter indexes frames and the
+  /// global address table by it.
+  std::uint32_t slot() const noexcept { return slot_; }
+  void set_slot(std::uint32_t slot) noexcept { slot_ = slot; }
+
   bool is_constant() const noexcept { return kind_ == ValueKind::kConstant; }
   bool is_instruction() const noexcept {
     return kind_ == ValueKind::kInstruction;
   }
 
  private:
+  // One-byte kind and type leave room for the slot in the padding before
+  // the name, so the slot costs no memory per value.
   ValueKind kind_;
   Type type_;
+  std::uint32_t slot_ = 0;
   std::string name_;
   std::uint64_t id_ = 0;
 };

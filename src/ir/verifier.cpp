@@ -122,12 +122,23 @@ class Verifier {
         fail(f, &instr, "branch target in another function");
       }
     }
+    // With the table's arity checked, every operand index the interpreter
+    // and the checks below read exists. The message names the opcode only:
+    // the printer reads the operands it is missing.
+    const int arity = instr.info().arity;
+    if (arity != OpInfo::kNone &&
+        instr.operand_count() != static_cast<std::size_t>(arity)) {
+      fail(f, nullptr,
+           "wrong operand count for " +
+               std::string(opcode_name(instr.opcode())) + ": expects " +
+               std::to_string(arity) + " got " +
+               std::to_string(instr.operand_count()));
+      return;
+    }
 
     switch (instr.opcode()) {
       case Opcode::kBr:
-        if (instr.operand_count() != 1) {
-          fail(f, &instr, "br needs exactly one condition");
-        } else if (!instr.operand(0)->type().is_integer()) {
+        if (!instr.operand(0)->type().is_integer()) {
           fail(f, &instr, "br condition must be integer-typed");
         }
         if (instr.targets().size() != 2) {
@@ -149,6 +160,11 @@ class Verifier {
         }
         break;
       }
+      case Opcode::kCallPtr:
+        if (instr.operand_count() == 0) {
+          fail(f, nullptr, "callptr without a target operand");
+        }
+        break;
       case Opcode::kThreadCreate: {
         const Function* entry = instr.callee();
         if (entry == nullptr) {
@@ -179,10 +195,6 @@ class Verifier {
 
   void check_pointer_operand(const Function& f, const Instruction& instr,
                              std::size_t index) {
-    if (instr.operand_count() <= index) {
-      fail(f, &instr, "missing pointer operand");
-      return;
-    }
     const Value* op = instr.operand(index);
     // Arguments may carry pointers through i64-typed parameters in terse
     // hand-written IR; only flag clearly wrong kinds.

@@ -144,9 +144,9 @@ VulnVerifyResult VulnVerifier::verify(const vuln::ExploitReport& exploit,
         case interp::StopReason::kAllSuspended:
           // The parked racing thread blocks everyone else: give up on the
           // steering for this attempt (the §5.2 livelock release rule).
-          for (const auto& t : machine->threads()) {
-            if (t->state() == interp::ThreadState::kSuspended) {
-              (void)machine->resume_thread(t->id(), true);
+          for (const interp::Thread& t : machine->threads()) {
+            if (t.state() == interp::ThreadState::kSuspended) {
+              (void)machine->resume_thread(t.id(), true);
               break;
             }
           }

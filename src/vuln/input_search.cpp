@@ -59,9 +59,9 @@ Probe probe_run(const ExploitReport& exploit,
         break;
       }
       case interp::StopReason::kAllSuspended:
-        for (const auto& t : machine->threads()) {
-          if (t->state() == interp::ThreadState::kSuspended) {
-            (void)machine->resume_thread(t->id(), true);
+        for (const interp::Thread& t : machine->threads()) {
+          if (t.state() == interp::ThreadState::kSuspended) {
+            (void)machine->resume_thread(t.id(), true);
             break;
           }
         }

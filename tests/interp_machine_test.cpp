@@ -150,6 +150,207 @@ entry:
   EXPECT_EQ(machine.prints()[0], 42);
 }
 
+// ---- register semantics ----
+
+TEST(MachineTest, PhisSwapValuesAroundALoop) {
+  // Both phis read the values from before the jump (a parallel copy), so
+  // %a and %b trade places on every back edge.
+  auto m = parse_ok(R"(module t
+func @main() {
+entry:
+  jmp loop
+loop:
+  %a = phi [1, entry], [%b, loop]
+  %b = phi [2, entry], [%a, loop]
+  %i = phi [0, entry], [%n, loop]
+  print %a
+  print %b
+  %n = add %i, 1
+  %c = icmp slt %n, 3
+  br %c, loop, out
+out:
+  ret
+}
+)");
+  Machine machine(*m, {});
+  run_main(machine, *m);
+  EXPECT_EQ(machine.prints(), (std::vector<Word>{1, 2, 2, 1, 1, 2}));
+}
+
+TEST(MachineTest, UseOfAnUnexecutedDefReadsZero) {
+  auto m = parse_ok(R"(module t
+func @f(i64 %flag) {
+entry:
+  br %flag, set, join
+set:
+  %v = add 7, 0
+  jmp join
+join:
+  print %v
+  ret
+}
+func @main() {
+entry:
+  %c = input 0
+  br %c, set, join
+set:
+  %v = add 41, 1
+  jmp join
+join:
+  print %v
+  call @f(1)
+  call @f(0)
+  ret
+}
+)");
+  for (const Word input : {0, 1}) {
+    MachineOptions options;
+    options.inputs = {input};
+    Machine machine(*m, options);
+    run_main(machine, *m);
+    // The second call to @f skips the def its first call executed: a new
+    // frame starts with every register at 0.
+    EXPECT_EQ(machine.prints(),
+              (std::vector<Word>{input == 0 ? 0 : 42, 7, 0}))
+        << "input " << input;
+  }
+}
+
+TEST(MachineTest, RecursiveCallKeepsCallerRegisters) {
+  auto m = parse_ok(R"(module t
+func @fact(i64 %n) -> i64 {
+entry:
+  %c = icmp sle %n, 1
+  br %c, base, rec
+base:
+  ret 1
+rec:
+  %m = sub %n, 1
+  %r = call @fact(%m)
+  %p = mul %n, %r
+  print %m
+  ret %p
+}
+func @main() {
+entry:
+  %v = call @fact(5)
+  print %v
+  ret
+}
+)");
+  Machine machine(*m, {});
+  run_main(machine, *m);
+  EXPECT_EQ(machine.prints(), (std::vector<Word>{1, 2, 3, 4, 120}));
+}
+
+TEST(MachineTest, ThreadCreateThreeCallsDeepKeepsCallerRegisters) {
+  auto m = parse_ok(R"(module t
+global @x
+func @child(i64 %arg) {
+entry:
+  %d = add %arg, 0
+  store %d, @x
+  ret
+}
+func @spawn3(i64 %a) -> i64 {
+entry:
+  %k = add %a, 100
+  %t = thread_create @child, %k
+  %u = thread_create @child, %k
+  thread_join %u
+  %after = add %k, 1
+  print %after
+  print %a
+  ret %t
+}
+func @spawn2(i64 %a) -> i64 {
+entry:
+  %b = add %a, 10
+  %t = call @spawn3(%b)
+  print %b
+  ret %t
+}
+func @spawn1(i64 %a) -> i64 {
+entry:
+  %b = add %a, 1
+  %t = call @spawn2(%b)
+  print %b
+  ret %t
+}
+func @main() {
+entry:
+  %z = add 3, 0
+  %t = call @spawn1(%z)
+  thread_join %t
+  %v = load @x
+  print %z
+  print %v
+  print %t
+  ret
+}
+)");
+  for (const bool random : {false, true}) {
+    Machine machine(*m, {});
+    machine.start(m->find_function("main"));
+    RoundRobinScheduler round_robin;
+    RandomScheduler seeded(3);
+    Scheduler& sched = random ? static_cast<Scheduler&>(seeded) : round_robin;
+    EXPECT_EQ(machine.run(sched).reason, StopReason::kAllFinished);
+    EXPECT_EQ(machine.prints(),
+              (std::vector<Word>{115, 14, 14, 4, 3, 114, 1}))
+        << (random ? "random" : "round-robin");
+    EXPECT_EQ(machine.threads().size(), 3u);
+  }
+}
+
+TEST(MachineTest, EvalInThreadReadsOnlyTheTopFramesFunction) {
+  auto m = parse_ok(R"(module t
+global @g
+func @other(i64 %q) {
+entry:
+  %o = add %q, 1
+  ret
+}
+func @work(i64 %arg) {
+entry:
+  %c = icmp ne %arg, 0
+  br %c, body, skip
+skip:
+  %never = add %arg, 5
+  jmp body
+body:
+  store %arg, @g
+  ret
+}
+func @main() {
+entry:
+  call @other(4)
+  call @work(9)
+  ret
+}
+)");
+  Machine machine(*m, {});
+  machine.start(m->find_function("main"));
+  Debugger debugger;
+  machine.set_debugger(&debugger);
+  const ir::Function* work = m->find_function("work");
+  const ir::Function* other = m->find_function("other");
+  debugger.add_breakpoint(work->find_block("body")->front());
+  RoundRobinScheduler sched;
+  ASSERT_EQ(machine.run(sched).reason, StopReason::kBreakpoint);
+
+  EXPECT_EQ(machine.eval_in_thread(0, work->argument(0)), 9);
+  EXPECT_EQ(machine.eval_in_thread(0, work->entry()->front()), 1);
+  // %never's def did not execute on this path.
+  EXPECT_EQ(machine.eval_in_thread(0, work->find_block("skip")->front()), 0);
+  // @other ran before, but its values are not @work's.
+  EXPECT_EQ(machine.eval_in_thread(0, other->argument(0)), 0);
+  EXPECT_EQ(machine.eval_in_thread(0, other->entry()->front()), 0);
+  // Values outside any frame evaluate as usual.
+  EXPECT_EQ(machine.eval_in_thread(0, m->find_global("g")),
+            static_cast<Word>(machine.global_address("g")));
+}
+
 TEST(MachineTest, ExternalCallReturnsZero) {
   auto m = parse_ok(R"(module t
 func @ext() -> i64 external
@@ -820,12 +1021,10 @@ entry:
             image->memory().bytes_allocated());
 }
 
-/// What a caller can observe of one run: stop reason, steps, prints,
-/// security events, file writes, setuids and every global's final cells.
-std::string run_digest(Machine& machine, const ir::Function* entry,
-                       Scheduler& scheduler) {
-  machine.start(entry);
-  const RunResult result = machine.run(scheduler);
+/// What a caller can observe of a run that stopped with `result`: stop
+/// reason, steps, prints, security events, file writes, setuids and every
+/// global's final cells.
+std::string outcome_digest(const Machine& machine, const RunResult& result) {
   std::ostringstream out;
   out << "reason=" << static_cast<int>(result.reason)
       << " steps=" << result.steps << "\nprints:";
@@ -848,6 +1047,13 @@ std::string run_digest(Machine& machine, const ir::Function* entry,
     }
   }
   return out.str();
+}
+
+/// The outcome of running `machine` from `entry` to its first stop.
+std::string run_digest(Machine& machine, const ir::Function* entry,
+                       Scheduler& scheduler) {
+  machine.start(entry);
+  return outcome_digest(machine, machine.run(scheduler));
 }
 
 /// A machine from an image that has already served another machine runs
@@ -906,6 +1112,155 @@ TEST(MachineImageTest, SharedImageMatchesOneShotOnExamplesAndModels) {
       expect_shared_image_matches_one_shot(*w.module, w.entry, options,
                                            w.name);
     }
+  }
+}
+
+/// What a paused machine holds: each thread's state, frames and top-frame
+/// registers, the simulated time and every global's cells.
+std::string state_digest(const Machine& machine) {
+  std::ostringstream out;
+  out << "tick " << machine.tick() << " prints " << machine.prints().size();
+  for (const Thread& thread : machine.threads()) {
+    out << "\nthread " << thread.id() << " state "
+        << static_cast<int>(thread.state());
+    for (const Frame& frame : thread.frames()) {
+      out << ' ' << frame.function->name() << ':' << frame.block->label()
+          << '.' << frame.index;
+    }
+    if (thread.frames().empty()) continue;
+    const ir::Function* function = thread.top().function;
+    out << " regs";
+    for (const auto& arg : function->arguments()) {
+      out << ' ' << machine.eval_in_thread(thread.id(), arg.get());
+    }
+    for (const auto& block : function->blocks()) {
+      for (const auto& instr : block->instructions()) {
+        out << ' ' << machine.eval_in_thread(thread.id(), instr.get());
+      }
+    }
+  }
+  for (const auto& global : machine.module().globals()) {
+    out << "\n@" << global->name() << ':';
+    const Address base = machine.global_address(global.get());
+    for (std::uint64_t i = 0; i < global->cell_count(); ++i) {
+      out << ' ' << machine.memory().load_raw(base + i * 8);
+    }
+  }
+  return out.str();
+}
+
+/// Resumes every breakpoint stop until the run ends.
+RunResult run_to_end(Machine& machine, Scheduler& scheduler) {
+  RunResult result = machine.run(scheduler);
+  while (result.reason == StopReason::kBreakpoint) {
+    EXPECT_TRUE(machine.resume_thread(*result.break_thread).is_ok());
+    result = machine.run(scheduler);
+  }
+  return result;
+}
+
+/// Stops a machine at a breakpoint partway through its run and copies it
+/// and its scheduler. The copy runs to the end first: the original's state
+/// must not move, so the two share no mutable memory. Then the original
+/// runs to the end and must reach the same outcome.
+template <typename Sched>
+void expect_copy_continues_like_original(const ir::Module& module,
+                                         const ir::Function* entry,
+                                         const MachineOptions& options,
+                                         const Sched& fresh,
+                                         const std::string& label) {
+  const auto image = std::make_shared<const MachineImage>(module);
+  // Where to stop: a thread that is runnable or asleep, about to execute
+  // halfway through an uninterrupted run.
+  std::uint64_t full_steps = 0;
+  {
+    Machine full(image, options);
+    Sched sched = fresh;
+    full.start(entry);
+    full_steps = full.run(sched).steps;
+  }
+  MachineOptions half = options;
+  half.max_steps = std::max<std::uint64_t>(full_steps / 2, 1);
+  Machine probe(image, half);
+  Sched probe_sched = fresh;
+  probe.start(entry);
+  (void)probe.run(probe_sched);
+  const Thread* stop_thread = nullptr;
+  for (const Thread& thread : probe.threads()) {
+    if ((thread.state() == ThreadState::kRunnable ||
+         thread.state() == ThreadState::kSleeping) &&
+        thread.next_instruction() != nullptr) {
+      stop_thread = &thread;
+      break;
+    }
+  }
+  ASSERT_NE(stop_thread, nullptr) << label;
+
+  Debugger debugger;
+  debugger.add_breakpoint(stop_thread->next_instruction(), stop_thread->id());
+  Machine original(image, options);
+  original.set_debugger(&debugger);
+  Sched original_sched = fresh;
+  original.start(entry);
+  const RunResult stop = original.run(original_sched);
+  ASSERT_EQ(stop.reason, StopReason::kBreakpoint) << label;
+
+  Machine copy = original;
+  Sched copy_sched = original_sched;
+  const std::string paused = state_digest(original);
+  EXPECT_EQ(state_digest(copy), paused) << label;
+  EXPECT_NE(&copy.memory(), &original.memory());
+
+  ASSERT_TRUE(copy.resume_thread(*stop.break_thread).is_ok());
+  const std::string copy_outcome =
+      outcome_digest(copy, run_to_end(copy, copy_sched));
+  EXPECT_EQ(state_digest(original), paused)
+      << label << ": the copy's run changed the original";
+
+  ASSERT_TRUE(original.resume_thread(*stop.break_thread).is_ok());
+  EXPECT_EQ(outcome_digest(original, run_to_end(original, original_sched)),
+            copy_outcome)
+      << label;
+}
+
+void expect_copies_continue(const ir::Module& module,
+                            const ir::Function* entry,
+                            const MachineOptions& options,
+                            const std::string& label) {
+  expect_copy_continues_like_original(module, entry, options,
+                                      RoundRobinScheduler{},
+                                      label + " (round-robin)");
+  expect_copy_continues_like_original(module, entry, options,
+                                      RandomScheduler{7}, label + " (random)");
+}
+
+TEST(MachineImageTest, CopiedMachineContinuesLikeItsOriginal) {
+  std::vector<std::filesystem::path> examples;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(OWL_EXAMPLES_DIR)) {
+    if (entry.path().extension() == ".mir") examples.push_back(entry.path());
+  }
+  std::sort(examples.begin(), examples.end());
+  ASSERT_GE(examples.size(), 16u);
+  for (const auto& path : examples) {
+    std::ifstream file(path);
+    std::stringstream text;
+    text << file.rdbuf();
+    auto m = parse_ok(text.str());
+    MachineOptions options;
+    options.max_steps = 400'000;
+    expect_copies_continue(*m, m->find_function("main"), options,
+                           path.filename().string());
+  }
+
+  const std::vector<workloads::Workload> models = workloads::make_all({1.0});
+  ASSERT_EQ(models.size(), 9u);
+  for (const workloads::Workload& w : models) {
+    MachineOptions options;
+    options.inputs = w.exploit_inputs;
+    options.max_steps = w.max_steps;
+    options.authorized_root = w.authorized_root;
+    expect_copies_continue(*w.module, w.entry, options, w.name);
   }
 }
 

@@ -247,6 +247,14 @@ TEST(ParserErrorTest, WrongOperandCount) {
                      "wrong operand count");
 }
 
+TEST(ParserErrorTest, OperandOnANullaryOpIsRejected) {
+  expect_parse_error(
+      "module t\nfunc @f() {\nentry:\n  %p = fork 5\n  ret\n}\n",
+      "wrong operand count for fork");
+  expect_parse_error("module t\nfunc @f() {\nentry:\n  yield 7\n  ret\n}\n",
+                     "wrong operand count for yield");
+}
+
 TEST(ParserErrorTest, ErrorsCarryLineNumbers) {
   auto result = parse_module("module t\nglobal @g\nwhat\n");
   ASSERT_FALSE(result.is_ok());

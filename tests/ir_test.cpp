@@ -229,6 +229,44 @@ TEST(VerifierTest, RejectsCallArityMismatch) {
   EXPECT_NE(s.message().find("arity"), std::string::npos);
 }
 
+TEST(VerifierTest, RejectsWrongFixedOperandCount) {
+  // Too many operands on nullary ops, too few on unary and binary ones,
+  // and an indirect call without its target: every operand index the
+  // interpreter reads must exist in a verified module.
+  const auto build = [](Opcode op, int operands) {
+    auto m = std::make_unique<Module>("t");
+    IRBuilder b(m.get());
+    Function* f = m->add_function("f", Type::void_type());
+    b.set_insert_point(f->add_block("entry"));
+    auto instr = std::make_unique<Instruction>(op, "");
+    for (int i = 0; i < operands; ++i) instr->add_operand(b.i64(i + 1));
+    f->entry()->append(std::move(instr));
+    b.ret();
+    return m;
+  };
+  for (const auto& [op, operands] :
+       std::vector<std::pair<Opcode, int>>{{Opcode::kFork, 1},
+                                           {Opcode::kYield, 1},
+                                           {Opcode::kPrint, 0},
+                                           {Opcode::kAdd, 1},
+                                           {Opcode::kMemCopy, 2}}) {
+    const auto m = build(op, operands);
+    const Status s = verify_module(*m);
+    EXPECT_FALSE(s.is_ok()) << opcode_name(op);
+    EXPECT_NE(s.message().find("wrong operand count for " +
+                               std::string(opcode_name(op))),
+              std::string::npos)
+        << s.message();
+  }
+  const auto callptr = build(Opcode::kCallPtr, 0);
+  EXPECT_FALSE(verify_module(*callptr).is_ok());
+  // The same ops at their table arity verify.
+  EXPECT_TRUE(verify_module(*build(Opcode::kFork, 0)).is_ok());
+  EXPECT_TRUE(verify_module(*build(Opcode::kYield, 0)).is_ok());
+  EXPECT_TRUE(verify_module(*build(Opcode::kPrint, 1)).is_ok());
+  EXPECT_TRUE(verify_module(*build(Opcode::kCallPtr, 1)).is_ok());
+}
+
 TEST(VerifierTest, RejectsReturnValueFromVoidFunction) {
   Module m("t");
   IRBuilder b(&m);
